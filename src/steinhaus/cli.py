@@ -48,6 +48,20 @@ from .symmetry import partition_classes
 _KINDS = {"steinhaus": Orientation.STEINHAUS, "pascal": Orientation.PASCAL}
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _default_jobs() -> int:
     try:
         return max(1, int(os.environ.get("STEINHAUS_JOBS", "1")))
@@ -139,7 +153,7 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    periods = [args.p] if args.p else list(range(1, args.p_max + 1))
+    periods = list(range(1, args.p_max + 1)) if args.p is None else [args.p]
     rows = []
     for p in periods:
         dim = len(gf2_kernel_basis(wendt_matrix(p)))
@@ -149,7 +163,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    if args.p:
+    if args.p is not None:
         rows = [
             [args.p, str(cls.representative), cls.size]
             for cls in partition_classes(args.p)
@@ -165,7 +179,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_balanced_classes(args) -> int:
-    if args.p:
+    if args.p is not None:
         rows = [
             [k + 1, str(cls.representative), cls.size]
             for k, cls in enumerate(balanced_period_classes(args.p))
@@ -185,22 +199,38 @@ def _search_kinds(args) -> list[Orientation]:
     return [_KINDS[args.kind]]
 
 
+def _generator_fields(kind: Orientation, x: ResidueTuple, i0: int, j0: int) -> dict:
+    """The tuples generating a witness's triangles: the row z for Steinhaus,
+    the two sides z_left and z_right for Pascal."""
+    if kind is Orientation.STEINHAUS:
+        return {"z": str(generator_tuple(x, i0, j0))}
+    left, right = pascal_generator_tuples(x, i0, j0)
+    return {"z_left": str(left), "z_right": str(right)}
+
+
+def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
+    """One certificate per witness, keyed by (class index, kind, remainder);
+    with k_verify > 0 each must pass the oracle up to that multiplier."""
+    certs = {}
+    for entry in report.classes:
+        for kind in kinds:
+            for r, i0, j0 in entry.remainders(kind).witnesses:
+                cert = check_family(entry.class_rep, i0, j0, r, kind)
+                if k_verify and (cert is None or not oracle_verify_family(cert, k_verify)):
+                    raise SteinhausError(
+                        f"witness ({i0},{j0},{r}) of class {entry.index} failed "
+                        f"oracle verification at K={k_verify}"
+                    )
+                certs[entry.index, kind, r] = cert
+    return certs
+
+
 def _cmd_search(args) -> int:
     report = full_search(args.p, jobs=args.jobs)
     kinds = _search_kinds(args)
-    verified = 0
-    if args.k_verify:
-        for entry in report.classes:
-            for kind in kinds:
-                rset = entry.steinhaus if kind is Orientation.STEINHAUS else entry.pascal
-                for r, i0, j0 in rset.witnesses:
-                    cert = check_family(entry.class_rep, i0, j0, r, kind)
-                    if cert is None or not oracle_verify_family(cert, args.k_verify):
-                        raise SteinhausError(
-                            f"witness ({i0},{j0},{r}) of class {entry.index} failed "
-                            f"oracle verification at K={args.k_verify}"
-                        )
-                    verified += 1
+    certs = {}
+    if args.k_verify or args.format == "json":
+        certs = _certificates(report, kinds, args.k_verify)
     if args.format == "json":
         payload = {"p": report.p, "classes": []}
         for entry in report.classes:
@@ -209,17 +239,11 @@ def _cmd_search(args) -> int:
                 "representative": str(entry.class_rep),
             }
             for kind in kinds:
-                rset = entry.steinhaus if kind is Orientation.STEINHAUS else entry.pascal
+                rset = entry.remainders(kind)
                 witnesses = []
                 for r, i0, j0 in rset.witnesses:
-                    cert = check_family(entry.class_rep, i0, j0, r, kind)
-                    record = cert.to_json_dict()
-                    if kind is Orientation.STEINHAUS:
-                        record["z"] = str(generator_tuple(entry.class_rep, i0, j0))
-                    else:
-                        left, right = pascal_generator_tuples(entry.class_rep, i0, j0)
-                        record["z_left"] = str(left)
-                        record["z_right"] = str(right)
+                    record = certs[entry.index, kind, r].to_json_dict()
+                    record.update(_generator_fields(kind, entry.class_rep, i0, j0))
                     witnesses.append(record)
                 item[kind.value] = {
                     "remainder_count": len(rset),
@@ -228,7 +252,7 @@ def _cmd_search(args) -> int:
                 }
             payload["classes"].append(item)
         if args.k_verify:
-            payload["verified_certificates"] = verified
+            payload["verified_certificates"] = len(certs)
             payload["k_verify"] = args.k_verify
         _emit_json(payload, args)
         return 0
@@ -236,17 +260,11 @@ def _cmd_search(args) -> int:
         rows = []
         for entry in report.classes:
             for kind in kinds:
-                rset = entry.steinhaus if kind is Orientation.STEINHAUS else entry.pascal
-                for r, i0, j0 in rset.witnesses:
-                    if kind is Orientation.STEINHAUS:
-                        z = str(generator_tuple(entry.class_rep, i0, j0))
-                        zl = zr = ""
-                    else:
-                        z = ""
-                        left, right = pascal_generator_tuples(entry.class_rep, i0, j0)
-                        zl, zr = str(left), str(right)
+                for r, i0, j0 in entry.remainders(kind).witnesses:
+                    fields = _generator_fields(kind, entry.class_rep, i0, j0)
                     rows.append(
-                        [entry.index, str(entry.class_rep), kind.value, r, i0, j0, z, zl, zr]
+                        [entry.index, str(entry.class_rep), kind.value, r, i0, j0]
+                        + [fields.get(key, "") for key in ("z", "z_left", "z_right")]
                     )
         _emit_table(
             ["class_index", "representative", "kind", "remainder", "i0", "j0", "z", "z_left", "z_right"],
@@ -258,8 +276,7 @@ def _cmd_search(args) -> int:
     for entry in report.classes:
         parts = [f"class {entry.index:2d} {entry.class_rep}"]
         for kind in kinds:
-            rset = entry.steinhaus if kind is Orientation.STEINHAUS else entry.pascal
-            parts.append(f"{kind.value} |R|={len(rset)}")
+            parts.append(f"{kind.value} |R|={len(entry.remainders(kind))}")
         lines.append("  ".join(parts))
     for kind in kinds:
         full = report.full_classes(kind)
@@ -268,7 +285,7 @@ def _cmd_search(args) -> int:
             + (", ".join(str(i) for i in full) if full else "none")
         )
     if args.k_verify:
-        lines.append(f"verified {verified} certificates at K={args.k_verify}")
+        lines.append(f"verified {len(certs)} certificates at K={args.k_verify}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -278,7 +295,7 @@ def _cmd_census(args) -> int:
     limit = (
         STEINHAUS_CENSUS_LIMIT if kind is Orientation.STEINHAUS else PASCAL_CENSUS_LIMIT
     )
-    n_max = args.n_max or limit
+    n_max = limit if args.n_max is None else args.n_max
     rows = []
     for n in range(1, n_max + 1):
         total = average_census(n, kind)
@@ -302,14 +319,14 @@ def _cmd_modm(args) -> int:
     rows = []
     if args.scan == "ap":
         spec = ApFamilySpec(args.modulus, args.difference, args.start)
-        n_max = args.n_max or args.periods * spec.period
+        n_max = args.periods * spec.period if args.n_max is None else args.n_max
         for entry in ap_balanced_scan(spec, n_max):
             rows.append(
                 [args.modulus, str(args.difference), entry.n,
                  "yes" if entry.balanced else "no", entry.spread]
             )
     else:
-        n_max = args.n_max or args.periods * 6 * args.modulus
+        n_max = args.periods * 6 * args.modulus if args.n_max is None else args.n_max
         kind = _KINDS[args.kind]
         witnesses = interlaced_scan(args.modulus, n_max, kind)
         claimed = set(interlaced_claimed_sizes(args.modulus, n_max, kind))
@@ -375,35 +392,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.set_defaults(func=_cmd_triangle)
 
     p_ker = sub.add_parser("kernel", help="kernel dimensions of the binomial circulant")
-    p_ker.add_argument("--p-max", type=int, default=24)
-    p_ker.add_argument("--p", type=int)
+    p_ker.add_argument("--p-max", type=positive_int, default=24)
+    p_ker.add_argument("--p", type=positive_int)
     add_common(p_ker)
     p_ker.set_defaults(func=_cmd_kernel)
 
     p_cls = sub.add_parser("classes", help="symmetry classes of periodic generators")
-    p_cls.add_argument("--p", type=int, help="list classes for one period")
-    p_cls.add_argument("--p-max", type=int, default=24, help="count classes up to this period")
+    p_cls.add_argument("--p", type=positive_int, help="list classes for one period")
+    p_cls.add_argument("--p-max", type=positive_int, default=24, help="count classes up to this period")
     add_common(p_cls)
     p_cls.set_defaults(func=_cmd_classes)
 
     p_bal = sub.add_parser("balanced-classes", help="classes with a balanced period")
-    p_bal.add_argument("--p", type=int)
-    p_bal.add_argument("--p-max", type=int, default=24)
+    p_bal.add_argument("--p", type=positive_int)
+    p_bal.add_argument("--p-max", type=positive_int, default=24)
     add_common(p_bal)
     p_bal.set_defaults(func=_cmd_balanced_classes)
 
     p_sea = sub.add_parser("search", help="family search over balanced-period classes")
-    p_sea.add_argument("--p", type=int, required=True)
+    p_sea.add_argument("--p", type=positive_int, required=True)
     p_sea.add_argument("--kind", choices=("steinhaus", "pascal", "both"), default="both")
-    p_sea.add_argument("--k-verify", type=int, default=0,
+    p_sea.add_argument("--k-verify", type=non_negative_int, default=0,
                        help="re-verify every witness by direct extraction up to this multiplier")
-    p_sea.add_argument("--jobs", type=int, default=_default_jobs())
+    p_sea.add_argument("--jobs", type=positive_int, default=_default_jobs())
     add_common(p_sea)
     p_sea.set_defaults(func=_cmd_search)
 
     p_cen = sub.add_parser("census", help="exhaustive one-count census of small triangles")
     p_cen.add_argument("--kind", choices=("steinhaus", "pascal"), default="steinhaus")
-    p_cen.add_argument("--n-max", type=int)
+    p_cen.add_argument("--n-max", type=positive_int)
     add_common(p_cen)
     p_cen.set_defaults(func=_cmd_census)
 
@@ -412,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--modulus", type=int, required=True)
     p_mod.add_argument("--difference", type=int, default=1)
     p_mod.add_argument("--start", type=int, default=0)
-    p_mod.add_argument("--n-max", type=int)
-    p_mod.add_argument("--periods", type=int, default=3)
+    p_mod.add_argument("--n-max", type=positive_int)
+    p_mod.add_argument("--periods", type=positive_int, default=3)
     p_mod.add_argument("--kind", choices=("steinhaus", "pascal"), default="steinhaus")
     add_common(p_mod)
     p_mod.set_defaults(func=_cmd_modm)
@@ -440,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # SteinhausError and plain validation errors
+    except (ValueError, OSError) as exc:  # validation errors and unwritable --out paths
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

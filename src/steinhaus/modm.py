@@ -7,7 +7,8 @@ progression is q-periodic.  A second family interlaces three arithmetic
 progressions; its orbit mod m has period 6m and *contains* balanced
 triangles of every size divisible by m and every size -1 mod 3m, though not
 necessarily anchored at the origin, so those claims are checked by scanning
-positions across the fundamental domain.
+positions across the fundamental domain with orbits.BlockCounter, the
+prefix-sum counter the binary family search uses too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .core import ResidueTuple, Triangle, Orientation, build_steinhaus, is_balanced
 from .errors import InvalidSpec
-from .orbits import derive_tuple
+from .orbits import BlockCounter, derive_tuple, is_periodic_tuple
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -92,10 +93,7 @@ def orbit_period_check_mod_m(x: ResidueTuple, q: int) -> bool:
     """True when q derivation steps return the length-q tuple to itself."""
     if len(x) != q:
         raise ValueError("tuple length must equal the candidate period")
-    row = x
-    for _ in range(q):
-        row = derive_tuple(row)
-    return row == x
+    return is_periodic_tuple(x)
 
 
 def interlaced_entry(j: int, m: int) -> int:
@@ -132,14 +130,11 @@ def interlaced_sequence_check(m: int, n: int, i0: int = 0, j0: int = 0):
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
     q = 6 * m
-    row = interlaced_tuple(m, q)
-    for _ in range(i0 % q):
-        row = derive_tuple(row)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(row.entries[(j0 + j) % q] for j in range(i, n)))
-        row = derive_tuple(row)
-    return is_balanced(Triangle(Orientation.STEINHAUS, m, tuple(rows)))
+    orbit = _interlaced_orbit_rows(m)
+    rows = tuple(
+        tuple(orbit[(i0 + i) % q][(j0 + j) % q] for j in range(i, n)) for i in range(n)
+    )
+    return is_balanced(Triangle(Orientation.STEINHAUS, m, rows))
 
 
 class SizeWitness(NamedTuple):
@@ -155,49 +150,21 @@ def interlaced_scan(
     """For each size up to n_max, search the 6m-by-6m fundamental domain of
     the interlaced orbit for a balanced triangle of that size.
 
-    Growing the triangle by one row or column updates per-residue counts
-    incrementally, so one sweep per position covers all sizes.
+    One count profile per position and nonzero residue covers all sizes;
+    residue 0 fills the cells the other residues leave.
     """
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
     q = 6 * m
-    rows = _interlaced_orbit_rows(m)
-    # per-residue prefix sums along rows and columns
-    row_pref = [[[0] * (q + 1) for _ in range(m)] for _ in range(q)]
-    col_pref = [[[0] * (q + 1) for _ in range(m)] for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            value = rows[i][j]
-            for x in range(m):
-                row_pref[i][x][j + 1] = row_pref[i][x][j] + (value == x)
-                col_pref[j][x][i + 1] = col_pref[j][x][i] + (value == x)
-
-    def segment(pref: list[int], start: int, length: int) -> int:
-        full, rest = divmod(length, q)
-        start %= q
-        count = full * pref[q]
-        end = start + rest
-        if end <= q:
-            count += pref[end] - pref[start]
-        else:
-            count += pref[q] - pref[start] + pref[end - q]
-        return count
-
+    counter = BlockCounter(_interlaced_orbit_rows(m), m)
     best: list[tuple[int, tuple[int, int] | None]] = [(n_max + 2, None)] * (n_max + 1)
     for i0 in range(q):
         for j0 in range(q):
-            counts = [0] * m
-            for n in range(1, n_max + 1):
-                if kind is Orientation.STEINHAUS:
-                    prefs = col_pref[(j0 + n - 1) % q]
-                    anchor = i0
-                else:
-                    prefs = row_pref[(i0 + n - 1) % q]
-                    anchor = j0
-                for x in range(m):
-                    counts[x] += segment(prefs[x], anchor, n)
-                spread = max(counts) - min(counts)
-                if spread < best[n][0]:
+            profiles = [counter.profile(kind, i0, j0, n_max, x) for x in range(1, m)]
+            for n, counts in enumerate(zip(*profiles)):
+                zero = n * (n + 1) // 2 - sum(counts)
+                spread = max(zero, *counts) - min(zero, *counts)
+                if n and spread < best[n][0]:
                     best[n] = (spread, (i0, j0))
     return [
         SizeWitness(n, best[n][0] <= 1, best[n][1] if best[n][0] <= 1 else None, best[n][0])

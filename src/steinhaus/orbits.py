@@ -6,15 +6,18 @@ derivatives.  The orbit is *p-periodic* (vertically as well) exactly when
 the tuple lies in the kernel over GF(2) of the circulant matrix of binomial
 coefficients C(p, .); the p-by-p fundamental domain of such an orbit is the
 PeriodGrid.  Bit-level helpers pack modulus-2 tuples LSB-first into ints.
+BlockCounter counts residues in triangles anchored anywhere in a periodic
+orbit of any modulus, from prefix sums over its fundamental domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
-from .core import MultiplicityTable, ResidueTuple
+from .core import MultiplicityTable, Orientation, ResidueTuple
 from .errors import EmptyTuple, NotPeriodic, TooLarge
 
 KERNEL_ENUM_LIMIT = 20  # kernel dimension above which span enumeration is refused
@@ -123,10 +126,6 @@ def wendt_matrix(p: int) -> Gf2Matrix:
     mask = (1 << p) - 1
     rows = tuple(((first << i) | (first >> (p - i))) & mask for i in range(p))
     return Gf2Matrix(rows, p)
-
-
-def gf2_rank(matrix: Gf2Matrix) -> int:
-    return matrix.cols - len(gf2_kernel_basis(matrix))
 
 
 def gf2_kernel_basis(matrix: Gf2Matrix) -> list[int]:
@@ -239,6 +238,58 @@ def build_period_grid(x: ResidueTuple) -> PeriodGrid:
     if row != rows[0]:
         raise NotPeriodic(f"{x} does not generate a {p}-periodic orbit")
     return PeriodGrid(p, tuple(rows))
+
+
+class BlockCounter:
+    """Residue counts of triangles anchored anywhere in a q-periodic orbit.
+
+    ``rows`` is the q-by-q fundamental domain of the orbit, entries mod
+    ``modulus``.  For every residue 1..m-1 it keeps prefix sums along each
+    row and each column, taken over the line written out twice, so a wrapped
+    segment of any length is counted in O(1); residue 0 is the cell count
+    minus the rest.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], modulus: int):
+        self.q = len(rows)
+        self.modulus = modulus
+        columns = list(zip(*rows))
+
+        def prefixes(lines: Sequence[Sequence[int]], x: int) -> list[list[int]]:
+            return [
+                list(accumulate((v == x for v in (*line, *line)), initial=0))
+                for line in lines
+            ]
+
+        self.row_pref = [prefixes(rows, x) for x in range(1, modulus)]
+        self.col_pref = [prefixes(columns, x) for x in range(1, modulus)]
+
+    def profile(
+        self, kind: Orientation, i0: int, j0: int, n_max: int, residue: int = 1
+    ) -> list[int]:
+        """counts[n] = occurrences of ``residue`` in the size-n triangle of the
+        given kind anchored at orbit position (i0, j0), for n = 0..n_max.
+
+        Growing a Steinhaus triangle appends the column segment of cells
+        (i0..i0+n-1, j0+n-1); growing a Pascal triangle appends the row
+        segment (i0+n-1, j0..j0+n-1).
+        """
+        if residue == 0:
+            rest = [self.profile(kind, i0, j0, n_max, x) for x in range(1, self.modulus)]
+            return [n * (n + 1) // 2 - sum(c) for n, c in enumerate(zip(*rest))]
+        q = self.q
+        if kind is Orientation.STEINHAUS:
+            lines, first, start = self.col_pref[residue - 1], j0, i0 % q
+        else:
+            lines, first, start = self.row_pref[residue - 1], i0, j0 % q
+        counts = [0] * (n_max + 1)
+        total = 0
+        for n in range(1, n_max + 1):
+            pref = lines[(first + n - 1) % q]
+            full, rest = divmod(n, q)
+            total += full * pref[q] + pref[start + rest] - pref[start]
+            counts[n] = total
+        return counts
 
 
 class PreperiodReport(NamedTuple):

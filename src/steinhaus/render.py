@@ -11,13 +11,8 @@ from typing import Mapping
 
 from .core import Orientation, ResidueTuple
 from .errors import WindowTooLarge
-from .orbits import derive_tuple
-from .search import (
-    FamilyCertificate,
-    extract_pascal_block,
-    extract_steinhaus_block,
-)
-from .orbits import build_period_grid
+from .orbits import build_period_grid, derive_tuple
+from .search import FamilyCertificate, extract_block
 
 MAX_PIXELS = 16_000_000
 OUTLINE_COLOR = (255, 0, 0)
@@ -195,8 +190,7 @@ def render_family(
         raise ValueError("family triangle of size 0 has nothing to render")
     _check_pixels(n, n, spec)
     steinhaus = cert.kind is Orientation.STEINHAUS
-    extract = extract_steinhaus_block if steinhaus else extract_pascal_block
-    triangle = extract(grid, i0, j0, n)
+    triangle = extract_block(grid, i0, j0, n, cert.kind)
     draw_outline = spec.cell_size >= 3
     if spec.palette is None and not draw_outline:
         pixels = [[0] * n for _ in range(n)]

@@ -8,7 +8,9 @@ two counts must be equal), and the p-by-p period itself.  This holds only
 when p is divisible by 4.  The module scans all (position, remainder) pairs
 per orbit class, collects the achievable remainders with witnesses, and
 emits certificates that an independent oracle can re-verify by direct
-extraction and counting.
+extraction and counting.  Scan, acceptance check and certificate all read
+their counts from the one-count profiles of orbits.BlockCounter, the counter
+the mod-m scans share, through a single acceptance predicate.
 """
 
 from __future__ import annotations
@@ -26,34 +28,33 @@ from .core import (
     multiplicity,
 )
 from .errors import PeriodNotDivisibleBy4, UnbalancedPeriod
-from .orbits import PeriodGrid, build_period_grid
+from .orbits import BlockCounter, PeriodGrid, build_period_grid
 from .symmetry import OrbitClass, partition_classes
 
 
-def extract_steinhaus_block(grid: PeriodGrid, i0: int, j0: int, n: int) -> Triangle:
-    """The size-n Steinhaus triangle whose principal vertex sits at orbit
-    position (i0, j0): cells (i0+i, j0+j) for 0 <= i <= j <= n-1."""
+def extract_block(
+    grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation
+) -> Triangle:
+    """The size-n triangle of the given kind anchored at orbit position
+    (i0, j0): cells (i0+i, j0+j) for 0 <= i <= j <= n-1 (Steinhaus, principal
+    vertex at the anchor) or 0 <= j <= i <= n-1 (Pascal, apex at the anchor)."""
     if n < 0:
         raise ValueError("size must be non-negative")
     p = grid.p
     rows = []
     for i in range(n):
         bits = grid.rows[(i0 + i) % p]
-        rows.append(tuple((bits >> ((j0 + j) % p)) & 1 for j in range(i, n)))
-    return Triangle(Orientation.STEINHAUS, 2, tuple(rows))
+        columns = range(i, n) if kind is Orientation.STEINHAUS else range(i + 1)
+        rows.append(tuple((bits >> ((j0 + j) % p)) & 1 for j in columns))
+    return Triangle(kind, 2, tuple(rows))
+
+
+def extract_steinhaus_block(grid: PeriodGrid, i0: int, j0: int, n: int) -> Triangle:
+    return extract_block(grid, i0, j0, n, Orientation.STEINHAUS)
 
 
 def extract_pascal_block(grid: PeriodGrid, i0: int, j0: int, n: int) -> Triangle:
-    """The size-n generalized Pascal triangle with apex at orbit position
-    (i0, j0): cells (i0+i, j0+j) for 0 <= j <= i <= n-1."""
-    if n < 0:
-        raise ValueError("size must be non-negative")
-    p = grid.p
-    rows = []
-    for i in range(n):
-        bits = grid.rows[(i0 + i) % p]
-        rows.append(tuple((bits >> ((j0 + j) % p)) & 1 for j in range(i + 1)))
-    return Triangle(Orientation.PASCAL, 2, tuple(rows))
+    return extract_block(grid, i0, j0, n, Orientation.PASCAL)
 
 
 def generator_tuple(x: ResidueTuple, i0: int, j0: int) -> ResidueTuple:
@@ -90,6 +91,11 @@ def steinhaus_dual_position(i0: int, j0: int, r: int, p: int) -> tuple[int, int,
     return i0 + r - p, j0 + r + 1 - p, p - 1 - r
 
 
+def _check_period(p: int) -> None:
+    if p % 4:
+        raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
+
+
 @dataclass(frozen=True)
 class FamilyCertificate:
     """Witness that the triangles of size kp + r anchored at ``position``
@@ -106,8 +112,7 @@ class FamilyCertificate:
     def __post_init__(self) -> None:
         p = len(self.generator)
         r = self.remainder
-        if p % 4:
-            raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
+        _check_period(p)
         if not 0 <= r < p:
             raise ValueError("remainder must lie in 0..p-1")
         if self.corner.total != r * (r + 1) // 2:
@@ -142,60 +147,64 @@ def _period_multiplicity(x: ResidueTuple) -> MultiplicityTable:
     return table
 
 
-def check_steinhaus_family(
-    x: ResidueTuple, i0: int, j0: int, r: int
-) -> FamilyCertificate | None:
-    """Accept iff the size-r corner triangle at (i0, j0) is balanced and the
-    cells added by growing it to size p + r split evenly; returns the
-    certificate on acceptance, None on rejection."""
-    p = len(x)
-    if p % 4:
-        raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
-    if not 0 <= r < p:
-        raise ValueError("remainder must lie in 0..p-1")
-    period = _period_multiplicity(x)
-    grid = build_period_grid(x)
-    corner = multiplicity(extract_steinhaus_block(grid, i0, j0, r))
-    if corner.spread > 1:
-        return None
-    band = multiplicity(extract_steinhaus_block(grid, i0, j0, p + r)) - corner
-    if band.spread != 0:
-        return None
-    return FamilyCertificate(
-        Orientation.STEINHAUS, x, (i0 % p, j0 % p), r, corner, band, period
+@lru_cache(maxsize=2)
+def _block_counter(x: ResidueTuple) -> BlockCounter:
+    # one tuple's scans and certificates run back to back, so two entries suffice
+    return BlockCounter(build_period_grid(x).cells, 2)
+
+
+def _accepts(ones: list[int], p: int, r: int) -> bool:
+    """The family predicate on a one-count profile (ones[n] for the size-n
+    triangle): the size-r corner is balanced and the band of cells added by
+    growing it to size p + r splits evenly."""
+    corner_cells = r * (r + 1) // 2
+    band_cells = p * r + p * (p + 1) // 2
+    return (
+        abs(corner_cells - 2 * ones[r]) <= 1
+        and band_cells == 2 * (ones[p + r] - ones[r])
     )
 
 
-def check_pascal_family(
-    x: ResidueTuple, i0: int, j0: int, r: int
-) -> FamilyCertificate | None:
-    """Pascal counterpart: the size-r apex triangle must be balanced and the
-    band (the size p+r triangle minus its lower-right size-r corner, i.e.
-    the cells in the first p columns) must split evenly."""
-    p = len(x)
-    if p % 4:
-        raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
-    if not 0 <= r < p:
-        raise ValueError("remainder must lie in 0..p-1")
-    period = _period_multiplicity(x)
-    grid = build_period_grid(x)
-    corner = multiplicity(extract_pascal_block(grid, i0, j0, r))
-    if corner.spread > 1:
-        return None
-    band = multiplicity(extract_pascal_block(grid, i0, j0, p + r)) - corner
-    if band.spread != 0:
-        return None
-    return FamilyCertificate(
-        Orientation.PASCAL, x, (i0 % p, j0 % p), r, corner, band, period
-    )
+def _binary_table(cells: int, ones: int) -> MultiplicityTable:
+    return MultiplicityTable(2, (cells - ones, ones))
 
 
 def check_family(
     x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation
 ) -> FamilyCertificate | None:
-    if kind is Orientation.STEINHAUS:
-        return check_steinhaus_family(x, i0, j0, r)
-    return check_pascal_family(x, i0, j0, r)
+    """Accept iff the size-r corner triangle of the given kind at (i0, j0) is
+    balanced and the band added by growing it to size p + r splits evenly
+    (for Pascal the band is the first p columns of the size p+r triangle);
+    returns the certificate on acceptance, None on rejection."""
+    p = len(x)
+    _check_period(p)
+    if not 0 <= r < p:
+        raise ValueError("remainder must lie in 0..p-1")
+    period = _period_multiplicity(x)
+    ones = _block_counter(x).profile(kind, i0, j0, p + r)
+    if not _accepts(ones, p, r):
+        return None
+    corner = _binary_table(r * (r + 1) // 2, ones[r])
+    band = _binary_table(p * r + p * (p + 1) // 2, ones[p + r] - ones[r])
+    return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, corner, band, period)
+
+
+def check_steinhaus_family(
+    x: ResidueTuple, i0: int, j0: int, r: int
+) -> FamilyCertificate | None:
+    return check_family(x, i0, j0, r, Orientation.STEINHAUS)
+
+
+def check_pascal_family(
+    x: ResidueTuple, i0: int, j0: int, r: int
+) -> FamilyCertificate | None:
+    return check_family(x, i0, j0, r, Orientation.PASCAL)
+
+
+def family_accepts(
+    x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation = Orientation.STEINHAUS
+) -> bool:
+    return check_family(x, i0, j0, r, kind) is not None
 
 
 def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
@@ -205,93 +214,11 @@ def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
         raise ValueError("need at least one multiplier")
     grid = build_period_grid(cert.generator)
     i0, j0 = cert.position
-    extract = (
-        extract_steinhaus_block
-        if cert.kind is Orientation.STEINHAUS
-        else extract_pascal_block
-    )
     for k in range(max_multiplier + 1):
-        triangle = extract(grid, i0, j0, k * grid.p + cert.remainder)
-        if not is_balanced(triangle).balanced:
+        triangle = extract_block(grid, i0, j0, k * grid.p + cert.remainder, cert.kind)
+        if not multiplicity(triangle).balanced:
             return False
     return True
-
-
-class _GridCounter:
-    """Prefix sums over the period grid for O(1) wrapped segment counts."""
-
-    def __init__(self, grid: PeriodGrid):
-        p = grid.p
-        self.p = p
-        cells = grid.cells
-        self.row_pref = [[0] * (p + 1) for _ in range(p)]
-        self.col_pref = [[0] * (p + 1) for _ in range(p)]
-        for i in range(p):
-            for j in range(p):
-                self.row_pref[i][j + 1] = self.row_pref[i][j] + cells[i][j]
-                self.col_pref[j][i + 1] = self.col_pref[j][i] + cells[i][j]
-
-    def _segment(self, pref: list[int], start: int, length: int) -> int:
-        p = self.p
-        full, rest = divmod(length, p)
-        start %= p
-        count = full * pref[p]
-        end = start + rest
-        if end <= p:
-            count += pref[end] - pref[start]
-        else:
-            count += pref[p] - pref[start] + pref[end - p]
-        return count
-
-    def column_ones(self, j: int, i_start: int, length: int) -> int:
-        return self._segment(self.col_pref[j % self.p], i_start, length)
-
-    def row_ones(self, i: int, j_start: int, length: int) -> int:
-        return self._segment(self.row_pref[i % self.p], j_start, length)
-
-    def steinhaus_ones_profile(self, i0: int, j0: int, n_max: int) -> list[int]:
-        """ones[n] = one-count of the size-n Steinhaus triangle at (i0, j0);
-        growing the size appends one column segment."""
-        ones = [0] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            ones[n] = ones[n - 1] + self.column_ones(j0 + n - 1, i0, n)
-        return ones
-
-    def pascal_ones_profile(self, i0: int, j0: int, n_max: int) -> list[int]:
-        """Same for Pascal triangles; growing the size appends one row."""
-        ones = [0] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            ones[n] = ones[n - 1] + self.row_ones(i0 + n - 1, j0, n)
-        return ones
-
-
-@lru_cache(maxsize=64)
-def _cached_counter(x: ResidueTuple) -> _GridCounter:
-    return _GridCounter(build_period_grid(x))
-
-
-def family_accepts(
-    x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation = Orientation.STEINHAUS
-) -> bool:
-    """Acceptance predicate of check_steinhaus_family / check_pascal_family,
-    computed from one-count profiles instead of full extraction."""
-    p = len(x)
-    if p % 4:
-        raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
-    if not 0 <= r < p:
-        raise ValueError("remainder must lie in 0..p-1")
-    _period_multiplicity(x)
-    counter = _cached_counter(x)
-    profile = (
-        counter.steinhaus_ones_profile
-        if kind is Orientation.STEINHAUS
-        else counter.pascal_ones_profile
-    )
-    ones = profile(i0 % p, j0 % p, p + r)
-    corner_cells = r * (r + 1) // 2
-    if abs(corner_cells - 2 * ones[r]) > 1:
-        return False
-    return p * r + p * (p + 1) // 2 == 2 * (ones[p + r] - ones[r])
 
 
 @dataclass(frozen=True)
@@ -328,30 +255,16 @@ def remainder_set(
     """Scan all positions (i0, j0) in the fundamental domain and all
     remainders r, keeping the first witness per achievable remainder."""
     p = len(x)
-    if p % 4:
-        raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
+    _check_period(p)
     _period_multiplicity(x)
-    counter = _GridCounter(build_period_grid(x))
-    profile = (
-        counter.steinhaus_ones_profile
-        if kind is Orientation.STEINHAUS
-        else counter.pascal_ones_profile
-    )
-    band_cells = [p * r + p * (p + 1) // 2 for r in range(p)]
+    counter = _block_counter(x)
     found: dict[int, tuple[int, int]] = {}
     for i0 in range(p):
         for j0 in range(p):
-            ones = profile(i0, j0, 2 * p - 1)
+            ones = counter.profile(kind, i0, j0, 2 * p - 1)
             for r in range(p):
-                if r in found:
-                    continue
-                corner_cells = r * (r + 1) // 2
-                corner_ones = ones[r]
-                if abs(corner_cells - 2 * corner_ones) > 1:
-                    continue
-                if band_cells[r] != 2 * (ones[p + r] - corner_ones):
-                    continue
-                found[r] = (i0, j0)
+                if r not in found and _accepts(ones, p, r):
+                    found[r] = (i0, j0)
             if len(found) == p:
                 break
         if len(found) == p:
@@ -362,8 +275,7 @@ def remainder_set(
 
 def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
     """Orbit classes whose p-by-p period has equally many zeroes and ones."""
-    if p % 4:
-        raise PeriodNotDivisibleBy4(f"period {p} is not divisible by 4")
+    _check_period(p)
     return tuple(
         cls
         for cls in partition_classes(p)
@@ -378,6 +290,9 @@ class ClassFamilySearch:
     steinhaus: RemainderSet
     pascal: RemainderSet
 
+    def remainders(self, kind: Orientation) -> RemainderSet:
+        return self.steinhaus if kind is Orientation.STEINHAUS else self.pascal
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -385,12 +300,10 @@ class SearchReport:
     classes: tuple[ClassFamilySearch, ...]
 
     def remainder_counts(self, kind: Orientation) -> tuple[int, ...]:
-        pick = (lambda c: c.steinhaus) if kind is Orientation.STEINHAUS else (lambda c: c.pascal)
-        return tuple(len(pick(c)) for c in self.classes)
+        return tuple(len(c.remainders(kind)) for c in self.classes)
 
     def full_classes(self, kind: Orientation) -> tuple[int, ...]:
-        pick = (lambda c: c.steinhaus) if kind is Orientation.STEINHAUS else (lambda c: c.pascal)
-        return tuple(c.index for c in self.classes if pick(c).full)
+        return tuple(c.index for c in self.classes if c.remainders(kind).full)
 
 
 def _search_one_class(args: tuple[ResidueTuple, int]) -> tuple[RemainderSet, RemainderSet]:
@@ -429,19 +342,12 @@ def balanced_triangle_of_size(
     p = report.p
     r = n % p
     for entry in report.classes:
-        rset = entry.steinhaus if kind is Orientation.STEINHAUS else entry.pascal
+        rset = entry.remainders(kind)
         if not rset.full:
             continue
         i0, j0 = rset.witness(r)
-        grid = build_period_grid(entry.class_rep)
-        extract = (
-            extract_steinhaus_block
-            if kind is Orientation.STEINHAUS
-            else extract_pascal_block
-        )
-        triangle = extract(grid, i0, j0, n)
-        result = is_balanced(triangle)
-        if not result.balanced:
+        triangle = extract_block(build_period_grid(entry.class_rep), i0, j0, n, kind)
+        if not is_balanced(triangle).balanced:
             raise AssertionError(
                 f"family witness produced an unbalanced size-{n} triangle"
             )

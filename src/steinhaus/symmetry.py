@@ -126,8 +126,7 @@ def apply(g: GroupElement, x: ResidueTuple) -> ResidueTuple:
 
 def translate(x: ResidueTuple, u: int, v: int) -> ResidueTuple:
     """Translate the orbit of x by (u, v): entry j becomes cell (-u, j-v)."""
-    grid = build_period_grid(x)
-    return ResidueTuple(2, tuple(grid.cell(-u, j - v) for j in range(grid.p)))
+    return apply(GroupElement.translation(len(x), u, v), x)
 
 
 def rotate_r(x: ResidueTuple) -> ResidueTuple:

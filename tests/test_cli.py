@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from steinhaus.cli import main
 
 CLI = [sys.executable, "-m", "steinhaus.cli"]
 
@@ -190,3 +193,40 @@ def test_out_flag_writes_file(tmp_path: Path):
     target = tmp_path / "kernel.csv"
     run_cli("kernel", "--p-max", "6", "--format", "csv", "--out", str(target))
     assert target.read_text().splitlines()[3] == "3,2,4"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kernel", "--p", "0"),
+        ("kernel", "--p-max", "-1"),
+        ("classes", "--p", "0"),
+        ("balanced-classes", "--p-max", "0"),
+        ("search", "--p", "0"),
+        ("search", "--p", "12", "--jobs", "-3"),
+        ("search", "--p", "12", "--k-verify", "-1"),
+        ("census", "--n-max", "0"),
+        ("modm", "--scan", "ap", "--modulus", "5", "--n-max", "0"),
+        ("modm", "--scan", "interlaced", "--modulus", "3", "--periods", "0"),
+    ],
+    ids=" ".join,
+)
+def test_non_positive_arguments_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(args))
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_k_verify_zero_is_accepted(capsys):
+    assert main(["search", "--p", "12", "--k-verify", "0"]) == 0
+    assert "verified" not in capsys.readouterr().out
+
+
+def test_out_into_missing_directory_exits_one(tmp_path: Path):
+    result = run_cli(
+        "kernel", "--p-max", "4", "--out", str(tmp_path / "missing" / "x.csv"), check=False
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr

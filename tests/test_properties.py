@@ -1,13 +1,18 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expected_values import CLASS9_REP
+
 from steinhaus import (
     GroupElement,
+    Orientation,
     ResidueTuple,
+    Triangle,
     apply,
     build_pascal,
     build_period_grid,
@@ -27,7 +32,8 @@ from steinhaus import (
     translate,
     wendt_matrix,
 )
-from steinhaus.orbits import _derive_bits, periodic_tuple_bits
+from steinhaus.modm import _interlaced_orbit_rows
+from steinhaus.orbits import BlockCounter, _derive_bits, periodic_tuple_bits
 
 
 def residue_tuples(max_len=12, min_len=0, moduli=(2, 3, 5, 7)):
@@ -209,3 +215,43 @@ def test_compose_is_associative():
     ]
     for g, h, k in itertools.islice(itertools.product(elements, repeat=3), 4000):
         assert compose(compose(g, h), k) == compose(g, compose(h, k))
+
+
+@lru_cache(maxsize=None)
+def _counted_orbit(modulus):
+    """Fundamental domain and its counter: the p = 24 class-9 grid for
+    modulus 2, the interlaced orbit otherwise."""
+    if modulus == 2:
+        rows = build_period_grid(ResidueTuple.from_string(CLASS9_REP)).cells
+    else:
+        rows = _interlaced_orbit_rows(modulus)
+    return rows, BlockCounter(rows, modulus)
+
+
+def _direct_count(rows, modulus, kind, i0, j0, n, residue):
+    q = len(rows)
+    triangle = Triangle(kind, modulus, tuple(
+        tuple(
+            rows[(i0 + i) % q][(j0 + j) % q]
+            for j in (range(i, n) if kind is Orientation.STEINHAUS else range(i + 1))
+        )
+        for i in range(n)
+    ))
+    return multiplicity(triangle).counts[residue]
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5], ids=["grid24", "interlaced3", "interlaced5"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_counter_profile_matches_extraction(modulus, data):
+    rows, counter = _counted_orbit(modulus)
+    q = len(rows)
+    kind = data.draw(st.sampled_from(list(Orientation)))
+    i0, j0 = data.draw(st.integers(-q, 2 * q)), data.draw(st.integers(-q, 2 * q))
+    n_max = data.draw(st.integers(0, 2 * q + 5))  # beyond q the segments wrap
+    n = data.draw(st.integers(0, n_max))
+    residue = data.draw(st.integers(0, modulus - 1))
+    counts = counter.profile(kind, i0, j0, n_max, residue)
+    assert len(counts) == n_max + 1
+    for size in (n, n_max):
+        assert counts[size] == _direct_count(rows, modulus, kind, i0, j0, size, residue)

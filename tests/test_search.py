@@ -23,6 +23,7 @@ from steinhaus import (
     balanced_period_classes,
     balanced_triangle_of_size,
     build_period_grid,
+    check_family,
     check_pascal_family,
     check_steinhaus_family,
     dual_position,
@@ -200,15 +201,28 @@ def test_position_periodicity(rep9):
         assert base == shifted
 
 
-def test_fast_predicate_matches_direct_checks(rep9):
+def test_fast_predicate_matches_direct_checks():
+    # reference: extract the corner and the size p+r triangle and count cells
     rng = random.Random(7)
-    for _ in range(80):
+    classes = balanced_period_classes(24)
+    accepted = 0
+    for _ in range(150):
+        x = rng.choice(classes).representative
+        grid = build_period_grid(x)
         i0, j0, r = rng.randrange(24), rng.randrange(24), rng.randrange(24)
-        kind = rng.choice([Orientation.STEINHAUS, Orientation.PASCAL])
-        direct = (
-            check_steinhaus_family if kind is Orientation.STEINHAUS else check_pascal_family
-        )(rep9, i0, j0, r)
-        assert (direct is not None) == family_accepts(rep9, i0, j0, r, kind)
+        for kind, extract in (
+            (Orientation.STEINHAUS, extract_steinhaus_block),
+            (Orientation.PASCAL, extract_pascal_block),
+        ):
+            corner = multiplicity(extract(grid, i0, j0, r))
+            band = multiplicity(extract(grid, i0, j0, 24 + r)) - corner
+            direct = corner.spread <= 1 and band.spread == 0
+            cert = check_family(x, i0, j0, r, kind)
+            assert (cert is not None) == direct == family_accepts(x, i0, j0, r, kind)
+            if cert is not None:
+                assert (cert.corner, cert.band) == (corner, band)
+                accepted += 1
+    assert accepted >= 10
 
 
 def test_block_additivity(rep9, rep9_grid):
