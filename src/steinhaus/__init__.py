@@ -73,6 +73,7 @@ from .symmetry import (
     GroupElement,
     OrbitClass,
     apply,
+    burnside_class_count,
     compose,
     group_orbit,
     inverse,

@@ -18,8 +18,12 @@ from math import gcd
 from typing import NamedTuple
 
 from .core import ResidueTuple, Triangle, Orientation, build_steinhaus, is_balanced
-from .errors import InvalidSpec
+from .errors import InvalidSpec, TooLarge
 from .orbits import BlockCounter, derive_tuple, is_periodic_tuple
+
+# bound on (6m)^2 * n_max * m, the cost of interlaced_scan: a few seconds of pure
+# Python, e.g. m = 7 up to n_max = 809 or m = 3 up to n_max = 10 288
+INTERLACED_WORK_LIMIT = 10**7
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -156,6 +160,11 @@ def interlaced_scan(
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
     q = 6 * m
+    if q * q * n_max * m > INTERLACED_WORK_LIMIT:
+        raise TooLarge(
+            f"interlaced scan of modulus {m} up to size {n_max} exceeds the "
+            f"work bound {INTERLACED_WORK_LIMIT}"
+        )
     counter = BlockCounter(_interlaced_orbit_rows(m), m)
     best: list[tuple[int, tuple[int, int] | None]] = [(n_max + 2, None)] * (n_max + 1)
     for i0 in range(q):

@@ -132,7 +132,8 @@ def gf2_kernel_basis(matrix: Gf2Matrix) -> list[int]:
     """Null-space basis via row reduction, one vector per free column.
 
     Pivots are chosen leftmost-first and the pivot rows kept fully reduced,
-    so the basis is reproducible; vector k has bit 1 at its free column.
+    so the basis is reproducible; vector k has bit 1 at its free column,
+    which is its highest set bit, and bit 0 at every other free column.
     """
     pivots: dict[int, int] = {}
     for row in matrix.rows:
@@ -159,18 +160,25 @@ def gf2_kernel_basis(matrix: Gf2Matrix) -> list[int]:
     return basis
 
 
+def xor_span(vectors: Sequence[int]) -> list[int]:
+    """Entry s is the XOR of the vectors[k] whose bit k is set in s."""
+    table = [0]
+    for v in vectors:
+        table += [t ^ v for t in table]
+    return table
+
+
 @lru_cache(maxsize=None)
 def periodic_tuple_bits(p: int) -> tuple[int, ...]:
-    """All bitmasks of p-tuples generating p-periodic orbits (the kernel span)."""
+    """All bitmasks of p-tuples generating p-periodic orbits (the kernel span).
+
+    Entry c is the tuple whose kernel coordinates are c: the XOR of the
+    gf2_kernel_basis vectors k with bit k set in c.
+    """
     basis = gf2_kernel_basis(wendt_matrix(p))
     if len(basis) > KERNEL_ENUM_LIMIT:
         raise TooLarge(f"kernel dimension {len(basis)} exceeds {KERNEL_ENUM_LIMIT}")
-    out = [0]
-    value = 0
-    for s in range(1, 1 << len(basis)):
-        value ^= basis[(s & -s).bit_length() - 1]  # Gray-code walk of the span
-        out.append(value)
-    return tuple(out)
+    return tuple(xor_span(basis))
 
 
 def enumerate_periodic_tuples(p: int) -> list[ResidueTuple]:

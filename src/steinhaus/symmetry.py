@@ -10,16 +10,21 @@ rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable, Iterable
 
 from .core import ResidueTuple, build_steinhaus
 from .orbits import (
+    Gf2Matrix,
     _derive_bits,
     _reverse_bits,
     _rotl_bits,
     build_period_grid,
+    gf2_kernel_basis,
     periodic_tuple_bits,
+    wendt_matrix,
+    xor_span,
 )
 
 
@@ -166,26 +171,105 @@ def _generator_images(bits: int, p: int) -> tuple[int, int, int, int]:
     )
 
 
+class _Gf2Map:
+    """A GF(2)-linear map on d-bit coordinate vectors, given by the images of
+    the d unit vectors and applied with two XOR tables: one indexed by the
+    low half of the argument's bits, one by the high half."""
+
+    def __init__(self, columns: list[int]):
+        self.half = len(columns) // 2
+        self.low_mask = (1 << self.half) - 1
+        self.low = xor_span(columns[: self.half])
+        self.high = xor_span(columns[self.half :])
+
+    def __call__(self, x: int) -> int:
+        return self.low[x & self.low_mask] ^ self.high[x >> self.half]
+
+
+class _KernelCoordinates:
+    """The p-periodic generators in kernel coordinates.
+
+    Coordinate k of a tuple is its bit at the free column of basis vector k
+    of gf2_kernel_basis, so periodic_tuple_bits(p)[c] is the tuple with
+    coordinates c.  The four generators of _generator_images act linearly;
+    ``matrices`` holds their d-by-d matrices as columns, each column the
+    coordinates of a basis vector's image.  ``step`` packs them into one map:
+    field g (d bits each) of step(c) is the image of c under generator g,
+    and the bits above 4d are the lex key of c, its tuple's bits reversed,
+    which orders tuples as their entries do.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.basis = gf2_kernel_basis(wendt_matrix(p))
+        self.d = d = len(self.basis)
+        images = [_generator_images(b, p) for b in self.basis]
+        self.matrices = tuple(
+            [self.coordinates(image[g]) for image in images] for g in range(4)
+        )
+        keys = [_reverse_bits(b, p) for b in self.basis]
+        self.step = _Gf2Map([
+            sum(column << (g * d) for g, column in enumerate(columns))
+            for columns in zip(*self.matrices, keys)
+        ])
+
+    def coordinates(self, bits: int) -> int:
+        return sum(((bits >> (b.bit_length() - 1)) & 1) << k for k, b in enumerate(self.basis))
+
+    def images(self, c: int) -> tuple[int, int, int, int]:
+        packed, mask = self.step(c), (1 << self.d) - 1
+        return tuple((packed >> (g * self.d)) & mask for g in range(4))
+
+    def orbit(self, start: int, visited: bytearray) -> tuple[list[int], int]:
+        """Breadth-first closure of ``start`` under the four generators:
+        the members' coordinates, each marked in ``visited``, and the
+        smallest lex key among them."""
+        d, mask, key_shift = self.d, (1 << self.d) - 1, 4 * self.d
+        low, high, half, low_mask = self.step.low, self.step.high, self.step.half, self.step.low_mask
+        best = 1 << self.p
+        visited[start] = 1
+        queue = [start]
+        for c in queue:
+            packed = low[c & low_mask] ^ high[c >> half]
+            if packed >> key_shift < best:
+                best = packed >> key_shift
+            for x in (packed & mask, (packed >> d) & mask, (packed >> 2 * d) & mask,
+                      (packed >> 3 * d) & mask):
+                if not visited[x]:
+                    visited[x] = 1
+                    queue.append(x)
+        return queue, best
+
+    def member_bits(self, start: int) -> list[int]:
+        bits = periodic_tuple_bits(self.p)
+        return [bits[c] for c in self.orbit(start, bytearray(len(bits)))[0]]
+
+
 @dataclass(frozen=True)
 class OrbitClass:
     """A group orbit inside the p-periodic generators, named by its
-    lexicographically smallest member."""
+    lexicographically smallest member.  ``member_bits`` lists the members'
+    bitmasks on demand, so a partition holds no member tuples."""
 
     representative: ResidueTuple
     size: int
-    members: tuple[ResidueTuple, ...]
+    member_bits: Callable[[], Iterable[int]] = field(repr=False, compare=False)
 
-
-def _class_from_bits(bits_list: list[int], p: int) -> OrbitClass:
-    members = sorted(
-        (ResidueTuple.from_bits(b, p) for b in bits_list), key=lambda t: t.entries
-    )
-    return OrbitClass(members[0], len(members), tuple(members))
+    @property
+    def members(self) -> tuple[ResidueTuple, ...]:
+        p = len(self.representative)
+        return tuple(
+            sorted(
+                (ResidueTuple.from_bits(b, p) for b in self.member_bits()),
+                key=lambda t: t.entries,
+            )
+        )
 
 
 def group_orbit(x: ResidueTuple) -> OrbitClass:
     """All images of x under the 6p^2 group elements (closure of the four
-    generators, each of finite order)."""
+    generators, each of finite order), computed bit by bit: the reference
+    that the kernel-coordinate partition is tested against."""
     build_period_grid(x)  # NotPeriodic guard
     p = len(x)
     start = x.bits
@@ -199,43 +283,70 @@ def group_orbit(x: ResidueTuple) -> OrbitClass:
                     seen.add(image)
                     new.append(image)
         frontier = new
-    return _class_from_bits(list(seen), p)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    representative = min(
+        (ResidueTuple.from_bits(b, p) for b in seen), key=lambda t: t.entries
+    )
+    return OrbitClass(representative, len(seen), lambda: seen)
 
 
 @lru_cache(maxsize=None)
 def partition_classes(p: int) -> tuple[OrbitClass, ...]:
     """Partition of the p-periodic generators into group orbits.
 
-    Union-find seeded with the four generator images per tuple gives the
-    same partition as full orbits at a fraction of the cost; classes are
-    returned sorted by representative.
+    One kernel-coordinate walk per class over a visited array of the 2^d
+    coordinates; classes are returned sorted by representative.
     """
-    bits_list = periodic_tuple_bits(p)
-    index = {b: k for k, b in enumerate(bits_list)}
-    uf = _UnionFind(len(bits_list))
-    for k, b in enumerate(bits_list):
-        for image in _generator_images(b, p):
-            uf.union(k, index[image])
-    components: dict[int, list[int]] = {}
-    for k, b in enumerate(bits_list):
-        components.setdefault(uf.find(k), []).append(b)
-    classes = [_class_from_bits(group, p) for group in components.values()]
-    classes.sort(key=lambda c: c.representative.entries)
-    return tuple(classes)
+    space = _KernelCoordinates(p)
+    visited = bytearray(len(periodic_tuple_bits(p)))  # refuses spans that are too large
+    found = []
+    start = 0
+    while start >= 0:
+        orbit, key = space.orbit(start, visited)
+        found.append((key, len(orbit), start))
+        start = visited.find(0, start + 1)
+    found.sort()
+    return tuple(
+        OrbitClass(
+            ResidueTuple.from_bits(_reverse_bits(key, p), p),
+            size,
+            partial(space.member_bits, start),
+        )
+        for key, size, start in found
+    )
+
+
+def burnside_class_count(p: int) -> int:
+    """Number of classes by the Cauchy-Frobenius lemma, enumerating no tuple.
+
+    The mean over the 6p^2 elements t(u,v) r^alpha i^beta of 2^dim Fix(g),
+    where dim Fix(g) is d minus the GF(2) rank of g - 1 on kernel
+    coordinates.  The translations are the powers of derivation (t(-1,0))
+    times the powers of the cyclic shift (t(0,1)).
+    """
+    space = _KernelCoordinates(p)
+    d = space.d
+    derive, shift, rotate, reflect = (_Gf2Map(m) for m in space.matrices)
+    unit = [1 << k for k in range(d)]
+    dihedral = []  # r^alpha i^beta, acting after the translation
+    for alpha in range(3):
+        for beta in range(2):
+            columns = unit
+            for _ in range(alpha):
+                columns = [rotate(c) for c in columns]
+            for _ in range(beta):
+                columns = [reflect(c) for c in columns]
+            dihedral.append(_Gf2Map(columns))
+    total = 0
+    derived = unit
+    for _ in range(p):
+        translation = derived
+        for _ in range(p):
+            for g in dihedral:
+                fixed = [g(c) ^ e for c, e in zip(translation, unit)]
+                total += 1 << len(gf2_kernel_basis(Gf2Matrix(tuple(fixed), d)))
+            translation = [shift(c) for c in translation]
+        derived = [derive(c) for c in derived]
+    count, rest = divmod(total, 6 * p * p)
+    if rest:
+        raise AssertionError(f"fixed points at p={p} do not average to an integer")
+    return count

@@ -223,6 +223,15 @@ def test_k_verify_zero_is_accepted(capsys):
     assert "verified" not in capsys.readouterr().out
 
 
+def test_oversized_interlaced_scan_exits_one():
+    result = run_cli(
+        "modm", "--scan", "interlaced", "--modulus", "3", "--n-max", "100000", check=False
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and "work bound" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_out_into_missing_directory_exits_one(tmp_path: Path):
     result = run_cli(
         "kernel", "--p-max", "4", "--out", str(tmp_path / "missing" / "x.csv"), check=False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expected_values import CLASS9_REP
+from expected_values import BALANCED_REPRESENTATIVES_24, CLASS9_REP
 
 from steinhaus import (
     GroupElement,
@@ -34,6 +34,8 @@ from steinhaus import (
 )
 from steinhaus.modm import _interlaced_orbit_rows
 from steinhaus.orbits import BlockCounter, _derive_bits, periodic_tuple_bits
+from steinhaus.search import extract_block, triangle_ones
+from steinhaus.symmetry import _generator_images, _KernelCoordinates
 
 
 def residue_tuples(max_len=12, min_len=0, moduli=(2, 3, 5, 7)):
@@ -255,3 +257,35 @@ def test_block_counter_profile_matches_extraction(modulus, data):
     assert len(counts) == n_max + 1
     for size in (n, n_max):
         assert counts[size] == _direct_count(rows, modulus, kind, i0, j0, size, residue)
+
+
+@lru_cache(maxsize=None)
+def _kernel_coordinates(p):
+    return _KernelCoordinates(p)
+
+
+@pytest.mark.parametrize("p", [6, 7, 12, 14, 24])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_coordinate_images_match_bit_level_generators(p, data):
+    space = _kernel_coordinates(p)
+    span = periodic_tuple_bits(p)
+    c = data.draw(st.integers(0, len(span) - 1))
+    bits = span[c]
+    assert space.coordinates(bits) == c
+    images = tuple(span[image] for image in space.images(c))
+    assert images == _generator_images(bits, p)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_oracle_popcount_matches_extraction(data):
+    p = 24
+    grid = build_period_grid(
+        ResidueTuple.from_string(data.draw(st.sampled_from(BALANCED_REPRESENTATIVES_24)))
+    )
+    kind = data.draw(st.sampled_from(list(Orientation)))
+    i0, j0 = data.draw(st.integers(-p, 2 * p)), data.draw(st.integers(-p, 2 * p))
+    n = data.draw(st.integers(0, 5 * p))
+    expected = multiplicity(extract_block(grid, i0, j0, n, kind)).counts[1]
+    assert triangle_ones(grid, i0, j0, n, kind) == expected

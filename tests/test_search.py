@@ -161,6 +161,13 @@ def test_corrupted_certificate_fails_oracle(rep9):
     assert not oracle_verify_family(shifted, 2)
 
 
+def test_corrupted_pascal_certificate_fails_oracle(rep9):
+    cert = check_pascal_family(rep9, *dual_position(6, 9, 6, 24))
+    assert cert is not None and oracle_verify_family(cert, 2)
+    shifted = dataclasses.replace(cert, position=(13, 16))
+    assert not oracle_verify_family(shifted, 2)
+
+
 def test_rejections_on_doubled_class():
     y1 = R(BALANCED_REPRESENTATIVES_12[0] * 2)
     assert len(remainder_set(y1)) == 0

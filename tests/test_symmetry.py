@@ -10,7 +10,9 @@ from steinhaus import (
     NotPeriodic,
     ResidueTuple,
     apply,
+    balanced_period_classes,
     build_period_grid,
+    burnside_class_count,
     compose,
     enumerate_periodic_tuples,
     group_orbit,
@@ -166,9 +168,16 @@ def test_partition_covers_and_is_disjoint():
 
 
 def test_partition_agrees_with_full_orbits():
-    classes = partition_classes(6)
-    for cls in classes:
-        assert group_orbit(cls.representative).members == cls.members
+    # every class at p = 6 and 12; the 17 balanced-period classes at p = 24
+    for classes in (partition_classes(6), partition_classes(12), balanced_period_classes(24)):
+        for cls in classes:
+            orbit = group_orbit(cls.representative)
+            assert orbit.members == cls.members
+            assert (orbit.representative, orbit.size) == (cls.representative, cls.size)
+
+
+def test_burnside_count_matches_class_counts():
+    assert [burnside_class_count(p) for p in range(1, 25)] == CLASS_COUNTS[:24]
 
 
 def test_multiplicity_invariance_under_action():
