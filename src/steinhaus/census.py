@@ -1,8 +1,14 @@
 """Exhaustive censuses of small binary triangles: totals, averages, maxima.
 
-Both censuses enumerate every triangle of a given size (2^n Steinhaus
-seeds, 2^(2n-1) Pascal side pairs), so they are capped; rows are packed as
-int bitmasks and derived with shift/xor.
+Both censuses count the ones of every triangle of a given size (2^n
+Steinhaus seeds, 2^(2n-1) Pascal side pairs), so they are capped.  A whole
+triangle is packed into one int, row t at the bit offset of the rows above
+it, and rows are derived with shift/xor.  Since a binary triangle is
+GF(2)-linear in its free boundary bits (the n seed bits; or the apex, left
+bits 1..n-1 and right bits 1..n-1), every triangle is the XOR of the packed
+basis triangles of its set bits.  The basis is split into a low and a high
+half and each half is spanned into a table; each triangle is then one
+high ^ low entry, counted by one bit_count().
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from functools import lru_cache
 
 from .core import Orientation
 from .errors import TooLarge
+from .orbits import xor_span
 
 STEINHAUS_CENSUS_LIMIT = 16
 PASCAL_CENSUS_LIMIT = 10
@@ -30,43 +37,68 @@ def _check_bounds(n: int, kind: Orientation) -> None:
         raise TooLarge(f"census of size {n} exceeds the bound {limit}")
 
 
-@lru_cache(maxsize=None)
-def _steinhaus_census(n: int) -> tuple[int, int]:
+def packed_steinhaus(seed: int, n: int) -> int:
+    """The size-n Steinhaus triangle on the LSB-first seed row, packed:
+    row t (n - t cells) starts at bit n + (n-1) + ... + (n-t+1)."""
+    packed = 0
+    offset = 0
+    row = seed
+    for width in range(n, 0, -1):
+        packed |= row << offset
+        offset += width
+        row = (row ^ (row >> 1)) & ((1 << (width - 1)) - 1)
+    return packed
+
+
+def packed_pascal(left: int, right: int, n: int) -> int:
+    """The size-n Pascal triangle on LSB-first sides (apex = bit 0 of both),
+    packed: row t (t + 1 cells) starts at bit t(t+1)/2."""
+    row = left & 1
+    packed = row
+    for t in range(1, n):
+        row = (row ^ (row << 1)) & ((1 << t) - 2)
+        row |= (left >> t) & 1
+        row |= ((right >> t) & 1) << t
+        packed |= row << (t * (t + 1) // 2)
+    return packed
+
+
+def _steinhaus_basis(n: int) -> list[int]:
+    """One packed triangle per seed bit."""
+    return [packed_steinhaus(1 << j, n) for j in range(n)]
+
+
+def _pascal_basis(n: int) -> list[int]:
+    """One packed triangle per free side bit: the apex (set on both sides),
+    then left bits 1..n-1, then right bits 1..n-1."""
+    return (
+        [packed_pascal(1, 1, n)]
+        + [packed_pascal(1 << t, 0, n) for t in range(1, n)]
+        + [packed_pascal(0, 1 << t, n) for t in range(1, n)]
+    )
+
+
+def _span_census(basis: list[int]) -> tuple[int, int]:
+    """(total, maximum) one-count over all 2^len(basis) XORs of the basis."""
+    split = (len(basis) + 1) // 2
+    low = xor_span(basis[:split])
     total = 0
     best = 0
-    for seed in range(1 << n):
-        ones = 0
-        row = seed
-        width = n
-        while width:
-            ones += row.bit_count()
-            row = (row ^ (row >> 1)) & ((1 << (width - 1)) - 1)
-            width -= 1
-        total += ones
-        if ones > best:
-            best = ones
+    for high in xor_span(basis[split:]):
+        ones = list(map(int.bit_count, map(high.__xor__, low)))
+        total += sum(ones)
+        best = max(best, max(ones))
     return total, best
+
+
+@lru_cache(maxsize=None)
+def _steinhaus_census(n: int) -> tuple[int, int]:
+    return _span_census(_steinhaus_basis(n))
 
 
 @lru_cache(maxsize=None)
 def _pascal_census(n: int) -> tuple[int, int]:
-    total = 0
-    best = 0
-    for left in range(1 << n):
-        apex = left & 1
-        for rest in range(1 << (n - 1)):
-            right = apex | (rest << 1)
-            row = apex
-            ones = apex
-            for t in range(1, n):
-                row = (row ^ (row << 1)) & ((1 << t) - 2)
-                row |= (left >> t) & 1
-                row |= ((right >> t) & 1) << t
-                ones += row.bit_count()
-            total += ones
-            if ones > best:
-                best = ones
-    return total, best
+    return _span_census(_pascal_basis(n))
 
 
 def average_census(n: int, kind: Orientation) -> int:

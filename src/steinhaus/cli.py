@@ -26,14 +26,14 @@ from .census import (
     steinhaus_max_ones,
     triangle_count,
 )
-from .errors import SteinhausError
+from .errors import SteinhausError, TooLarge
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
     interlaced_claimed_sizes,
     interlaced_scan,
 )
-from .orbits import gf2_kernel_basis, wendt_matrix
+from .orbits import KERNEL_WORK_LIMIT, gf2_kernel_basis, wendt_matrix
 from .render import RenderSpec, render_family, render_orbit
 from .search import (
     balanced_period_classes,
@@ -153,7 +153,14 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    periods = list(range(1, args.p_max + 1)) if args.p is None else [args.p]
+    if args.p is not None:
+        periods = [args.p]
+    elif args.p_max * (args.p_max + 1) * (2 * args.p_max + 1) // 6 > KERNEL_WORK_LIMIT:
+        raise TooLarge(
+            f"kernel table up to p={args.p_max} exceeds the work bound {KERNEL_WORK_LIMIT}"
+        )
+    else:
+        periods = list(range(1, args.p_max + 1))
     rows = []
     for p in periods:
         dim = len(gf2_kernel_basis(wendt_matrix(p)))

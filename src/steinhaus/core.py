@@ -14,7 +14,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .errors import MismatchedSides
+from .errors import MismatchedSides, TooLarge
+
+# largest accepted modulus: bounds every table of m counts and every order loop mod m
+MODULUS_LIMIT = 1 << 16
+
+
+def check_modulus(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"modulus must be at least 2, got {m}")
+    if m > MODULUS_LIMIT:
+        raise TooLarge(f"modulus {m} exceeds the bound {MODULUS_LIMIT}")
 
 
 class Orientation(Enum):
@@ -30,8 +40,7 @@ class ResidueTuple:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
+        check_modulus(self.modulus)
         entries = tuple(int(e) for e in self.entries)
         for e in entries:
             if not 0 <= e < self.modulus:
@@ -155,6 +164,7 @@ class Triangle:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        check_modulus(self.modulus)
         rows = tuple(tuple(int(e) for e in row) for row in self.rows)
         n = len(rows)
         for t, row in enumerate(rows):

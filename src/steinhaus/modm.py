@@ -17,18 +17,29 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .core import ResidueTuple, Triangle, Orientation, build_steinhaus, is_balanced
+from .core import (
+    ResidueTuple,
+    Triangle,
+    Orientation,
+    build_steinhaus,
+    check_modulus,
+    is_balanced,
+)
 from .errors import InvalidSpec, TooLarge
 from .orbits import BlockCounter, derive_tuple, is_periodic_tuple
 
 # bound on (6m)^2 * n_max * m, the cost of interlaced_scan: a few seconds of pure
 # Python, e.g. m = 7 up to n_max = 809 or m = 3 up to n_max = 10 288
 INTERLACED_WORK_LIMIT = 10**7
+# bound on the cells n_max(n_max+1)(n_max+2)/6 that ap_balanced_scan builds:
+# n_max <= 390, about 4 s
+AP_WORK_LIMIT = 10**7
 
 
 def multiplicative_order(a: int, m: int) -> int:
+    check_modulus(m)
     a %= m
-    if m < 2 or gcd(a, m) != 1:
+    if gcd(a, m) != 1:
         raise ValueError(f"{a} is not invertible mod {m}")
     value = a
     order = 1
@@ -80,6 +91,10 @@ class ScanRow(NamedTuple):
 def ap_balanced_scan(spec: ApFamilySpec, n_max: int) -> list[ScanRow]:
     """Balance of the triangle on the first n progression terms for every
     n <= n_max; raises if any size 0 or -1 mod the period is unbalanced."""
+    if n_max * (n_max + 1) * (n_max + 2) // 6 > AP_WORK_LIMIT:
+        raise TooLarge(
+            f"progression scan up to size {n_max} exceeds the work bound {AP_WORK_LIMIT}"
+        )
     rows = []
     for n in range(1, n_max + 1):
         result = is_balanced(build_steinhaus(spec.sequence_tuple(n)))

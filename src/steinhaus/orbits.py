@@ -21,6 +21,10 @@ from .core import MultiplicityTable, Orientation, ResidueTuple
 from .errors import EmptyTuple, NotPeriodic, TooLarge
 
 KERNEL_ENUM_LIMIT = 20  # kernel dimension above which span enumeration is refused
+# largest period whose circulant is row-reduced: about a second at p = 2045
+PERIOD_LIMIT = 2048
+# bound on the sum of p^2 over the periods of one kernel table: p = 1..368, about 3 s
+KERNEL_WORK_LIMIT = 1 << 24
 
 
 def derive_tuple(x: ResidueTuple) -> ResidueTuple:
@@ -119,6 +123,8 @@ def wendt_matrix(p: int) -> Gf2Matrix:
     (C(p,p), C(p,p-1), ..., C(p,1)) mod 2; row i is its cyclic shift by i."""
     if p < 1:
         raise ValueError("period must be positive")
+    if p > PERIOD_LIMIT:
+        raise TooLarge(f"period {p} exceeds the bound {PERIOD_LIMIT}")
     first = 0
     for j in range(p):
         if binomial_is_odd(p, p - j):

@@ -5,6 +5,7 @@ from steinhaus import (
     ResidueTuple,
     TooLarge,
     average_census,
+    build_pascal,
     build_steinhaus,
     extremal_ones_scan,
     multiplicity,
@@ -59,3 +60,29 @@ def test_census_bounds():
         extremal_ones_scan(11, Orientation.PASCAL)
     with pytest.raises(ValueError):
         average_census(0, Orientation.STEINHAUS)
+
+
+def _direct_census(triangles):
+    """(total, maximum) one-count over the given triangles, counted cell by cell."""
+    ones = [multiplicity(tri).counts[1] for tri in triangles]
+    return sum(ones), max(ones)
+
+
+@pytest.mark.parametrize(
+    "kind,n_max", [(Orientation.STEINHAUS, 7), (Orientation.PASCAL, 4)], ids=["steinhaus", "pascal"]
+)
+def test_census_matches_direct_enumeration(kind, n_max):
+    """Every triangle of each size rebuilt by the core builders and recounted,
+    independently of the packed span tables."""
+    for n in range(1, n_max + 1):
+        if kind is Orientation.STEINHAUS:
+            triangles = [build_steinhaus(ResidueTuple.from_bits(s, n)) for s in range(1 << n)]
+        else:
+            triangles = [
+                build_pascal(ResidueTuple.from_bits(left, n), ResidueTuple.from_bits(right, n))
+                for left in range(1 << n)
+                for right in range(1 << n)
+                if (left ^ right) & 1 == 0
+            ]
+        assert len(triangles) == triangle_count(n, kind)
+        assert _direct_census(triangles) == (average_census(n, kind), extremal_ones_scan(n, kind))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,19 @@ def test_census_csv():
     assert lines[0] == "n,triangles,total_ones,average,expected_average,max_ones,formula_max"
     assert lines[1] == "1,2,1,0.5,0.5,1,1"
     assert lines[3] == "3,8,24,3.0,3.0,4,4"
+
+
+@pytest.mark.parametrize("kind", ["steinhaus", "pascal"])
+def test_census_csv_matches_golden(golden_dir, kind):
+    out = run_cli("census", "--kind", kind, "--format", "csv").stdout
+    assert out == (golden_dir / f"census_{kind}.csv").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_search_p36_matches_golden(golden_dir, fmt):
+    """Two balanced-period classes at p = 36, neither with a witness in either kind."""
+    out = run_cli("search", "--p", "36", "--format", fmt).stdout
+    assert out == (golden_dir / f"search_p36.{fmt}").read_text()
 
 
 def test_modm_ap_csv():
@@ -230,6 +244,42 @@ def test_oversized_interlaced_scan_exits_one():
     assert result.returncode == 1
     assert result.stderr.startswith("error:") and "work bound" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("kernel", "--p", "10000"), "period 10000 exceeds the bound"),
+        (("kernel", "--p-max", "5000"), "work bound"),
+        (("classes", "--p", "5000"), "period 5000 exceeds the bound"),
+        (("search", "--p", "5000"), "period 5000 exceeds the bound"),
+        (("triangle", "--seed-tuple", "0110", "--modulus", "1000000000"), "modulus 1000000000 exceeds"),
+        (("modm", "--scan", "ap", "--modulus", "1000000007", "--n-max", "5"), "modulus 1000000007 exceeds"),
+        (("modm", "--scan", "ap", "--modulus", "101"), "work bound"),
+        (("modm", "--scan", "ap", "--modulus", "7", "--n-max", "500"), "work bound"),
+    ],
+    ids=" ".join,
+)
+def test_oversized_requests_are_refused(args, message):
+    """Each request is refused before its work starts.  The child runs under
+    a 1 GiB address-space limit and a timeout, so a bound that stops holding
+    fails this test instead of exhausting the machine's memory."""
+    result = subprocess.run(
+        CLI + list(args), capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_child_memory,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_kernel_table_within_bounds():
+    out = run_cli("kernel", "--p-max", "36", "--format", "csv").stdout
+    assert out.splitlines()[-1] == "36,8,256"
 
 
 def test_out_into_missing_directory_exits_one(tmp_path: Path):

@@ -5,6 +5,8 @@ from steinhaus import (
     InvalidSpec,
     Orientation,
     ResidueTuple,
+    TooLarge,
+    Triangle,
     ap_balanced_scan,
     build_steinhaus,
     interlaced_scan,
@@ -14,6 +16,7 @@ from steinhaus import (
     multiplicity,
     orbit_period_check_mod_m,
 )
+from steinhaus.core import MODULUS_LIMIT
 from steinhaus.modm import interlaced_claimed_sizes, interlaced_entry
 
 
@@ -144,3 +147,16 @@ def test_interlaced_scan_validation():
         interlaced_scan(4, 10)
     with pytest.raises(InvalidSpec):
         interlaced_sequence_check(6, 5)
+
+
+def test_modulus_and_progression_bounds():
+    assert len(ResidueTuple(MODULUS_LIMIT, (MODULUS_LIMIT - 1,))) == 1
+    with pytest.raises(TooLarge):
+        ResidueTuple(MODULUS_LIMIT + 1, ())
+    with pytest.raises(TooLarge):
+        Triangle(Orientation.STEINHAUS, MODULUS_LIMIT + 1, ())
+    with pytest.raises(TooLarge):
+        multiplicative_order(2, MODULUS_LIMIT + 1)
+    # 390 is the largest n_max whose 390*391*392/6 cells fit AP_WORK_LIMIT
+    with pytest.raises(TooLarge):
+        ap_balanced_scan(ApFamilySpec(7), 391)

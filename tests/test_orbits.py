@@ -6,6 +6,7 @@ from steinhaus import (
     EmptyTuple,
     NotPeriodic,
     ResidueTuple,
+    TooLarge,
     build_period_grid,
     derive_tuple,
     detect_preperiod,
@@ -15,7 +16,7 @@ from steinhaus import (
     orbit_cell,
     wendt_matrix,
 )
-from steinhaus.orbits import binomial_row_mod, periodic_tuple_bits
+from steinhaus.orbits import PERIOD_LIMIT, binomial_row_mod, periodic_tuple_bits
 
 R = ResidueTuple.from_string
 
@@ -159,3 +160,9 @@ def test_grid_json_shape():
     payload = grid.to_json_dict()
     assert payload["p"] == 6
     assert payload["cells"][0] == [0, 1, 0, 1, 0, 0]
+
+
+def test_period_bound():
+    assert len(wendt_matrix(PERIOD_LIMIT).rows) == PERIOD_LIMIT
+    with pytest.raises(TooLarge):
+        wendt_matrix(PERIOD_LIMIT + 1)

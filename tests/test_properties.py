@@ -1,6 +1,7 @@
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from steinhaus import (
     translate,
     wendt_matrix,
 )
+from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_pascal, packed_steinhaus
 from steinhaus.modm import _interlaced_orbit_rows
 from steinhaus.orbits import BlockCounter, _derive_bits, periodic_tuple_bits
 from steinhaus.search import extract_block, triangle_ones
@@ -201,7 +203,7 @@ def test_action_preserves_grid_multiplicity():
 
 
 def test_class_sizes_sum_and_divide():
-    for p in (6, 7, 12, 14):
+    for p in range(1, 25):
         classes = partition_classes(p)
         assert sum(c.size for c in classes) == len(enumerate_periodic_tuples(p))
         for c in classes:
@@ -289,3 +291,26 @@ def test_oracle_popcount_matches_extraction(data):
     n = data.draw(st.integers(0, 5 * p))
     expected = multiplicity(extract_block(grid, i0, j0, n, kind)).counts[1]
     assert triangle_ones(grid, i0, j0, n, kind) == expected
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_census_triangle_matches_built_triangle(data):
+    """The census's packed triangle of a random seed or side pair has bit i
+    equal to cell i of the directly built triangle, and is the XOR of the
+    basis triangles of its free bits, as the census spans them."""
+    n = data.draw(st.integers(1, 16))
+    if data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, (1 << n) - 1))
+        built = build_steinhaus(ResidueTuple.from_bits(seed, n))
+        packed = packed_steinhaus(seed, n)
+        basis, free_bits = _steinhaus_basis(n), seed
+    else:
+        left = data.draw(st.integers(0, (1 << n) - 1))
+        right = data.draw(st.integers(0, (1 << n) - 1)) & ~1 | left & 1
+        built = build_pascal(ResidueTuple.from_bits(left, n), ResidueTuple.from_bits(right, n))
+        packed = packed_pascal(left, right, n)
+        # basis order: apex, left bits 1..n-1, right bits 1..n-1
+        basis, free_bits = _pascal_basis(n), left | (right >> 1) << n
+    assert packed == sum(e << i for i, e in enumerate(built.cells()))
+    assert reduce(xor, (v for k, v in enumerate(basis) if free_bits >> k & 1), 0) == packed
