@@ -18,6 +18,9 @@ from .errors import MismatchedSides, TooLarge
 
 # largest accepted modulus: bounds every table of m counts and every order loop mod m
 MODULUS_LIMIT = 1 << 16
+# largest triangle built cell by cell (n(n+1)/2 cells, about a second at the
+# limit); at least orbits.PERIOD_LIMIT, since symmetry.rotate_r builds a p-row triangle
+TRIANGLE_SIZE_LIMIT = 2048
 
 
 def check_modulus(m: int) -> None:
@@ -25,6 +28,11 @@ def check_modulus(m: int) -> None:
         raise ValueError(f"modulus must be at least 2, got {m}")
     if m > MODULUS_LIMIT:
         raise TooLarge(f"modulus {m} exceeds the bound {MODULUS_LIMIT}")
+
+
+def check_triangle_size(n: int) -> None:
+    if n > TRIANGLE_SIZE_LIMIT:
+        raise TooLarge(f"triangle of size {n} exceeds the bound {TRIANGLE_SIZE_LIMIT}")
 
 
 class Orientation(Enum):
@@ -220,6 +228,7 @@ class BalanceResult(NamedTuple):
 
 def build_steinhaus(seed: ResidueTuple) -> Triangle:
     """Steinhaus triangle whose top row is ``seed``; derived rows shrink by one."""
+    check_triangle_size(len(seed))
     m = seed.modulus
     rows: list[tuple[int, ...]] = []
     row = seed.entries
@@ -244,6 +253,7 @@ def build_pascal(left: ResidueTuple, right: ResidueTuple) -> Triangle:
         raise MismatchedSides("sides must contain at least the apex entry")
     if left.entries[0] != right.entries[0]:
         raise MismatchedSides("sides disagree on the apex entry")
+    check_triangle_size(len(left))
     m = left.modulus
     rows: list[tuple[int, ...]] = [(left.entries[0],)]
     for t in range(1, len(left)):

@@ -8,10 +8,11 @@ two counts must be equal), and the p-by-p period itself.  This holds only
 when p is divisible by 4.  The module scans all (position, remainder) pairs
 per orbit class, collects the achievable remainders with witnesses, and
 emits certificates that an independent oracle re-verifies by counting each
-triangle straight from the grid rows with masked popcounts.  Scan,
-acceptance check and certificate all read their counts from the one-count
-profiles of orbits.BlockCounter, the counter the mod-m scans share, through
-a single acceptance predicate.
+triangle straight from the grid rows with masked popcounts.  The scan counts
+the triangles of all p^2 anchors at once, each anchor a bit field of one
+packed int; a single certificate reads its counts from the one-count profile
+of orbits.BlockCounter.  Both test the counts against the targets of one
+acceptance rule (_family_targets).
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from .core import (
     is_balanced,
     multiplicity,  # unused here; perfbench/workloads.py traces it as search.multiplicity
 )
-from .errors import PeriodNotDivisibleBy4, UnbalancedPeriod
+from .errors import PeriodNotDivisibleBy4, TooLarge, UnbalancedPeriod
 from .orbits import BlockCounter, PeriodGrid, build_period_grid
 from .symmetry import OrbitClass, partition_classes
+
+# bound on p^3, the packed remainder scan's work: p <= 256, ~0.5 s and ~45 MB per scan there
+REMAINDER_WORK_LIMIT = 1 << 24
 
 
 def extract_block(
@@ -150,20 +154,26 @@ def _period_multiplicity(x: ResidueTuple) -> MultiplicityTable:
 
 @lru_cache(maxsize=2)
 def _block_counter(x: ResidueTuple) -> BlockCounter:
-    # one tuple's scans and certificates run back to back, so two entries suffice
+    # one tuple's certificates of both kinds run back to back, so two entries suffice
     return BlockCounter(build_period_grid(x).cells, 2)
+
+
+def _family_targets(p: int, r: int) -> tuple[range, int | None]:
+    """The one acceptance rule of a family with remainder r: the one-counts
+    that balance the size-r corner (|cells - 2 ones| <= 1), and the ones the
+    band added by growing it to size p + r must hold to split evenly (None
+    when the band has an odd number of cells and cannot split)."""
+    corner_cells = r * (r + 1) // 2
+    band_cells = p * r + p * (p + 1) // 2
+    corner_ones = range(corner_cells // 2, (corner_cells + 1) // 2 + 1)
+    return corner_ones, band_cells // 2 if band_cells % 2 == 0 else None
 
 
 def _accepts(ones: list[int], p: int, r: int) -> bool:
     """The family predicate on a one-count profile (ones[n] for the size-n
-    triangle): the size-r corner is balanced and the band of cells added by
-    growing it to size p + r splits evenly."""
-    corner_cells = r * (r + 1) // 2
-    band_cells = p * r + p * (p + 1) // 2
-    return (
-        abs(corner_cells - 2 * ones[r]) <= 1
-        and band_cells == 2 * (ones[p + r] - ones[r])
-    )
+    triangle)."""
+    corner_ones, band_half = _family_targets(p, r)
+    return ones[r] in corner_ones and ones[p + r] - ones[r] == band_half
 
 
 def _binary_table(cells: int, ones: int) -> MultiplicityTable:
@@ -273,27 +283,83 @@ class RemainderSet:
         return len(self.witnesses)
 
 
+def _first_anchors(grid: PeriodGrid, kind: Orientation) -> dict[int, int]:
+    """First accepting anchor i0*p + j0 per achievable remainder, found by
+    one scan over all p^2 anchors at once.
+
+    Anchor (i0, j0) owns the w-bit field i0*p + j0 of a packed int.  Every
+    count stays below 2^(w-1), so no field carries into the next and the
+    top bit of each is free for the equality test.  Growing a triangle from
+    size n-1 to n adds the edge of n cells that ends at the diagonal cell
+    (i0+n-1, j0+n-1): the column above it (Steinhaus) or the row left of it
+    (Pascal).  So edge_n is edge_{n-1} moved one step along that line plus
+    the grid moved n-1 steps down the diagonal, and total_n = total_{n-1} +
+    edge_n.  Past size p, edge_{n+p} is edge_n plus the sum of its whole
+    line, which is edge_p moved n steps along; so the band of remainder r
+    (sizes r+1..p+r) is total_p plus edge_p moved 1..r steps along.
+    """
+    p = grid.p
+    w = (2 * p * p).bit_length() + 1
+    fields = p * p
+    width, row_shift = fields * w, p * w
+    pad = "0" * (w - 1)
+    lsb = int(pad + pad.join("1" * fields), 2)  # 1 in every field
+    guard = lsb << (w - 1)                      # top bit of every field
+    below_guard = guard - lsb                   # 2^(w-1) - 1 in every field
+    everything = (1 << width) - 1
+    last_column = int(("1" * w + "0" * (row_shift - w)) * p, 2)
+    other_columns = everything ^ last_column
+
+    def next_column(v: int) -> int:  # field (i0, j0) takes field (i0, j0+1)
+        return ((v >> w) & other_columns) | ((v << (row_shift - w)) & last_column)
+
+    def next_row(v: int) -> int:  # field (i0, j0) takes field (i0+1, j0)
+        return (v >> row_shift) | ((v << (width - row_shift)) & everything)
+
+    def equal(v: int, target: int) -> int:  # top bit of each field holding target
+        return guard & ~((v ^ target * lsb) + below_guard)
+
+    along = next_column if kind is Orientation.STEINHAUS else next_row
+    bits = "".join(format(row, f"0{p}b") for row in reversed(grid.rows))
+    diagonal = edge = total = int(pad + pad.join(bits), 2)  # size 1: the cell itself
+    totals = [0, total]
+    for _ in range(p - 1):
+        diagonal = next_row(next_column(diagonal))
+        edge = along(edge) + diagonal
+        total += edge
+        totals.append(total)
+    band, line = total, edge
+    first: dict[int, int] = {}
+    for r in range(p):
+        if r:
+            line = along(line)
+            band += line
+        corner_ones, band_half = _family_targets(p, r)
+        if band_half is None:
+            continue
+        # distinct targets hit disjoint fields, so the sum is the union
+        corner = sum(equal(totals[r], ones) for ones in corner_ones)
+        hits = equal(band, band_half) & corner
+        if hits:
+            first[r] = ((hits & -hits).bit_length() - 1) // w
+    return first
+
+
 def remainder_set(
     x: ResidueTuple, kind: Orientation = Orientation.STEINHAUS
 ) -> RemainderSet:
-    """Scan all positions (i0, j0) in the fundamental domain and all
-    remainders r, keeping the first witness per achievable remainder."""
+    """Every remainder r with a balanced family in the orbit of x, with its
+    first accepting anchor in scan order (i0, then j0), from one packed scan
+    of all p^2 anchors (_first_anchors)."""
     p = len(x)
     _check_period(p)
+    if p ** 3 > REMAINDER_WORK_LIMIT:
+        raise TooLarge(
+            f"remainder scan of period {p} exceeds the work bound {REMAINDER_WORK_LIMIT} on p^3"
+        )
     _period_multiplicity(x)
-    counter = _block_counter(x)
-    found: dict[int, tuple[int, int]] = {}
-    for i0 in range(p):
-        for j0 in range(p):
-            ones = counter.profile(kind, i0, j0, 2 * p - 1)
-            for r in range(p):
-                if r not in found and _accepts(ones, p, r):
-                    found[r] = (i0, j0)
-            if len(found) == p:
-                break
-        if len(found) == p:
-            break
-    witnesses = tuple((r, *found[r]) for r in sorted(found))
+    first = _first_anchors(build_period_grid(x), kind)
+    witnesses = tuple((r, *divmod(first[r], p)) for r in sorted(first))
     return RemainderSet(x, kind, p, witnesses)
 
 

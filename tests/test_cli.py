@@ -250,6 +250,11 @@ def _limit_child_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _request_id(value):
+    """Test id of one request: its words, a long tuple named by its length."""
+    return " ".join(word if len(word) <= 12 else f"<{len(word)} entries>" for word in value)
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -257,12 +262,15 @@ def _limit_child_memory():
         (("kernel", "--p-max", "5000"), "work bound"),
         (("classes", "--p", "5000"), "period 5000 exceeds the bound"),
         (("search", "--p", "5000"), "period 5000 exceeds the bound"),
+        (("search", "--p", "2028"), "remainder scan of period 2028 exceeds the work bound"),
+        (("triangle", "--seed-tuple", "0" * 3000), "triangle of size 3000 exceeds the bound"),
+        (("triangle", "--left", "1" * 3000, "--right", "1" * 3000), "triangle of size 3000 exceeds"),
         (("triangle", "--seed-tuple", "0110", "--modulus", "1000000000"), "modulus 1000000000 exceeds"),
         (("modm", "--scan", "ap", "--modulus", "1000000007", "--n-max", "5"), "modulus 1000000007 exceeds"),
         (("modm", "--scan", "ap", "--modulus", "101"), "work bound"),
         (("modm", "--scan", "ap", "--modulus", "7", "--n-max", "500"), "work bound"),
     ],
-    ids=" ".join,
+    ids=_request_id,
 )
 def test_oversized_requests_are_refused(args, message):
     """Each request is refused before its work starts.  The child runs under

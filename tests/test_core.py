@@ -15,6 +15,9 @@ from steinhaus import (
     is_balanced,
     multiplicity,
 )
+from steinhaus.core import TRIANGLE_SIZE_LIMIT
+from steinhaus.errors import TooLarge
+from steinhaus.orbits import PERIOD_LIMIT
 
 R = ResidueTuple.from_string
 
@@ -163,3 +166,13 @@ def test_embed_mod_m():
     assert host.size == 11
     assert host.obeys_local_rule()
     assert extract_center_pascal(host) == tri
+
+
+def test_triangle_size_bound():
+    # symmetry.rotate_r builds a triangle with one row per period entry
+    assert TRIANGLE_SIZE_LIMIT >= PERIOD_LIMIT
+    side = R("1" * (TRIANGLE_SIZE_LIMIT + 1))
+    with pytest.raises(TooLarge):
+        build_steinhaus(side)
+    with pytest.raises(TooLarge):
+        build_pascal(side, side)

@@ -35,8 +35,15 @@ from steinhaus import (
 )
 from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_pascal, packed_steinhaus
 from steinhaus.modm import _interlaced_orbit_rows
-from steinhaus.orbits import BlockCounter, _derive_bits, periodic_tuple_bits
-from steinhaus.search import extract_block, triangle_ones
+from steinhaus.orbits import BlockCounter, PeriodGrid, _derive_bits, periodic_tuple_bits
+from steinhaus.search import (
+    _accepts,
+    _first_anchors,
+    balanced_period_classes,
+    extract_block,
+    remainder_set,
+    triangle_ones,
+)
 from steinhaus.symmetry import _generator_images, _KernelCoordinates
 
 
@@ -291,6 +298,66 @@ def test_oracle_popcount_matches_extraction(data):
     n = data.draw(st.integers(0, 5 * p))
     expected = multiplicity(extract_block(grid, i0, j0, n, kind)).counts[1]
     assert triangle_ones(grid, i0, j0, n, kind) == expected
+
+
+def _per_anchor_witnesses(grid, kind):
+    """The scan the packed remainder scan replaced: one BlockCounter profile
+    per anchor in scan order (i0, then j0), tested by _accepts, keeping the
+    first witness per remainder."""
+    p = grid.p
+    counter = BlockCounter(grid.cells, 2)
+    found = {}
+    for i0 in range(p):
+        for j0 in range(p):
+            ones = counter.profile(kind, i0, j0, 2 * p - 1)
+            for r in range(p):
+                if r not in found and _accepts(ones, p, r):
+                    found[r] = (i0, j0)
+    return tuple((r, *found[r]) for r in sorted(found))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_packed_remainder_scan_matches_per_anchor_scan_p24(data):
+    p = 24
+    rep = ResidueTuple.from_string(data.draw(st.sampled_from(BALANCED_REPRESENTATIVES_24)))
+    g = GroupElement(
+        p, data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1)),
+        data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1)),
+    )
+    x = apply(g, rep)
+    for kind in Orientation:
+        rset = remainder_set(x, kind)
+        assert (rset.class_rep, rset.kind, rset.p) == (x, kind, p)
+        assert rset.witnesses == _per_anchor_witnesses(build_period_grid(x), kind)
+
+
+@pytest.mark.parametrize("p", [12, 36])
+def test_packed_remainder_scan_matches_per_anchor_scan(p):
+    classes = balanced_period_classes(p)
+    assert len(classes) == 2
+    for cls in classes:
+        grid = build_period_grid(cls.representative)
+        for kind in Orientation:
+            expected = _per_anchor_witnesses(grid, kind)
+            assert remainder_set(cls.representative, kind).witnesses == expected
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_remainder_scan_matches_per_anchor_scan_on_any_grid(data):
+    """Any p-by-p grid, not only an orbit's: odd p (whose bands of odd size
+    never split) and grids dense enough that the counts of balanced bands
+    approach the top bit of their fields."""
+    p = data.draw(st.sampled_from([3, 5, 12, 20, 24]))
+    density = data.draw(st.floats(0.3, 0.7))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = tuple(sum((rng.random() < density) << j for j in range(p)) for _ in range(p))
+    grid = PeriodGrid(p, rows)
+    for kind in Orientation:
+        first = _first_anchors(grid, kind)
+        packed = tuple((r, *divmod(first[r], p)) for r in sorted(first))
+        assert packed == _per_anchor_witnesses(grid, kind)
 
 
 @given(data=st.data())

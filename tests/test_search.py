@@ -38,7 +38,8 @@ from steinhaus import (
     remainder_set,
     steinhaus_dual_position,
 )
-from steinhaus.search import family_accepts
+from steinhaus.errors import TooLarge
+from steinhaus.search import REMAINDER_WORK_LIMIT, family_accepts
 
 R = ResidueTuple.from_string
 
@@ -181,6 +182,13 @@ def test_unbalanced_period_guard():
         check_steinhaus_family(zero, 0, 0, 3)
 
 
+def test_remainder_scan_bound():
+    assert 216 ** 3 <= 256 ** 3 <= REMAINDER_WORK_LIMIT
+    # refused before the grid is built, so the tuple need not be periodic
+    with pytest.raises(TooLarge):
+        remainder_set(R("0" * 260))
+
+
 def test_pascal_dual_witness_rows_accept(rep9):
     for r, (i0, j0), dual_r, (si, sj), zl, zr in CLASS9_PASCAL_DUAL_WITNESSES:
         cert = check_pascal_family(rep9, i0, j0, r)
@@ -306,14 +314,23 @@ def test_full_search_table(report24):
     assert report24.full_classes(Orientation.PASCAL) == FULL_CLASS_INDICES_24
 
 
-def test_full_search_matches_remainder_golden(report24, golden_dir):
+def _remainder_counts_csv(report):
     lines = ["class_index,representative,steinhaus_remainders,pascal_remainders"]
-    for entry in report24.classes:
+    for entry in report.classes:
         lines.append(
             f"{entry.index},{entry.class_rep},{len(entry.steinhaus)},{len(entry.pascal)}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def test_full_search_matches_remainder_golden(report24, golden_dir):
     golden = (golden_dir / "remainder_counts_p24.csv").read_text()
-    assert "\n".join(lines) + "\n" == golden
+    assert _remainder_counts_csv(report24) == golden
+
+
+def test_full_search_p72_matches_remainder_golden(golden_dir):
+    golden = (golden_dir / "remainder_counts_p72.csv").read_text()
+    assert _remainder_counts_csv(full_search(72)) == golden
 
 
 def test_every_witness_certificate_survives_the_oracle(report24):
