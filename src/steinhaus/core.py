@@ -68,10 +68,6 @@ class ResidueTuple:
         return cls(modulus, parts)
 
     @classmethod
-    def zeros(cls, length: int, modulus: int = 2) -> "ResidueTuple":
-        return cls(modulus, (0,) * length)
-
-    @classmethod
     def from_bits(cls, bits: int, length: int) -> "ResidueTuple":
         """Unpack an LSB-first bitmask into a modulus-2 tuple."""
         return cls(2, tuple((bits >> j) & 1 for j in range(length)))

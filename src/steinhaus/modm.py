@@ -7,8 +7,9 @@ progression is q-periodic.  A second family interlaces three arithmetic
 progressions; its orbit mod m has period 6m and *contains* balanced
 triangles of every size divisible by m and every size -1 mod 3m, though not
 necessarily anchored at the origin, so those claims are checked by scanning
-positions across the fundamental domain with orbits.BlockCounter, the
-prefix-sum counter the binary family search uses too.
+every position of the fundamental domain at once with orbits.AnchorFields,
+the packed counter the binary family scan uses too, run on one one-hot grid
+per nonzero residue.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .core import (
     is_balanced,
 )
 from .errors import InvalidSpec, TooLarge
-from .orbits import BlockCounter, derive_tuple, is_periodic_tuple
+from .orbits import AnchorFields, derive_tuple, is_periodic_tuple
 
-# bound on (6m)^2 * n_max * m, the cost of interlaced_scan: a few seconds of pure
-# Python, e.g. m = 7 up to n_max = 809 or m = 3 up to n_max = 10 288
+# bound on (6m)^2 * n_max * m, positions x sizes x residues of interlaced_scan: under
+# a second at the bound, e.g. m = 3 to n_max = 10 288 (0.8 s), m = 7 to 809 (0.6 s)
 INTERLACED_WORK_LIMIT = 10**7
 # bound on the cells n_max(n_max+1)(n_max+2)/6 that ap_balanced_scan builds:
 # n_max <= 390, about 4 s
@@ -166,11 +167,11 @@ class SizeWitness(NamedTuple):
 def interlaced_scan(
     m: int, n_max: int, kind: Orientation = Orientation.STEINHAUS
 ) -> list[SizeWitness]:
-    """For each size up to n_max, search the 6m-by-6m fundamental domain of
-    the interlaced orbit for a balanced triangle of that size.
-
-    One count profile per position and nonzero residue covers all sizes;
-    residue 0 fills the cells the other residues leave.
+    """For each size up to n_max, the first position (i0, then j0) in the
+    6m-by-6m fundamental domain of the interlaced orbit whose triangle has
+    the smallest spread.  Every position is a field of one packed count per
+    nonzero residue, grown one size at a time; residue 0 fills the cells
+    the other residues leave.
     """
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
@@ -180,20 +181,34 @@ def interlaced_scan(
             f"interlaced scan of modulus {m} up to size {n_max} exceeds the "
             f"work bound {INTERLACED_WORK_LIMIT}"
         )
-    counter = BlockCounter(_interlaced_orbit_rows(m), m)
-    best: list[tuple[int, tuple[int, int] | None]] = [(n_max + 2, None)] * (n_max + 1)
-    for i0 in range(q):
-        for j0 in range(q):
-            profiles = [counter.profile(kind, i0, j0, n_max, x) for x in range(1, m)]
-            for n, counts in enumerate(zip(*profiles)):
-                zero = n * (n + 1) // 2 - sum(counts)
-                spread = max(zero, *counts) - min(zero, *counts)
-                if n and spread < best[n][0]:
-                    best[n] = (spread, (i0, j0))
-    return [
-        SizeWitness(n, best[n][0] <= 1, best[n][1] if best[n][0] <= 1 else None, best[n][0])
-        for n in range(1, n_max + 1)
-    ]
+    orbit = _interlaced_orbit_rows(m)
+    fields = AnchorFields(q, n_max * (n_max + 1) // 2)
+    grids = [[sum((v == x) << j for j, v in enumerate(row)) for row in orbit] for x in range(1, m)]
+    residues = [fields.triangle_counts(rows, kind) for rows in grids]  # one-hot, residues 1..m-1
+    witnesses = []
+    for n in range(1, n_max + 1):
+        cells = n * (n + 1) // 2
+        totals = [next(counts)[0] for counts in residues]
+        high = low = cells * fields.lsb - sum(totals)  # residue 0
+        for total in totals:
+            high, low = fields.maximum(high, total), fields.minimum(low, total)
+        spread, hits = _smallest_field(fields, high - low, cells)
+        position = divmod(fields.first(hits), q) if spread <= 1 else None
+        # a smallest spread above n_max + 1 is reported as n_max + 2
+        witnesses.append(SizeWitness(n, spread <= 1, position, min(spread, n_max + 2)))
+    return witnesses
+
+
+def _smallest_field(fields: AnchorFields, v: int, most: int) -> tuple[int, int]:
+    """The smallest field of v (none exceeds most), by a gallop up from 0 and
+    a bisection, with the guard bits of the fields that hold it."""
+    below, t = -1, 0  # no field is at most below; the gallop stops once one is at most t
+    while not fields.at_most(v, t):
+        below, t = t, min(2 * t + 1, most)
+    while t - below > 1:
+        mid = (below + t) // 2
+        below, t = (below, mid) if fields.at_most(v, mid) else (mid, t)
+    return t, fields.equal(v, t)
 
 
 def interlaced_claimed_sizes(

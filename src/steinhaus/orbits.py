@@ -6,16 +6,16 @@ derivatives.  The orbit is *p-periodic* (vertically as well) exactly when
 the tuple lies in the kernel over GF(2) of the circulant matrix of binomial
 coefficients C(p, .); the p-by-p fundamental domain of such an orbit is the
 PeriodGrid.  Bit-level helpers pack modulus-2 tuples LSB-first into ints.
-BlockCounter counts residues in triangles anchored anywhere in a periodic
-orbit of any modulus, from prefix sums over its fundamental domain.
+AnchorFields counts the ones of the triangles at every anchor of a periodic
+orbit at once, one bit field per anchor of a packed int, on the grid rows
+(family scan) or on one one-hot grid per residue (mod-m scan).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import MultiplicityTable, Orientation, ResidueTuple
 from .errors import EmptyTuple, NotPeriodic, TooLarge
@@ -254,56 +254,80 @@ def build_period_grid(x: ResidueTuple) -> PeriodGrid:
     return PeriodGrid(p, tuple(rows))
 
 
-class BlockCounter:
-    """Residue counts of triangles anchored anywhere in a q-periodic orbit.
+class AnchorFields:
+    """One count per anchor of a q-periodic orbit, all q^2 of them in one int.
 
-    ``rows`` is the q-by-q fundamental domain of the orbit, entries mod
-    ``modulus``.  For every residue 1..m-1 it keeps prefix sums along each
-    row and each column, taken over the line written out twice, so a wrapped
-    segment of any length is counted in O(1); residue 0 is the cell count
-    minus the rest.
+    Anchor (i0, j0) owns the w-bit field i0*q + j0.  Every count the caller
+    stores is at most ``max_count`` < 2^(w-1), so no field carries into the
+    next and the top (guard) bit of each field is free for the comparisons,
+    which SWAR-test every field at once (Warren, Hacker's Delight, ch. 2).
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], modulus: int):
-        self.q = len(rows)
-        self.modulus = modulus
-        columns = list(zip(*rows))
+    def __init__(self, q: int, max_count: int):
+        self.q = q
+        self.w = w = max_count.bit_length() + 1
+        self.width, self.row_shift = q * q * w, q * w
+        self.pad = "0" * (w - 1)
+        self.lsb = int(self.pad + self.pad.join("1" * (q * q)), 2)  # 1 in every field
+        self.guard = self.lsb << (w - 1)                           # top bit of every field
+        self.below_guard = self.guard - self.lsb                   # 2^(w-1) - 1 in every field
+        self.everything = (1 << self.width) - 1
+        self.last_column = int(("1" * w + "0" * (self.row_shift - w)) * q, 2)
+        self.other_columns = self.everything ^ self.last_column
 
-        def prefixes(lines: Sequence[Sequence[int]], x: int) -> list[list[int]]:
-            return [
-                list(accumulate((v == x for v in (*line, *line)), initial=0))
-                for line in lines
-            ]
+    def next_column(self, v: int) -> int:
+        """Field (i0, j0) takes field (i0, j0+1)."""
+        w = self.w
+        return ((v >> w) & self.other_columns) | ((v << (self.row_shift - w)) & self.last_column)
 
-        self.row_pref = [prefixes(rows, x) for x in range(1, modulus)]
-        self.col_pref = [prefixes(columns, x) for x in range(1, modulus)]
+    def next_row(self, v: int) -> int:
+        """Field (i0, j0) takes field (i0+1, j0)."""
+        return (v >> self.row_shift) | ((v << (self.width - self.row_shift)) & self.everything)
 
-    def profile(
-        self, kind: Orientation, i0: int, j0: int, n_max: int, residue: int = 1
-    ) -> list[int]:
-        """counts[n] = occurrences of ``residue`` in the size-n triangle of the
-        given kind anchored at orbit position (i0, j0), for n = 0..n_max.
+    def along(self, kind: Orientation):
+        """The step along a growing edge: a column (Steinhaus) or a row (Pascal)."""
+        return self.next_column if kind is Orientation.STEINHAUS else self.next_row
 
-        Growing a Steinhaus triangle appends the column segment of cells
-        (i0..i0+n-1, j0+n-1); growing a Pascal triangle appends the row
-        segment (i0+n-1, j0..j0+n-1).
+    def equal(self, v: int, target: int) -> int:
+        """The guard bit of each field of v holding target."""
+        return self.guard & ~((v ^ target * self.lsb) + self.below_guard)
+
+    def at_most(self, v: int, target: int) -> int:
+        """The guard bit of each field of v holding at most target."""
+        return (((target * self.lsb) | self.guard) - v) & self.guard
+
+    def maximum(self, a: int, b: int) -> int:
+        """Fieldwise maximum of a and b."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit of each field where a >= b
+        keep = ge - (ge >> (self.w - 1))          # the value bits of those fields
+        return (a & keep) | (b & ~keep)
+
+    def minimum(self, a: int, b: int) -> int:
+        """Fieldwise minimum of a and b: each field of a + b stays below 2^w."""
+        return a + b - self.maximum(a, b)
+
+    def first(self, hits: int) -> int:
+        """Index i0*q + j0 of the lowest field whose guard bit is set in hits."""
+        return ((hits & -hits).bit_length() - 1) // self.w
+
+    def triangle_counts(self, rows: Sequence[int], kind: Orientation) -> Iterator[tuple[int, int]]:
+        """Packed (total_n, edge_n) for n = 1, 2, ...: at every anchor, the
+        ones of the size-n triangle of the given kind in the orbit whose
+        fundamental domain has row i packed LSB-first in rows[i], and of the
+        edge of n cells that growing it from size n-1 added.  That edge ends
+        at the diagonal cell (i0+n-1, j0+n-1): it is the column above it
+        (Steinhaus) or the row left of it (Pascal).  So edge_n is edge_{n-1}
+        moved one step along that line plus the grid moved n-1 steps down
+        the diagonal, and total_n = total_{n-1} + edge_n.
         """
-        if residue == 0:
-            rest = [self.profile(kind, i0, j0, n_max, x) for x in range(1, self.modulus)]
-            return [n * (n + 1) // 2 - sum(c) for n, c in enumerate(zip(*rest))]
-        q = self.q
-        if kind is Orientation.STEINHAUS:
-            lines, first, start = self.col_pref[residue - 1], j0, i0 % q
-        else:
-            lines, first, start = self.row_pref[residue - 1], i0, j0 % q
-        counts = [0] * (n_max + 1)
-        total = 0
-        for n in range(1, n_max + 1):
-            pref = lines[(first + n - 1) % q]
-            full, rest = divmod(n, q)
-            total += full * pref[q] + pref[start + rest] - pref[start]
-            counts[n] = total
-        return counts
+        along = self.along(kind)
+        bits = "".join(format(row, f"0{self.q}b") for row in reversed(rows))
+        diagonal = edge = total = int(self.pad + self.pad.join(bits), 2)
+        while True:
+            yield total, edge
+            diagonal = self.next_row(self.next_column(diagonal))
+            edge = along(edge) + diagonal
+            total += edge
 
 
 class PreperiodReport(NamedTuple):

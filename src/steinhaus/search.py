@@ -10,16 +10,16 @@ per orbit class, collects the achievable remainders with witnesses, and
 emits certificates that an independent oracle re-verifies by counting each
 triangle straight from the grid rows with masked popcounts.  The scan counts
 the triangles of all p^2 anchors at once, each anchor a bit field of one
-packed int; a single certificate reads its counts from the one-count profile
-of orbits.BlockCounter.  Both test the counts against the targets of one
-acceptance rule (_family_targets).
+packed int (orbits.AnchorFields); a single certificate counts its corner and
+band by the oracle's triangle_ones.  Both test the counts against the
+targets of one acceptance rule (_family_targets).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
 from .core import (
     MultiplicityTable,
@@ -30,7 +30,7 @@ from .core import (
     multiplicity,  # unused here; perfbench/workloads.py traces it as search.multiplicity
 )
 from .errors import PeriodNotDivisibleBy4, TooLarge, UnbalancedPeriod
-from .orbits import BlockCounter, PeriodGrid, build_period_grid
+from .orbits import AnchorFields, PeriodGrid, build_period_grid
 from .symmetry import OrbitClass, partition_classes
 
 # bound on p^3, the packed remainder scan's work: p <= 256, ~0.5 s and ~45 MB per scan there
@@ -152,12 +152,6 @@ def _period_multiplicity(x: ResidueTuple) -> MultiplicityTable:
     return table
 
 
-@lru_cache(maxsize=2)
-def _block_counter(x: ResidueTuple) -> BlockCounter:
-    # one tuple's certificates of both kinds run back to back, so two entries suffice
-    return BlockCounter(build_period_grid(x).cells, 2)
-
-
 def _family_targets(p: int, r: int) -> tuple[range, int | None]:
     """The one acceptance rule of a family with remainder r: the one-counts
     that balance the size-r corner (|cells - 2 ones| <= 1), and the ones the
@@ -169,11 +163,10 @@ def _family_targets(p: int, r: int) -> tuple[range, int | None]:
     return corner_ones, band_cells // 2 if band_cells % 2 == 0 else None
 
 
-def _accepts(ones: list[int], p: int, r: int) -> bool:
-    """The family predicate on a one-count profile (ones[n] for the size-n
-    triangle)."""
+def _accepts(corner: int, band: int, p: int, r: int) -> bool:
+    """The family predicate on the ones of the size-r corner and of its band."""
     corner_ones, band_half = _family_targets(p, r)
-    return ones[r] in corner_ones and ones[p + r] - ones[r] == band_half
+    return corner in corner_ones and band == band_half
 
 
 def _binary_table(cells: int, ones: int) -> MultiplicityTable:
@@ -192,12 +185,13 @@ def check_family(
     if not 0 <= r < p:
         raise ValueError("remainder must lie in 0..p-1")
     period = _period_multiplicity(x)
-    ones = _block_counter(x).profile(kind, i0, j0, p + r)
-    if not _accepts(ones, p, r):
+    grid = build_period_grid(x)
+    corner = triangle_ones(grid, i0, j0, r, kind)
+    band = triangle_ones(grid, i0, j0, p + r, kind) - corner
+    if not _accepts(corner, band, p, r):
         return None
-    corner = _binary_table(r * (r + 1) // 2, ones[r])
-    band = _binary_table(p * r + p * (p + 1) // 2, ones[p + r] - ones[r])
-    return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, corner, band, period)
+    tables = _binary_table(r * (r + 1) // 2, corner), _binary_table(p * r + p * (p + 1) // 2, band)
+    return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, *tables, period)
 
 
 def check_steinhaus_family(
@@ -220,22 +214,22 @@ def family_accepts(
 
 def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> int:
     """Ones in the size-n triangle of the given kind anchored at orbit
-    position (i0, j0), counted row by row from the grid rows: row i of the
-    triangle is orbit row i0+i rotated to start at column j0, repeated out to
-    n bits and masked to the triangle's cells (columns i..n-1 for Steinhaus,
-    0..i for Pascal) before its popcount."""
+    position (i0, j0), counted row by row: row i of the triangle is orbit
+    row i0+i read n bits from column j0 on, masked to the triangle's cells
+    (columns i..n-1 for Steinhaus, 0..i for Pascal) before its popcount."""
     if n < 0:
         raise ValueError("size must be non-negative")
     p = grid.p
-    s = j0 % p
-    full, width = (1 << p) - 1, (1 << n) - 1
-    repeat = sum(1 << (k * p) for k in range(-(-n // p)))
-    lines = [((((row >> s) | (row << (p - s))) & full) * repeat) & width for row in grid.rows]
+    s, start = j0 % p, i0 % p
+    # enough copies of a row side by side to read columns s..s+n-1 of it at once
+    copies = sum(1 << (k * p) for k in range(-(-(s + n) // p)))
+    width = (1 << n) - 1
+    rows = (grid.rows[start:] + grid.rows[:start])[:n]  # orbit row i0+p repeats row i0
+    lines = [((row * copies) >> s) & width for row in rows]
     steinhaus = kind is Orientation.STEINHAUS
     ones = 0
     for i in range(n):
-        mask = (width >> i) << i if steinhaus else (2 << i) - 1
-        ones += (lines[(i0 + i) % p] & mask).bit_count()
+        ones += (lines[i % p] >> i if steinhaus else lines[i % p] & (2 << i) - 1).bit_count()
     return ones
 
 
@@ -243,7 +237,7 @@ def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
     """Independent check of a certificate: for every k up to max_multiplier,
     count the ones of the triangle of size kp + r directly (triangle_ones)
     and require it balanced.  Reads neither the certificate's counts nor the
-    prefix sums of the family search."""
+    packed counts of the remainder scan."""
     if max_multiplier < 1:
         raise ValueError("need at least one multiplier")
     grid = build_period_grid(cert.generator)
@@ -285,50 +279,20 @@ class RemainderSet:
 
 def _first_anchors(grid: PeriodGrid, kind: Orientation) -> dict[int, int]:
     """First accepting anchor i0*p + j0 per achievable remainder, found by
-    one scan over all p^2 anchors at once.
+    one scan over all p^2 anchors at once (orbits.AnchorFields).
 
-    Anchor (i0, j0) owns the w-bit field i0*p + j0 of a packed int.  Every
-    count stays below 2^(w-1), so no field carries into the next and the
-    top bit of each is free for the equality test.  Growing a triangle from
-    size n-1 to n adds the edge of n cells that ends at the diagonal cell
-    (i0+n-1, j0+n-1): the column above it (Steinhaus) or the row left of it
-    (Pascal).  So edge_n is edge_{n-1} moved one step along that line plus
-    the grid moved n-1 steps down the diagonal, and total_n = total_{n-1} +
-    edge_n.  Past size p, edge_{n+p} is edge_n plus the sum of its whole
-    line, which is edge_p moved n steps along; so the band of remainder r
-    (sizes r+1..p+r) is total_p plus edge_p moved 1..r steps along.
+    Past size p, edge_{n+p} is edge_n plus the sum of its whole line, which
+    is edge_p moved n steps along; so the band of remainder r (sizes
+    r+1..p+r) is total_p plus edge_p moved 1..r steps along.  No count
+    exceeds the cells of a band, which stay below 2p^2.
     """
     p = grid.p
-    w = (2 * p * p).bit_length() + 1
-    fields = p * p
-    width, row_shift = fields * w, p * w
-    pad = "0" * (w - 1)
-    lsb = int(pad + pad.join("1" * fields), 2)  # 1 in every field
-    guard = lsb << (w - 1)                      # top bit of every field
-    below_guard = guard - lsb                   # 2^(w-1) - 1 in every field
-    everything = (1 << width) - 1
-    last_column = int(("1" * w + "0" * (row_shift - w)) * p, 2)
-    other_columns = everything ^ last_column
-
-    def next_column(v: int) -> int:  # field (i0, j0) takes field (i0, j0+1)
-        return ((v >> w) & other_columns) | ((v << (row_shift - w)) & last_column)
-
-    def next_row(v: int) -> int:  # field (i0, j0) takes field (i0+1, j0)
-        return (v >> row_shift) | ((v << (width - row_shift)) & everything)
-
-    def equal(v: int, target: int) -> int:  # top bit of each field holding target
-        return guard & ~((v ^ target * lsb) + below_guard)
-
-    along = next_column if kind is Orientation.STEINHAUS else next_row
-    bits = "".join(format(row, f"0{p}b") for row in reversed(grid.rows))
-    diagonal = edge = total = int(pad + pad.join(bits), 2)  # size 1: the cell itself
-    totals = [0, total]
-    for _ in range(p - 1):
-        diagonal = next_row(next_column(diagonal))
-        edge = along(edge) + diagonal
-        total += edge
+    fields = AnchorFields(p, 2 * p * p)
+    totals = [0]
+    for total, edge in islice(fields.triangle_counts(grid.rows, kind), p):
         totals.append(total)
-    band, line = total, edge
+    along = fields.along(kind)
+    band, line = total, edge  # of size p
     first: dict[int, int] = {}
     for r in range(p):
         if r:
@@ -338,10 +302,10 @@ def _first_anchors(grid: PeriodGrid, kind: Orientation) -> dict[int, int]:
         if band_half is None:
             continue
         # distinct targets hit disjoint fields, so the sum is the union
-        corner = sum(equal(totals[r], ones) for ones in corner_ones)
-        hits = equal(band, band_half) & corner
+        corner = sum(fields.equal(totals[r], ones) for ones in corner_ones)
+        hits = fields.equal(band, band_half) & corner
         if hits:
-            first[r] = ((hits & -hits).bit_length() - 1) // w
+            first[r] = fields.first(hits)
     return first
 
 

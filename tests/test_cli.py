@@ -120,6 +120,16 @@ def test_census_csv_matches_golden(golden_dir, kind):
     assert out == (golden_dir / f"census_{kind}.csv").read_text()
 
 
+@pytest.mark.parametrize("kind", ["steinhaus", "pascal"])
+@pytest.mark.parametrize("modulus", ["3", "5", "7"])
+def test_modm_interlaced_csv_matches_golden(golden_dir, modulus, kind):
+    """Every size's spread of the interlaced scan at the default sizes."""
+    out = run_cli(
+        "modm", "--scan", "interlaced", "--modulus", modulus, "--kind", kind, "--format", "csv"
+    ).stdout
+    assert out == (golden_dir / f"modm_interlaced_m{modulus}_{kind}.csv").read_text()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_search_p36_matches_golden(golden_dir, fmt):
     """Two balanced-period classes at p = 36, neither with a witness in either kind."""

@@ -34,8 +34,8 @@ from steinhaus import (
     wendt_matrix,
 )
 from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_pascal, packed_steinhaus
-from steinhaus.modm import _interlaced_orbit_rows
-from steinhaus.orbits import BlockCounter, PeriodGrid, _derive_bits, periodic_tuple_bits
+from steinhaus.modm import SizeWitness, _interlaced_orbit_rows, interlaced_scan
+from steinhaus.orbits import AnchorFields, PeriodGrid, _derive_bits, periodic_tuple_bits
 from steinhaus.search import (
     _accepts,
     _first_anchors,
@@ -230,13 +230,11 @@ def test_compose_is_associative():
 
 @lru_cache(maxsize=None)
 def _counted_orbit(modulus):
-    """Fundamental domain and its counter: the p = 24 class-9 grid for
-    modulus 2, the interlaced orbit otherwise."""
+    """Fundamental domain: the p = 24 class-9 grid for modulus 2, the
+    interlaced orbit otherwise."""
     if modulus == 2:
-        rows = build_period_grid(ResidueTuple.from_string(CLASS9_REP)).cells
-    else:
-        rows = _interlaced_orbit_rows(modulus)
-    return rows, BlockCounter(rows, modulus)
+        return build_period_grid(ResidueTuple.from_string(CLASS9_REP)).cells
+    return _interlaced_orbit_rows(modulus)
 
 
 def _direct_count(rows, modulus, kind, i0, j0, n, residue):
@@ -251,21 +249,60 @@ def _direct_count(rows, modulus, kind, i0, j0, n, residue):
     return multiplicity(triangle).counts[residue]
 
 
+def _one_hot(rows, residue):
+    return [sum((v == residue) << j for j, v in enumerate(row)) for row in rows]
+
+
+def _field(fields, v, index):
+    return (v >> (index * fields.w)) & ((1 << fields.w) - 1)
+
+
 @pytest.mark.parametrize("modulus", [2, 3, 5], ids=["grid24", "interlaced3", "interlaced5"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_block_counter_profile_matches_extraction(modulus, data):
-    rows, counter = _counted_orbit(modulus)
+def test_anchor_fields_triangle_counts_match_extraction(modulus, data):
+    rows = _counted_orbit(modulus)
     q = len(rows)
     kind = data.draw(st.sampled_from(list(Orientation)))
     i0, j0 = data.draw(st.integers(-q, 2 * q)), data.draw(st.integers(-q, 2 * q))
-    n_max = data.draw(st.integers(0, 2 * q + 5))  # beyond q the segments wrap
-    n = data.draw(st.integers(0, n_max))
+    n_max = data.draw(st.integers(1, 2 * q + 5))  # beyond q the edges wrap
+    n = data.draw(st.integers(1, n_max))
     residue = data.draw(st.integers(0, modulus - 1))
-    counts = counter.profile(kind, i0, j0, n_max, residue)
-    assert len(counts) == n_max + 1
+    fields = AnchorFields(q, n_max * (n_max + 1) // 2)
+    anchor = (i0 % q) * q + j0 % q
+    sizes = list(itertools.islice(fields.triangle_counts(_one_hot(rows, residue), kind), n_max))
+    totals = [0] + [_field(fields, total, anchor) for total, _ in sizes]
+    edges = [_field(fields, edge, anchor) for _, edge in sizes]
+    assert edges == [totals[k + 1] - totals[k] for k in range(n_max)]
     for size in (n, n_max):
-        assert counts[size] == _direct_count(rows, modulus, kind, i0, j0, size, residue)
+        assert totals[size] == _direct_count(rows, modulus, kind, i0, j0, size, residue)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_anchor_fields_comparisons_match_field_loop(data):
+    """The SWAR comparisons against one Python comparison per field, on
+    values that include both ends of a field, 0 and 2^(w-1) - 1."""
+    q = data.draw(st.integers(1, 6))
+    fields = AnchorFields(q, data.draw(st.integers(1, 5000)))
+    top = (1 << (fields.w - 1)) - 1
+    value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    a, b = (data.draw(st.lists(value, min_size=q * q, max_size=q * q)) for _ in range(2))
+    target = data.draw(value)
+
+    def pack(values):
+        return sum(v << (k * fields.w) for k, v in enumerate(values))
+
+    def guards(flags):
+        return pack([int(f) << (fields.w - 1) for f in flags])
+
+    assert fields.equal(pack(a), target) == guards(x == target for x in a)
+    assert fields.at_most(pack(a), target) == guards(x <= target for x in a)
+    assert fields.maximum(pack(a), pack(b)) == pack(map(max, a, b))
+    assert fields.minimum(pack(a), pack(b)) == pack(map(min, a, b))
+    hits = fields.at_most(pack(a), target)
+    if hits:
+        assert fields.first(hits) == min(k for k, x in enumerate(a) if x <= target)
 
 
 @lru_cache(maxsize=None)
@@ -300,20 +337,71 @@ def test_oracle_popcount_matches_extraction(data):
     assert triangle_ones(grid, i0, j0, n, kind) == expected
 
 
+def _line_prefixes(rows, kind, residue):
+    """Prefix sums of the cells equal to residue along each column
+    (Steinhaus) or row (Pascal) of the fundamental domain, over the line
+    written out twice, so a wrapped segment is one difference."""
+    lines = list(zip(*rows)) if kind is Orientation.STEINHAUS else rows
+    doubled = ((v == residue for v in (*line, *line)) for line in lines)
+    return [list(itertools.accumulate(cells, initial=0)) for cells in doubled]
+
+
+def _profile(prefixes, kind, i0, j0, n_max):
+    """counts[n] for the size-n triangle at (i0, j0), n = 0..n_max: growing
+    it adds the column segment (i0..i0+n-1, j0+n-1) for Steinhaus, the row
+    segment (i0+n-1, j0..j0+n-1) for Pascal."""
+    q = len(prefixes)
+    first, start = (j0, i0 % q) if kind is Orientation.STEINHAUS else (i0, j0 % q)
+    counts = [0]
+    for n in range(1, n_max + 1):
+        pref = prefixes[(first + n - 1) % q]
+        full, rest = divmod(n, q)
+        counts.append(counts[-1] + full * pref[q] + pref[start + rest] - pref[start])
+    return counts
+
+
 def _per_anchor_witnesses(grid, kind):
-    """The scan the packed remainder scan replaced: one BlockCounter profile
+    """The scan the packed remainder scan replaced: one prefix-sum profile
     per anchor in scan order (i0, then j0), tested by _accepts, keeping the
     first witness per remainder."""
     p = grid.p
-    counter = BlockCounter(grid.cells, 2)
+    prefixes = _line_prefixes(grid.cells, kind, 1)
     found = {}
     for i0 in range(p):
         for j0 in range(p):
-            ones = counter.profile(kind, i0, j0, 2 * p - 1)
+            ones = _profile(prefixes, kind, i0, j0, 2 * p - 1)
             for r in range(p):
-                if r not in found and _accepts(ones, p, r):
+                if r not in found and _accepts(ones[r], ones[p + r] - ones[r], p, r):
                     found[r] = (i0, j0)
     return tuple((r, *found[r]) for r in sorted(found))
+
+
+def _per_position_interlaced_scan(m, n_max, kind):
+    """The mod-m scan the packed one replaced: one profile per position and
+    nonzero residue, keeping the first position with the smallest spread."""
+    rows = _interlaced_orbit_rows(m)
+    q = len(rows)
+    prefixes = [_line_prefixes(rows, kind, x) for x in range(1, m)]
+    best = [(n_max + 2, None)] * (n_max + 1)
+    for i0 in range(q):
+        for j0 in range(q):
+            profiles = [_profile(pref, kind, i0, j0, n_max) for pref in prefixes]
+            for n, counts in enumerate(zip(*profiles)):
+                zero = n * (n + 1) // 2 - sum(counts)
+                spread = max(zero, *counts) - min(zero, *counts)
+                if n and spread < best[n][0]:
+                    best[n] = (spread, (i0, j0))
+    return [
+        SizeWitness(n, best[n][0] <= 1, best[n][1] if best[n][0] <= 1 else None, best[n][0])
+        for n in range(1, n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", list(Orientation), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("m,n_max", [(3, 1), (3, 2), (3, 41), (5, 65), (9, 113)])
+def test_packed_interlaced_scan_matches_per_position_scan(m, n_max, kind):
+    """Positions and spreads of every size; 2 * 6m + 5 wraps every edge twice."""
+    assert interlaced_scan(m, n_max, kind) == _per_position_interlaced_scan(m, n_max, kind)
 
 
 @given(data=st.data())
