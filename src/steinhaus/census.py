@@ -8,12 +8,14 @@ GF(2)-linear in its free boundary bits (the n seed bits; or the apex, left
 bits 1..n-1 and right bits 1..n-1), every triangle is the XOR of the packed
 basis triangles of its set bits.  The basis is split into a low and a high
 half and each half is spanned into a table; each triangle is then one
-high ^ low entry, counted by one bit_count().
+high ^ low entry, counted by one bit_count().  CENSUS_KINDS holds all
+that differs per kind: the size bound, the basis and the closed-form maximum.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .core import Orientation
 from .errors import TooLarge
@@ -21,20 +23,6 @@ from .orbits import xor_span
 
 STEINHAUS_CENSUS_LIMIT = 16
 PASCAL_CENSUS_LIMIT = 10
-
-
-def triangle_count(n: int, kind: Orientation) -> int:
-    return 1 << n if kind is Orientation.STEINHAUS else 1 << (2 * n - 1)
-
-
-def _check_bounds(n: int, kind: Orientation) -> None:
-    if n < 1:
-        raise ValueError("census size must be positive")
-    limit = (
-        STEINHAUS_CENSUS_LIMIT if kind is Orientation.STEINHAUS else PASCAL_CENSUS_LIMIT
-    )
-    if n > limit:
-        raise TooLarge(f"census of size {n} exceeds the bound {limit}")
 
 
 def packed_steinhaus(seed: int, n: int) -> int:
@@ -91,31 +79,6 @@ def _span_census(basis: list[int]) -> tuple[int, int]:
     return total, best
 
 
-@lru_cache(maxsize=None)
-def _steinhaus_census(n: int) -> tuple[int, int]:
-    return _span_census(_steinhaus_basis(n))
-
-
-@lru_cache(maxsize=None)
-def _pascal_census(n: int) -> tuple[int, int]:
-    return _span_census(_pascal_basis(n))
-
-
-def average_census(n: int, kind: Orientation) -> int:
-    """Total number of ones over all binary triangles of size n; dividing by
-    the triangle count gives exactly half the cell count."""
-    _check_bounds(n, kind)
-    census = _steinhaus_census if kind is Orientation.STEINHAUS else _pascal_census
-    return census(n)[0]
-
-
-def extremal_ones_scan(n: int, kind: Orientation) -> int:
-    """Maximum number of ones over all binary triangles of size n."""
-    _check_bounds(n, kind)
-    census = _steinhaus_census if kind is Orientation.STEINHAUS else _pascal_census
-    return census(n)[1]
-
-
 def steinhaus_max_ones(n: int) -> int:
     """Closed form ceil(2/3 * n(n+1)/2), attained by the length-n initial
     segment of the 3-periodic sequence 110110..."""
@@ -135,3 +98,45 @@ def pascal_max_ones(n: int) -> int:
     else:
         extra = 1
     return steinhaus_max_ones(n) + extra
+
+
+class CensusKind(NamedTuple):
+    """The census of one triangle kind: its size bound, its basis (one packed
+    triangle per free boundary bit) and the closed-form maximum of ones."""
+
+    limit: int
+    basis: Callable[[int], list[int]]
+    max_ones: Callable[[int], int]
+
+
+CENSUS_KINDS = {
+    Orientation.STEINHAUS: CensusKind(STEINHAUS_CENSUS_LIMIT, _steinhaus_basis, steinhaus_max_ones),
+    Orientation.PASCAL: CensusKind(PASCAL_CENSUS_LIMIT, _pascal_basis, pascal_max_ones),
+}
+
+
+def triangle_count(n: int, kind: Orientation) -> int:
+    """Binary triangles of size n: one per subset of the basis."""
+    return 1 << len(CENSUS_KINDS[kind].basis(n))
+
+
+@lru_cache(maxsize=None)
+def _census(n: int, kind: Orientation) -> tuple[int, int]:
+    """(total, maximum) one-count over all binary triangles of size n."""
+    if n < 1:
+        raise ValueError("census size must be positive")
+    limit = CENSUS_KINDS[kind].limit
+    if n > limit:
+        raise TooLarge(f"census of size {n} exceeds the bound {limit}")
+    return _span_census(CENSUS_KINDS[kind].basis(n))
+
+
+def average_census(n: int, kind: Orientation) -> int:
+    """Total number of ones over all binary triangles of size n; dividing by
+    the triangle count gives exactly half the cell count."""
+    return _census(n, kind)[0]
+
+
+def extremal_ones_scan(n: int, kind: Orientation) -> int:
+    """Maximum number of ones over all binary triangles of size n."""
+    return _census(n, kind)[1]

@@ -6,7 +6,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .core import (
@@ -17,15 +16,7 @@ from .core import (
     is_balanced,
     multiplicity,
 )
-from .census import (
-    PASCAL_CENSUS_LIMIT,
-    STEINHAUS_CENSUS_LIMIT,
-    average_census,
-    extremal_ones_scan,
-    pascal_max_ones,
-    steinhaus_max_ones,
-    triangle_count,
-)
+from .census import CENSUS_KINDS, average_census, extremal_ones_scan, triangle_count
 from .errors import SteinhausError, TooLarge
 from .modm import (
     ApFamilySpec,
@@ -60,13 +51,6 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("STEINHAUS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_output(text_or_bytes, out_path: str | None) -> None:
@@ -142,9 +126,8 @@ def _cmd_triangle(args) -> int:
         _emit_table(["residue", "count"], rows, args)
         return 0
     lines = []
-    for t, row in enumerate(triangle.rows):
-        pad = t if triangle.orientation is Orientation.STEINHAUS else (triangle.size - 1 - t)
-        lines.append(" " * pad + " ".join(str(e) for e in row))
+    for row in triangle.rows:
+        lines.append(" " * (triangle.size - len(row)) + " ".join(str(e) for e in row))
     counts = " ".join(f"{x}:{c}" for x, c in table.as_dict().items())
     lines.append(f"size={triangle.size} cells={triangle.cell_count} counts {counts}")
     lines.append(f"spread={result.spread} balanced={'yes' if result.balanced else 'no'}")
@@ -299,20 +282,16 @@ def _cmd_search(args) -> int:
 
 def _cmd_census(args) -> int:
     kind = _KINDS[args.kind]
-    limit = (
-        STEINHAUS_CENSUS_LIMIT if kind is Orientation.STEINHAUS else PASCAL_CENSUS_LIMIT
-    )
-    n_max = limit if args.n_max is None else args.n_max
+    census = CENSUS_KINDS[kind]
+    n_max = census.limit if args.n_max is None else args.n_max
     rows = []
     for n in range(1, n_max + 1):
         total = average_census(n, kind)
         count = triangle_count(n, kind)
         cells = n * (n + 1) // 2
-        formula = (
-            steinhaus_max_ones(n) if kind is Orientation.STEINHAUS else pascal_max_ones(n)
-        )
         rows.append(
-            [n, count, total, total / count, cells / 2, extremal_ones_scan(n, kind), formula]
+            [n, count, total, total / count, cells / 2, extremal_ones_scan(n, kind),
+             census.max_ones(n)]
         )
     _emit_table(
         ["n", "triangles", "total_ones", "average", "expected_average", "max_ones", "formula_max"],
@@ -421,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("--kind", choices=("steinhaus", "pascal", "both"), default="both")
     p_sea.add_argument("--k-verify", type=non_negative_int, default=0,
                        help="re-verify every witness by direct extraction up to this multiplier")
-    p_sea.add_argument("--jobs", type=positive_int, default=_default_jobs())
+    p_sea.add_argument("--jobs", type=positive_int, default=1)
     add_common(p_sea)
     p_sea.set_defaults(func=_cmd_search)
 

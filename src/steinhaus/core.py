@@ -3,8 +3,9 @@
 A Steinhaus triangle is generated downward from its top row, each entry
 being the sum of the two entries above it; rows shrink by one.  A
 generalized Pascal triangle is determined by its left and right sides
-(which share the apex entry) and grows downward by the same rule.  Both
-kinds carry a multiplicity table over Z/m and are *balanced* when the
+(which share the apex entry) and grows downward by the same rule; the two
+kinds differ only in the columns each row covers (Orientation.columns).
+Both carry a multiplicity table over Z/m and are *balanced* when the
 residue counts differ pairwise by at most one.
 """
 
@@ -19,7 +20,7 @@ from .errors import MismatchedSides, TooLarge
 # largest accepted modulus: bounds every table of m counts and every order loop mod m
 MODULUS_LIMIT = 1 << 16
 # largest triangle built cell by cell (n(n+1)/2 cells, about a second at the
-# limit); at least orbits.PERIOD_LIMIT, since symmetry.rotate_r builds a p-row triangle
+# limit); at least orbits.PERIOD_LIMIT, so every period's generator fits one triangle
 TRIANGLE_SIZE_LIMIT = 2048
 
 
@@ -36,8 +37,14 @@ def check_triangle_size(n: int) -> None:
 
 
 class Orientation(Enum):
-    STEINHAUS = "steinhaus"  # apex down: row t has n - t entries
-    PASCAL = "pascal"        # apex up: row t has t + 1 entries
+    STEINHAUS = "steinhaus"  # apex down
+    PASCAL = "pascal"        # apex up
+
+    def columns(self, t: int, n: int) -> range:
+        """The columns of row t of a size-n triangle, counted from its anchor:
+        t..n-1 for Steinhaus, 0..t for Pascal.  The one definition of the
+        triangle shape; a row's entries are stored in this column order."""
+        return range(t, n) if self is Orientation.STEINHAUS else range(t + 1)
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,9 @@ class MultiplicityTable:
 class Triangle:
     """An oriented triangular array of residues, stored row by row.
 
-    Steinhaus rows use local indexing: row ``t`` entry ``k`` sits at column
-    ``t + k`` of the generating sequence, so the local rule reads
-    ``rows[t][k] = rows[t-1][k] + rows[t-1][k+1]``.  Pascal rows grow by one
-    and obey ``rows[t][k] = rows[t-1][k-1] + rows[t-1][k]`` in the interior.
+    Row ``t`` holds the cells at ``orientation.columns(t, size)`` in order,
+    so entry ``k`` sits at column ``columns.start + k``: column ``t + k`` of
+    the generating sequence for Steinhaus, column ``k`` for Pascal.
     """
 
     orientation: Orientation
@@ -172,7 +178,7 @@ class Triangle:
         rows = tuple(tuple(int(e) for e in row) for row in self.rows)
         n = len(rows)
         for t, row in enumerate(rows):
-            want = n - t if self.orientation is Orientation.STEINHAUS else t + 1
+            want = len(self.orientation.columns(t, n))
             if len(row) != want:
                 raise ValueError(f"row {t} has {len(row)} entries, expected {want}")
             for e in row:
@@ -194,19 +200,16 @@ class Triangle:
             yield from row
 
     def obeys_local_rule(self) -> bool:
-        """Full scan: every interior cell equals the mod-m sum of its parents."""
-        m = self.modulus
-        if self.orientation is Orientation.STEINHAUS:
-            for t in range(1, self.size):
-                prev, row = self.rows[t - 1], self.rows[t]
-                if any(row[k] != (prev[k] + prev[k + 1]) % m for k in range(len(row))):
-                    return False
-        else:
-            for t in range(1, self.size):
-                prev, row = self.rows[t - 1], self.rows[t]
-                if any(row[k] != (prev[k - 1] + prev[k]) % m for k in range(1, t)):
-                    return False
-        return True
+        """Full scan: every cell (t, j) whose parents (t-1, j-1) and (t-1, j)
+        lie in the triangle equals their mod-m sum."""
+        n = self.size
+        cells = [dict(zip(self.orientation.columns(t, n), row)) for t, row in enumerate(self.rows)]
+        return all(
+            value == (above[j - 1] + above[j]) % self.modulus
+            for above, here in zip(cells, cells[1:])
+            for j, value in here.items()
+            if j - 1 in above and j in above
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,7 +1,8 @@
 """Raster output: PBM/PPM images of orbits and balanced-triangle families.
 
 Images are plain-text netpbm (P1 bitmaps for two residues, P3 pixmaps
-otherwise), so outputs are diffable and byte-deterministic.
+otherwise), so outputs are diffable and byte-deterministic.  Triangle cells
+and outlines are placed by Orientation.columns, for both kinds alike.
 """
 
 from __future__ import annotations
@@ -110,15 +111,11 @@ def _overlay_cells(
             marked.add((i - i_lo, j - j_lo))
 
     for kind, i0, j0, n in overlays:
-        for k in range(n):
-            if kind is Orientation.STEINHAUS:
-                mark(i0, j0 + k)          # top row
-                mark(i0 + k, j0 + k)      # left staircase
-                mark(i0 + k, j0 + n - 1)  # right edge
-            else:
-                mark(i0 + n - 1, j0 + k)  # bottom row
-                mark(i0 + k, j0)          # left edge
-                mark(i0 + k, j0 + k)      # right staircase
+        for t in range(n):
+            columns = kind.columns(t, n)
+            # each row's two end cells, and the whole of the row of n cells
+            for j in columns if len(columns) == n else (columns[0], columns[-1]):
+                mark(i0 + t, j0 + j)
     return marked
 
 
@@ -134,6 +131,9 @@ def render_orbit(x: ResidueTuple, spec: RenderSpec = RenderSpec()) -> bytes:
         raise ValueError("row range must start at a non-negative index")
     width, height = j_hi - j_lo, i_hi - i_lo
     _check_pixels(width, height, spec)
+    if i_hi * p > spec.max_pixels:
+        # every row above the window is derived too, so they count against the cap
+        raise WindowTooLarge(f"deriving {i_hi} rows of {p} cells exceeds the pixel cap")
     rows = _orbit_rows(x, i_hi)
     cells = [
         [rows[i][j % p] for j in range(j_lo, j_hi)] for i in range(i_lo, i_hi)
@@ -151,23 +151,16 @@ def _family_outline_pixels(
     kind: Orientation, p: int, r: int, n: int, cell: int
 ) -> set[tuple[int, int]]:
     """Pixel positions of the block-boundary lines of the size-n triangle
-    (one corner block, then one band and one period square per step)."""
+    (one corner block, then one band and one period square per step).  The
+    lines are drawn for Steinhaus; a Pascal triangle is the transpose of a
+    Steinhaus one, and so is its outline."""
     marked: set[tuple[int, int]] = set()
-    boundaries = range(r if r else p, n, p)
-    if kind is Orientation.STEINHAUS:
-        for j in boundaries:
-            for y in range(0, j * cell):
-                marked.add((y, j * cell))
-        for i in range(p, n, p):
-            for xpx in range((i + r) * cell, n * cell):
-                marked.add((i * cell, xpx))
-    else:
-        for i in boundaries:
-            for xpx in range(0, i * cell):
-                marked.add((i * cell, xpx))
-        for j in range(p, n, p):
-            for y in range((j + r) * cell, n * cell):
-                marked.add((y, j * cell))
+    for j in range(r if r else p, n, p):
+        marked.update((y, j * cell) for y in range(j * cell))
+    for i in range(p, n, p):
+        marked.update((i * cell, xpx) for xpx in range((i + r) * cell, n * cell))
+    if kind is Orientation.PASCAL:
+        return {(xpx, y) for y, xpx in marked}
     return marked
 
 
@@ -189,25 +182,21 @@ def render_family(
     if n == 0:
         raise ValueError("family triangle of size 0 has nothing to render")
     _check_pixels(n, n, spec)
-    steinhaus = cert.kind is Orientation.STEINHAUS
     triangle = extract_block(grid, i0, j0, n, cert.kind)
     draw_outline = spec.cell_size >= 3
-    if spec.palette is None and not draw_outline:
-        pixels = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = triangle.rows[i]
-            for k, value in enumerate(row):
-                j = i + k if steinhaus else k
-                pixels[i][j] = value
-        return _pbm_bytes(_scale(pixels, spec.cell_size))
-    palette = dict(spec.palette) if spec.palette else default_palette(2)
-    colored = [[BACKGROUND] * n for _ in range(n)]
-    for i in range(n):
-        row = triangle.rows[i]
-        for k, value in enumerate(row):
-            j = i + k if steinhaus else k
-            colored[i][j] = palette[value]
-    scaled = _scale(colored, spec.cell_size)
+    bitmap = spec.palette is None and not draw_outline
+    if bitmap:
+        palette, background = {0: 0, 1: 1}, 0
+    else:
+        palette = dict(spec.palette) if spec.palette else default_palette(2)
+        background = BACKGROUND
+    cells = [[background] * n for _ in range(n)]
+    for i, row in enumerate(triangle.rows):
+        for j, value in zip(cert.kind.columns(i, n), row):
+            cells[i][j] = palette[value]
+    scaled = _scale(cells, spec.cell_size)
+    if bitmap:
+        return _pbm_bytes(scaled)
     if draw_outline:
         for y, xpx in _family_outline_pixels(
             cert.kind, p, cert.remainder, n, spec.cell_size

@@ -17,7 +17,6 @@ targets of one acceptance rule (_family_targets).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -41,16 +40,15 @@ def extract_block(
     grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation
 ) -> Triangle:
     """The size-n triangle of the given kind anchored at orbit position
-    (i0, j0): cells (i0+i, j0+j) for 0 <= i <= j <= n-1 (Steinhaus, principal
-    vertex at the anchor) or 0 <= j <= i <= n-1 (Pascal, apex at the anchor)."""
+    (i0, j0): cells (i0+i, j0+j) for j in kind.columns(i, n), so the anchor
+    is the principal vertex of a Steinhaus triangle and the apex of a Pascal one."""
     if n < 0:
         raise ValueError("size must be non-negative")
     p = grid.p
     rows = []
     for i in range(n):
         bits = grid.rows[(i0 + i) % p]
-        columns = range(i, n) if kind is Orientation.STEINHAUS else range(i + 1)
-        rows.append(tuple((bits >> ((j0 + j) % p)) & 1 for j in columns))
+        rows.append(tuple((bits >> ((j0 + j) % p)) & 1 for j in kind.columns(i, n)))
     return Triangle(kind, 2, tuple(rows))
 
 
@@ -216,7 +214,9 @@ def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation)
     """Ones in the size-n triangle of the given kind anchored at orbit
     position (i0, j0), counted row by row: row i of the triangle is orbit
     row i0+i read n bits from column j0 on, masked to the triangle's cells
-    (columns i..n-1 for Steinhaus, 0..i for Pascal) before its popcount."""
+    (kind.columns(i, n)) before its popcount.  The mask comes from its own
+    kind test, not from a kind.columns call per row: the oracle and the
+    certificates run this loop for every row they count."""
     if n < 0:
         raise ValueError("size must be non-negative")
     p = grid.p
@@ -375,6 +375,8 @@ def full_search(p: int, jobs: int = 1) -> SearchReport:
     classes = balanced_period_classes(p)
     tasks = [(cls.representative, p) for cls in classes]
     if jobs > 1 and len(tasks) > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_search_one_class, tasks))
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable
 
-from .core import ResidueTuple, build_steinhaus
+from .core import ResidueTuple
 from .orbits import (
     Gf2Matrix,
     _derive_bits,
@@ -143,8 +143,7 @@ def rotate_r(x: ResidueTuple) -> ResidueTuple:
     """
     if x.modulus != 2:
         raise ValueError("triangle rotation is defined for modulus 2 only")
-    triangle = build_steinhaus(x)
-    return ResidueTuple(2, tuple(row[-1] for row in triangle.rows))
+    return ResidueTuple.from_bits(_rotate_r_bits(x.bits, len(x)), len(x))
 
 
 def reflect_i(x: ResidueTuple) -> ResidueTuple:

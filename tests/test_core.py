@@ -169,7 +169,7 @@ def test_embed_mod_m():
 
 
 def test_triangle_size_bound():
-    # symmetry.rotate_r builds a triangle with one row per period entry
+    # every period's generator fits one triangle
     assert TRIANGLE_SIZE_LIMIT >= PERIOD_LIMIT
     side = R("1" * (TRIANGLE_SIZE_LIMIT + 1))
     with pytest.raises(TooLarge):

@@ -85,6 +85,35 @@ def test_pascal_local_rule_and_cell_count(left, data):
     assert tuple(row[-1] for row in tri.rows) == right.entries
 
 
+def _per_kind_rule_holds(tri: Triangle) -> bool:
+    """Reference local rule, written out per kind on the stored rows:
+    Steinhaus rows[t][k] = rows[t-1][k] + rows[t-1][k+1] for every cell,
+    Pascal rows[t][k] = rows[t-1][k-1] + rows[t-1][k] for 1 <= k <= t-1."""
+    m, rows = tri.modulus, tri.rows
+    if tri.orientation is Orientation.STEINHAUS:
+        cells = ((t, k, k, k + 1) for t in range(1, len(rows)) for k in range(len(rows[t])))
+    else:
+        cells = ((t, k, k - 1, k) for t in range(1, len(rows)) for k in range(1, t))
+    return all(rows[t][k] == (rows[t - 1][a] + rows[t - 1][b]) % m for t, k, a, b in cells)
+
+
+@given(st.sampled_from(Orientation), st.sampled_from((2, 3, 7)), st.integers(1, 9), st.data())
+def test_local_rule_check_after_changing_one_cell(kind, m, n, data):
+    side = st.lists(st.integers(0, m - 1), min_size=n, max_size=n).map(lambda e: ResidueTuple(m, tuple(e)))
+    if kind is Orientation.STEINHAUS:
+        tri = build_steinhaus(data.draw(side))
+    else:
+        left, right = data.draw(side), data.draw(side)
+        tri = build_pascal(left, ResidueTuple(m, (left[0],) + right.entries[1:]))
+    assert tri.obeys_local_rule()
+    rows = [list(row) for row in tri.rows]
+    t = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, len(rows[t]) - 1))
+    rows[t][k] = (rows[t][k] + data.draw(st.integers(1, m - 1))) % m
+    changed = Triangle(kind, m, tuple(map(tuple, rows)))
+    assert changed.obeys_local_rule() == _per_kind_rule_holds(changed)
+
+
 @given(residue_tuples(moduli=(2,), min_len=1, max_len=14))
 def test_balanced_spread_forced_by_parity(x):
     tri = build_steinhaus(x)

@@ -1,7 +1,12 @@
+import csv
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from expected_values import ORBIT_010100, CLASS9_REP
 
+from steinhaus.cli import main
 from steinhaus import (
     Orientation,
     RenderSpec,
@@ -136,3 +141,30 @@ def test_render_spec_validation():
         RenderSpec(cell_size=0)
     with pytest.raises(ValueError):
         RenderSpec(window=((0, 0), (0, 5)))
+
+
+# command -> SHA-256 of its output bytes, frozen before the triangle shape moved
+# into Orientation.columns; "render_orbit KIND I0 J0 N" is a library call that
+# outlines one triangle on a 30x28 window of the class-9 orbit
+RENDER_DIGESTS = Path(__file__).parent / "golden" / "render_sha256.csv"
+OVERLAY_WINDOW = ((0, 28), (0, 30))
+
+
+def _output_bytes(command: str, out: Path) -> bytes:
+    words = command.split()
+    if words[0] == "render_orbit":
+        kind, i0, j0, n = Orientation(words[1]), *map(int, words[2:])
+        spec = RenderSpec(window=OVERLAY_WINDOW, overlays=((kind, i0, j0, n),))
+        return render_orbit(R(CLASS9_REP), spec)
+    assert main(words + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+with open(RENDER_DIGESTS, newline="", encoding="utf-8") as _handle:
+    DIGEST_ROWS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
+
+
+@pytest.mark.parametrize("command,digest", DIGEST_ROWS, ids=[c for c, _ in DIGEST_ROWS])
+def test_output_matches_frozen_digest(command, digest, tmp_path):
+    data = _output_bytes(command, tmp_path / "out")
+    assert hashlib.sha256(data).hexdigest() == digest
