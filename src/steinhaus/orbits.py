@@ -20,7 +20,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .core import MultiplicityTable, Orientation, ResidueTuple
 from .errors import EmptyTuple, NotPeriodic, TooLarge
 
-KERNEL_ENUM_LIMIT = 20  # kernel dimension above which span enumeration is refused
+# kernel dimension d above which the span and the partition's 2^d visited array are refused
+KERNEL_ENUM_LIMIT = 20
 # largest period whose circulant is row-reduced: about a second at p = 2045
 PERIOD_LIMIT = 2048
 # bound on the sum of p^2 over the periods of one kernel table: p = 1..368, about 3 s
@@ -227,9 +228,6 @@ class PeriodGrid:
             for j in range(self.p):
                 ones += self.cell(i0 + i, j0 + j)
         return MultiplicityTable(2, (self.p * self.p - ones, ones))
-
-    def generator(self) -> ResidueTuple:
-        return ResidueTuple.from_bits(self.rows[0], self.p)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "cells": [list(self.row_entries(i)) for i in range(self.p)]}

@@ -8,11 +8,10 @@ and outlines are placed by Orientation.columns, for both kinds alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import Orientation, ResidueTuple
 from .errors import WindowTooLarge
-from .orbits import build_period_grid, derive_tuple
+from .orbits import build_period_grid, derive_tuple, is_periodic_tuple
 from .search import FamilyCertificate, extract_block
 
 MAX_PIXELS = 16_000_000
@@ -26,15 +25,12 @@ class RenderSpec:
 
     window is ((i_lo, i_hi), (j_lo, j_hi)) in orbit coordinates, half-open;
     None means one fundamental domain.  overlays lists triangle outlines
-    (kind, i0, j0, n) tinted onto orbit renders.  palette maps residues to
-    RGB; None selects white-to-black defaults.
+    (kind, i0, j0, n) tinted onto orbit renders.
     """
 
     cell_size: int = 1
-    palette: Mapping[int, tuple[int, int, int]] | None = None
     window: tuple[tuple[int, int], tuple[int, int]] | None = None
     overlays: tuple[tuple[Orientation, int, int, int], ...] = ()
-    max_pixels: int = MAX_PIXELS
 
     def __post_init__(self) -> None:
         if self.cell_size < 1:
@@ -84,16 +80,29 @@ def _scale(cells: list[list], cell_size: int) -> list[list]:
 
 
 def _check_pixels(width: int, height: int, spec: RenderSpec) -> None:
-    if width * height * spec.cell_size * spec.cell_size > spec.max_pixels:
+    if width * height * spec.cell_size * spec.cell_size > MAX_PIXELS:
         raise WindowTooLarge(
             f"{width}x{height} cells at size {spec.cell_size} exceeds the pixel cap"
         )
 
 
-def _orbit_rows(x: ResidueTuple, i_hi: int) -> list[tuple[int, ...]]:
-    rows = []
+def _orbit_rows(x: ResidueTuple, i_lo: int, i_hi: int) -> list[tuple[int, ...]]:
+    """Rows i_lo..i_hi-1 of the orbit of x.  A p-periodic orbit is entered
+    a whole number of periods above i_lo; every row derived to reach the
+    window counts against the pixel cap."""
+    p = len(x)
+    start = i_lo
+    # the periodicity check derives p rows: no more than reaching i_lo, and within the cap
+    if p <= i_lo and p * p <= MAX_PIXELS and is_periodic_tuple(x):
+        start = i_lo % p
+    derived = start + i_hi - i_lo
+    if derived * p > MAX_PIXELS:
+        raise WindowTooLarge(f"deriving {derived} rows of {p} cells exceeds the pixel cap")
     row = x
-    for _ in range(max(i_hi, 1)):
+    for _ in range(start):
+        row = derive_tuple(row)
+    rows = []
+    for _ in range(i_hi - i_lo):
         rows.append(row.entries)
         row = derive_tuple(row)
     return rows
@@ -131,16 +140,10 @@ def render_orbit(x: ResidueTuple, spec: RenderSpec = RenderSpec()) -> bytes:
         raise ValueError("row range must start at a non-negative index")
     width, height = j_hi - j_lo, i_hi - i_lo
     _check_pixels(width, height, spec)
-    if i_hi * p > spec.max_pixels:
-        # every row above the window is derived too, so they count against the cap
-        raise WindowTooLarge(f"deriving {i_hi} rows of {p} cells exceeds the pixel cap")
-    rows = _orbit_rows(x, i_hi)
-    cells = [
-        [rows[i][j % p] for j in range(j_lo, j_hi)] for i in range(i_lo, i_hi)
-    ]
-    if x.modulus == 2 and spec.palette is None and not spec.overlays:
+    cells = [[row[j % p] for j in range(j_lo, j_hi)] for row in _orbit_rows(x, i_lo, i_hi)]
+    if x.modulus == 2 and not spec.overlays:
         return _pbm_bytes(_scale(cells, spec.cell_size))
-    palette = dict(spec.palette) if spec.palette else default_palette(x.modulus)
+    palette = default_palette(x.modulus)
     colored = [[palette[value] for value in row] for row in cells]
     for i, j in _overlay_cells(spec.overlays, window):
         colored[i][j] = OUTLINE_COLOR
@@ -184,22 +187,17 @@ def render_family(
     _check_pixels(n, n, spec)
     triangle = extract_block(grid, i0, j0, n, cert.kind)
     draw_outline = spec.cell_size >= 3
-    bitmap = spec.palette is None and not draw_outline
-    if bitmap:
-        palette, background = {0: 0, 1: 1}, 0
+    if draw_outline:
+        palette, background = default_palette(2), BACKGROUND
     else:
-        palette = dict(spec.palette) if spec.palette else default_palette(2)
-        background = BACKGROUND
+        palette, background = {0: 0, 1: 1}, 0
     cells = [[background] * n for _ in range(n)]
     for i, row in enumerate(triangle.rows):
         for j, value in zip(cert.kind.columns(i, n), row):
             cells[i][j] = palette[value]
     scaled = _scale(cells, spec.cell_size)
-    if bitmap:
+    if not draw_outline:
         return _pbm_bytes(scaled)
-    if draw_outline:
-        for y, xpx in _family_outline_pixels(
-            cert.kind, p, cert.remainder, n, spec.cell_size
-        ):
-            scaled[y][xpx] = OUTLINE_COLOR
+    for y, xpx in _family_outline_pixels(cert.kind, p, cert.remainder, n, spec.cell_size):
+        scaled[y][xpx] = OUTLINE_COLOR
     return _ppm_bytes(scaled)

@@ -1,28 +1,33 @@
 """The order-6p^2 symmetry group acting on period-p orbit generators.
 
-Generators: the unit translations of the orbit plane, the 120-degree
-rotation r (read off the right side of the triangle on the tuple) and the
-reflection i (entry reversal).  Every element has the unique normal form
-t(u,v) r^alpha i^beta with the translation applied first; juxtaposition
-throughout this module means "left factor acts first", matching the
-rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
+Generators: the unit translations of the orbit plane (t(-1,0) derives the
+tuple, t(0,1) shifts it cyclically), the 120-degree rotation r (read off the
+right side of the triangle on the tuple) and the reflection i (entry
+reversal).  apply, group_orbit and the kernel-coordinate partition all act
+through these four bit maps; they are GF(2)-linear on the kernel, so the
+partition never lists the 2^d periodic tuples.  Every element has the unique
+normal form t(u,v) r^alpha i^beta with the translation applied first;
+juxtaposition throughout this module means "left factor acts first",
+matching the rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable
 
 from .core import ResidueTuple
+from .errors import TooLarge
 from .orbits import (
+    KERNEL_ENUM_LIMIT,
     Gf2Matrix,
     _derive_bits,
     _reverse_bits,
     _rotl_bits,
     build_period_grid,
     gf2_kernel_basis,
-    periodic_tuple_bits,
+    periodic_tuple_bits,  # unused here; perfbench/workloads.py traces it by this name
     wendt_matrix,
     xor_span,
 )
@@ -100,33 +105,24 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.p, u, v, alpha, g.beta)
 
 
-# Index maps of the six rotation/reflection parts: the cell (i, j) of the
-# orbit of the transformed tuple equals the mapped cell of the original orbit.
-_D3_INDEX_MAPS = {
-    (0, 0): lambda i, j: (i, j),
-    (1, 0): lambda i, j: (j - i, -i - 1),
-    (2, 0): lambda i, j: (-j - 1, i - j - 1),
-    (0, 1): lambda i, j: (i, i - j - 1),
-    (1, 1): lambda i, j: (-j - 1, -i - 1),
-    (2, 1): lambda i, j: (j - i, j),
-}
-
-
 def apply(g: GroupElement, x: ResidueTuple) -> ResidueTuple:
-    """Image of x under g, read off the period grid of x.
-
-    Requires x to generate a p-periodic orbit (NotPeriodic otherwise).
+    """Image of x under g = t(u,v) r^alpha i^beta: row -u of the period grid
+    of x rotated v columns (entry j becomes cell (-u, j-v)), then r applied
+    alpha times and i beta times, by the generator bit maps.  NotPeriodic
+    unless x generates a p-periodic orbit.
     Satisfies apply(h, apply(g, x)) == apply(compose(g, h), x).
     """
     grid = build_period_grid(x)
-    if g.p != grid.p:
+    p = grid.p
+    if g.p != p:
         raise ValueError("group period does not match tuple length")
-    index_map = _D3_INDEX_MAPS[(g.alpha, g.beta)]
-    out = []
-    for j in range(g.p):
-        s, t = index_map(0, j)
-        out.append(grid.cell(s - g.u, t - g.v))
-    return ResidueTuple(2, tuple(out))
+    row = grid.rows[-g.u % p]
+    bits = ((row << g.v) | (row >> (p - g.v))) & ((1 << p) - 1)
+    for _ in range(g.alpha):
+        bits = _rotate_r_bits(bits, p)
+    if g.beta:
+        bits = _reverse_bits(bits, p)
+    return ResidueTuple.from_bits(bits, p)
 
 
 def translate(x: ResidueTuple, u: int, v: int) -> ResidueTuple:
@@ -189,26 +185,29 @@ class _KernelCoordinates:
     """The p-periodic generators in kernel coordinates.
 
     Coordinate k of a tuple is its bit at the free column of basis vector k
-    of gf2_kernel_basis, so periodic_tuple_bits(p)[c] is the tuple with
-    coordinates c.  The four generators of _generator_images act linearly;
-    ``matrices`` holds their d-by-d matrices as columns, each column the
-    coordinates of a basis vector's image.  ``step`` packs them into one map:
-    field g (d bits each) of step(c) is the image of c under generator g,
-    and the bits above 4d are the lex key of c, its tuple's bits reversed,
-    which orders tuples as their entries do.
+    of gf2_kernel_basis, so _Gf2Map(basis) maps coordinates c to their tuple.
+    The four generators act linearly; ``matrices`` holds their d-by-d
+    matrices as columns, each column the coordinates of a basis vector's
+    image.  ``step``, built on first use, packs them into one map: field g
+    (d bits each) of step(c) is the image of c under generator g, and the
+    bits above 4d are the lex key of c, its tuple's bits reversed, which
+    orders tuples as their entries do.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.basis = gf2_kernel_basis(wendt_matrix(p))
-        self.d = d = len(self.basis)
+        self.d = len(self.basis)
         images = [_generator_images(b, p) for b in self.basis]
         self.matrices = tuple(
             [self.coordinates(image[g]) for image in images] for g in range(4)
         )
-        keys = [_reverse_bits(b, p) for b in self.basis]
-        self.step = _Gf2Map([
-            sum(column << (g * d) for g, column in enumerate(columns))
+
+    @cached_property
+    def step(self) -> _Gf2Map:
+        keys = [_reverse_bits(b, self.p) for b in self.basis]
+        return _Gf2Map([
+            sum(column << (g * self.d) for g, column in enumerate(columns))
             for columns in zip(*self.matrices, keys)
         ])
 
@@ -224,7 +223,8 @@ class _KernelCoordinates:
         the members' coordinates, each marked in ``visited``, and the
         smallest lex key among them."""
         d, mask, key_shift = self.d, (1 << self.d) - 1, 4 * self.d
-        low, high, half, low_mask = self.step.low, self.step.high, self.step.half, self.step.low_mask
+        step = self.step
+        low, high, half, low_mask = step.low, step.high, step.half, step.low_mask
         best = 1 << self.p
         visited[start] = 1
         queue = [start]
@@ -239,9 +239,8 @@ class _KernelCoordinates:
                     queue.append(x)
         return queue, best
 
-    def member_bits(self, start: int) -> list[int]:
-        bits = periodic_tuple_bits(self.p)
-        return [bits[c] for c in self.orbit(start, bytearray(len(bits)))[0]]
+    def member_bits(self, tuple_bits: _Gf2Map, start: int) -> list[int]:
+        return [tuple_bits(c) for c in self.orbit(start, bytearray(1 << self.d))[0]]
 
 
 @dataclass(frozen=True)
@@ -273,18 +272,13 @@ def group_orbit(x: ResidueTuple) -> OrbitClass:
     p = len(x)
     start = x.bits
     seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for b in frontier:
-            for image in _generator_images(b, p):
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    representative = min(
-        (ResidueTuple.from_bits(b, p) for b in seen), key=lambda t: t.entries
-    )
+    queue = [start]
+    for b in queue:
+        for image in _generator_images(b, p):
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    representative = min((ResidueTuple.from_bits(b, p) for b in seen), key=lambda t: t.entries)
     return OrbitClass(representative, len(seen), lambda: seen)
 
 
@@ -293,10 +287,14 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
     """Partition of the p-periodic generators into group orbits.
 
     One kernel-coordinate walk per class over a visited array of the 2^d
-    coordinates; classes are returned sorted by representative.
+    coordinates; a class decodes its members' tuples from their coordinates
+    by one basis map, so no list of the 2^d tuples is built.  Classes are
+    returned sorted by representative.
     """
     space = _KernelCoordinates(p)
-    visited = bytearray(len(periodic_tuple_bits(p)))  # refuses spans that are too large
+    if space.d > KERNEL_ENUM_LIMIT:  # before ``step`` builds its 2^(d/2)-entry tables
+        raise TooLarge(f"kernel dimension {space.d} exceeds {KERNEL_ENUM_LIMIT}")
+    visited = bytearray(1 << space.d)
     found = []
     start = 0
     while start >= 0:
@@ -304,12 +302,9 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
         found.append((key, len(orbit), start))
         start = visited.find(0, start + 1)
     found.sort()
+    members = partial(space.member_bits, _Gf2Map(space.basis))
     return tuple(
-        OrbitClass(
-            ResidueTuple.from_bits(_reverse_bits(key, p), p),
-            size,
-            partial(space.member_bits, start),
-        )
+        OrbitClass(ResidueTuple.from_bits(_reverse_bits(key, p), p), size, partial(members, start))
         for key, size, start in found
     )
 
@@ -327,14 +322,10 @@ def burnside_class_count(p: int) -> int:
     derive, shift, rotate, reflect = (_Gf2Map(m) for m in space.matrices)
     unit = [1 << k for k in range(d)]
     dihedral = []  # r^alpha i^beta, acting after the translation
-    for alpha in range(3):
-        for beta in range(2):
-            columns = unit
-            for _ in range(alpha):
-                columns = [rotate(c) for c in columns]
-            for _ in range(beta):
-                columns = [reflect(c) for c in columns]
-            dihedral.append(_Gf2Map(columns))
+    rotated = unit
+    for _ in range(3):
+        dihedral += [_Gf2Map(rotated), _Gf2Map([reflect(c) for c in rotated])]
+        rotated = [rotate(c) for c in rotated]
     total = 0
     derived = unit
     for _ in range(p):

@@ -266,6 +266,9 @@ def _request_id(value):
         (("kernel", "--p", "10000"), "period 10000 exceeds the bound"),
         (("kernel", "--p-max", "5000"), "work bound"),
         (("classes", "--p", "5000"), "period 5000 exceeds the bound"),
+        (("classes", "--p", "28"), "kernel dimension 24 exceeds 20"),
+        (("classes", "--p", "56"), "kernel dimension 48 exceeds 20"),
+        (("search", "--p", "28"), "kernel dimension 24 exceeds 20"),
         (("search", "--p", "5000"), "period 5000 exceeds the bound"),
         (("search", "--p", "2028"), "remainder scan of period 2028 exceeds the work bound"),
         (("triangle", "--seed-tuple", "0" * 3000), "triangle of size 3000 exceeds the bound"),

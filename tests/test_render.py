@@ -123,6 +123,15 @@ def test_family_render_pascal(rep9):
     assert sum(bits) == 150  # half of the 300 cells
 
 
+def test_far_window_of_periodic_orbit_matches_near_window(rep9):
+    """A periodic orbit is entered a whole number of periods above the window,
+    so a window far past the pixel cap's row count renders, and matches the
+    same window a whole number of periods up."""
+    far, near = 10**9 + 5, (10**9 + 5) % len(rep9)
+    far_bytes = render_orbit(rep9, RenderSpec(window=((far, far + 3), (5, 40))))
+    assert far_bytes == render_orbit(rep9, RenderSpec(window=((near, near + 3), (5, 40))))
+
+
 def test_family_render_outline_needs_large_cells(rep9):
     cert = check_steinhaus_family(rep9, 6, 9, 6)
     data = render_family(cert, 1, RenderSpec(cell_size=4))

@@ -4,6 +4,7 @@ import pytest
 
 from expected_values import CLASS_COUNTS
 
+from steinhaus import orbits, symmetry
 from steinhaus import (
     GroupElement,
     build_steinhaus,
@@ -174,6 +175,27 @@ def test_partition_agrees_with_full_orbits():
             orbit = group_orbit(cls.representative)
             assert orbit.members == cls.members
             assert (orbit.representative, orbit.size) == (cls.representative, cls.size)
+
+
+@pytest.mark.parametrize("p", [12, 24])
+def test_partition_lists_no_span(p, monkeypatch):
+    """The partition walks kernel coordinates and decodes members by the
+    basis map; it never lists the 2^d periodic tuples."""
+
+    def refuse(p):
+        raise AssertionError(f"the span of period {p} was listed")
+
+    monkeypatch.setattr(orbits, "periodic_tuple_bits", refuse)
+    monkeypatch.setattr(symmetry, "periodic_tuple_bits", refuse)
+    partition_classes.cache_clear()
+    try:
+        classes = partition_classes(p)
+        last = classes[-1]
+        members = last.members
+    finally:
+        partition_classes.cache_clear()
+    assert len(classes) == CLASS_COUNTS[p - 1]
+    assert members == group_orbit(last.representative).members
 
 
 def test_burnside_count_matches_class_counts():
