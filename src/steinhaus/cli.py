@@ -94,17 +94,13 @@ def _emit_json(payload, args) -> None:
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def _parse_tuple(text: str, modulus: int) -> ResidueTuple:
-    return ResidueTuple.from_string(text, modulus)
-
-
 def _cmd_triangle(args) -> int:
     if args.seed_tuple is not None:
-        triangle = build_steinhaus(_parse_tuple(args.seed_tuple, args.modulus))
+        triangle = build_steinhaus(ResidueTuple.from_string(args.seed_tuple, args.modulus))
     elif args.left is not None and args.right is not None:
         triangle = build_pascal(
-            _parse_tuple(args.left, args.modulus),
-            _parse_tuple(args.right, args.modulus),
+            ResidueTuple.from_string(args.left, args.modulus),
+            ResidueTuple.from_string(args.right, args.modulus),
         )
     else:
         raise SteinhausError("supply --seed-tuple or both --left and --right")
@@ -339,12 +335,12 @@ def _parse_window(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _cmd_render(args) -> int:
     if args.target == "orbit":
-        x = _parse_tuple(args.seed_tuple, args.modulus)
+        x = ResidueTuple.from_string(args.seed_tuple, args.modulus)
         window = _parse_window(args.window) if args.window else None
         spec = RenderSpec(cell_size=args.cell_size, window=window)
         data = render_orbit(x, spec)
     else:
-        x = _parse_tuple(args.seed_tuple, 2)
+        x = ResidueTuple.from_string(args.seed_tuple, 2)
         kind = _KINDS[args.kind]
         cert = check_family(x, args.i0, args.j0, args.r, kind)
         if cert is None:

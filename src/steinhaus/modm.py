@@ -151,10 +151,11 @@ def interlaced_sequence_check(m: int, n: int, i0: int = 0, j0: int = 0):
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
     q = 6 * m
     orbit = _interlaced_orbit_rows(m)
+    kind = Orientation.STEINHAUS
     rows = tuple(
-        tuple(orbit[(i0 + i) % q][(j0 + j) % q] for j in range(i, n)) for i in range(n)
+        tuple(orbit[(i0 + i) % q][(j0 + j) % q] for j in kind.columns(i, n)) for i in range(n)
     )
-    return is_balanced(Triangle(Orientation.STEINHAUS, m, rows))
+    return is_balanced(Triangle(kind, m, rows))
 
 
 class SizeWitness(NamedTuple):

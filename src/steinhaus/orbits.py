@@ -14,7 +14,7 @@ orbit at once, one bit field per anchor of a packed int, on the grid rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import MultiplicityTable, Orientation, ResidueTuple
@@ -217,9 +217,13 @@ class PeriodGrid:
     def cells(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.row_entries(i) for i in range(self.p))
 
+    @cached_property
+    def ones(self) -> int:
+        """Ones in the p-by-p period, counted once per (cached) grid."""
+        return sum(row.bit_count() for row in self.rows)
+
     def multiplicity(self) -> MultiplicityTable:
-        ones = sum(row.bit_count() for row in self.rows)
-        return MultiplicityTable(2, (self.p * self.p - ones, ones))
+        return MultiplicityTable(2, (self.p * self.p - self.ones, self.ones))
 
     def window_multiplicity(self, i0: int, j0: int) -> MultiplicityTable:
         """Multiplicity of the p-by-p window anchored at (i0, j0)."""

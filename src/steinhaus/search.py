@@ -11,8 +11,8 @@ emits certificates that an independent oracle re-verifies by counting each
 triangle straight from the grid rows with masked popcounts.  The scan counts
 the triangles of all p^2 anchors at once, each anchor a bit field of one
 packed int (orbits.AnchorFields); a single certificate counts its corner and
-band by the oracle's triangle_ones.  Both test the counts against the
-targets of one acceptance rule (_family_targets).
+band by the oracle's triangle_ones.  Both test the counts against one
+acceptance rule (_accepts); each grid counts its period's ones once.
 """
 
 from __future__ import annotations
@@ -102,15 +102,16 @@ def _check_period(p: int) -> None:
 @dataclass(frozen=True)
 class FamilyCertificate:
     """Witness that the triangles of size kp + r anchored at ``position``
-    are balanced for every k >= 0, with the three block multiplicities."""
+    are balanced for every k >= 0: the corner and band ones that _accepts,
+    its one acceptance rule, reads.  The period is balanced, as check_family
+    raised UnbalancedPeriod otherwise; corner, band, period are views."""
 
     kind: Orientation
     generator: ResidueTuple
     position: tuple[int, int]
     remainder: int
-    corner: MultiplicityTable  # size-r triangle at the anchor
-    band: MultiplicityTable    # one-period difference block
-    period: MultiplicityTable  # the p-by-p period
+    corner_ones: int  # ones of the size-r triangle at the anchor
+    band_ones: int    # ones of the one-period difference block
 
     def __post_init__(self) -> None:
         p = len(self.generator)
@@ -118,18 +119,25 @@ class FamilyCertificate:
         _check_period(p)
         if not 0 <= r < p:
             raise ValueError("remainder must lie in 0..p-1")
-        if self.corner.total != r * (r + 1) // 2:
-            raise ValueError("corner block has the wrong cardinality")
-        if self.band.total != p * r + p * (p + 1) // 2:
-            raise ValueError("band block has the wrong cardinality")
-        if self.period.total != p * p:
-            raise ValueError("period block has the wrong cardinality")
-        if self.corner.spread > 1 or self.band.spread != 0 or self.period.spread != 0:
+        if not _accepts(self.corner_ones, self.band_ones, p, r):
             raise ValueError("certificate blocks are not balanced")
 
     @property
     def p(self) -> int:
         return len(self.generator)
+
+    @property
+    def corner(self) -> MultiplicityTable:
+        cells = self.remainder * (self.remainder + 1) // 2
+        return MultiplicityTable(2, (cells - self.corner_ones, self.corner_ones))
+
+    @property
+    def band(self) -> MultiplicityTable:
+        return MultiplicityTable(2, (self.band_ones, self.band_ones))  # an even split
+
+    @property
+    def period(self) -> MultiplicityTable:
+        return MultiplicityTable(2, (self.p * self.p // 2,) * 2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,13 +149,6 @@ class FamilyCertificate:
             "band_counts": list(self.band.counts),
             "period_counts": list(self.period.counts),
         }
-
-
-def _period_multiplicity(x: ResidueTuple) -> MultiplicityTable:
-    table = build_period_grid(x).multiplicity()
-    if table.spread != 0:
-        raise UnbalancedPeriod(f"period of {x} is not balanced")
-    return table
 
 
 def _family_targets(p: int, r: int) -> tuple[range, int | None]:
@@ -167,29 +168,26 @@ def _accepts(corner: int, band: int, p: int, r: int) -> bool:
     return corner in corner_ones and band == band_half
 
 
-def _binary_table(cells: int, ones: int) -> MultiplicityTable:
-    return MultiplicityTable(2, (cells - ones, ones))
-
-
 def check_family(
     x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation
 ) -> FamilyCertificate | None:
     """Accept iff the size-r corner triangle of the given kind at (i0, j0) is
     balanced and the band added by growing it to size p + r splits evenly
     (for Pascal the band is the first p columns of the size p+r triangle);
-    returns the certificate on acceptance, None on rejection."""
+    returns the certificate of the two counts on acceptance, None on
+    rejection, and raises UnbalancedPeriod on an unbalanced period."""
     p = len(x)
     _check_period(p)
     if not 0 <= r < p:
         raise ValueError("remainder must lie in 0..p-1")
-    period = _period_multiplicity(x)
     grid = build_period_grid(x)
+    if 2 * grid.ones != p * p:
+        raise UnbalancedPeriod(f"period of {x} is not balanced")
     corner = triangle_ones(grid, i0, j0, r, kind)
     band = triangle_ones(grid, i0, j0, p + r, kind) - corner
     if not _accepts(corner, band, p, r):
         return None
-    tables = _binary_table(r * (r + 1) // 2, corner), _binary_table(p * r + p * (p + 1) // 2, band)
-    return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, *tables, period)
+    return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, corner, band)
 
 
 def check_steinhaus_family(
@@ -321,8 +319,10 @@ def remainder_set(
         raise TooLarge(
             f"remainder scan of period {p} exceeds the work bound {REMAINDER_WORK_LIMIT} on p^3"
         )
-    _period_multiplicity(x)
-    first = _first_anchors(build_period_grid(x), kind)
+    grid = build_period_grid(x)
+    if 2 * grid.ones != p * p:
+        raise UnbalancedPeriod(f"period of {x} is not balanced")
+    first = _first_anchors(grid, kind)
     witnesses = tuple((r, *divmod(first[r], p)) for r in sorted(first))
     return RemainderSet(x, kind, p, witnesses)
 
@@ -333,7 +333,7 @@ def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
     return tuple(
         cls
         for cls in partition_classes(p)
-        if build_period_grid(cls.representative).multiplicity().spread == 0
+        if 2 * build_period_grid(cls.representative).ones == p * p
     )
 
 
@@ -360,8 +360,7 @@ class SearchReport:
         return tuple(c.index for c in self.classes if c.remainders(kind).full)
 
 
-def _search_one_class(args: tuple[ResidueTuple, int]) -> tuple[RemainderSet, RemainderSet]:
-    rep, _p = args
+def _search_one_class(rep: ResidueTuple) -> tuple[RemainderSet, RemainderSet]:
     return (
         remainder_set(rep, Orientation.STEINHAUS),
         remainder_set(rep, Orientation.PASCAL),
@@ -373,7 +372,7 @@ def full_search(p: int, jobs: int = 1) -> SearchReport:
     given period.  ``jobs`` > 1 splits the classes across worker processes;
     the report is identical either way."""
     classes = balanced_period_classes(p)
-    tasks = [(cls.representative, p) for cls in classes]
+    tasks = [cls.representative for cls in classes]
     if jobs > 1 and len(tasks) > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor

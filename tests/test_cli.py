@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import resource
@@ -135,6 +137,19 @@ def test_search_p36_matches_golden(golden_dir, fmt):
     """Two balanced-period classes at p = 36, neither with a witness in either kind."""
     out = run_cli("search", "--p", "36", "--format", fmt).stdout
     assert out == (golden_dir / f"search_p36.{fmt}").read_text()
+
+
+# command -> SHA-256 of its output bytes, frozen while a certificate still held
+# three MultiplicityTables; covers every certificate field that search prints
+with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
+    SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
+
+
+@pytest.mark.parametrize("command,digest", SEARCH_DIGESTS, ids=[c for c, _ in SEARCH_DIGESTS])
+def test_search_output_matches_frozen_digest(command, digest, tmp_path):
+    out = tmp_path / "out"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_modm_ap_csv():

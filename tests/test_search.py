@@ -38,6 +38,7 @@ from steinhaus import (
     remainder_set,
     steinhaus_dual_position,
 )
+from steinhaus import orbits
 from steinhaus.errors import TooLarge
 from steinhaus.search import REMAINDER_WORK_LIMIT, family_accepts
 
@@ -180,6 +181,38 @@ def test_unbalanced_period_guard():
     zero = R("0" * 24)
     with pytest.raises(UnbalancedPeriod):
         check_steinhaus_family(zero, 0, 0, 3)
+
+
+@pytest.mark.parametrize("r", [24, -1])
+def test_check_family_rejects_a_remainder_outside_the_period(rep9, r):
+    with pytest.raises(ValueError):
+        check_family(rep9, 6, 9, r, Orientation.STEINHAUS)
+
+
+def test_check_family_requires_divisibility():
+    with pytest.raises(PeriodNotDivisibleBy4):
+        check_family(R("010100"), 0, 0, 1, Orientation.STEINHAUS)
+
+
+@pytest.mark.parametrize("field,delta", [("corner_ones", 2), ("band_ones", 1)])
+def test_certificate_rejects_unbalanced_counts(rep9, field, delta):
+    cert = check_steinhaus_family(rep9, 6, 9, 6)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cert, **{field: getattr(cert, field) + delta})
+
+
+def test_search_and_certificates_never_recount_the_period(rep9, monkeypatch):
+    """The period's ones come from PeriodGrid.ones; no table is built for it."""
+    def refuse(self):
+        raise AssertionError("period recounted through PeriodGrid.multiplicity")
+
+    monkeypatch.setattr(orbits.PeriodGrid, "multiplicity", refuse)
+    assert full_search(24).remainder_counts(Orientation.STEINHAUS) == REMAINDER_COUNTS_24
+    for remainders, (i0, j0), _z in CLASS9_STEINHAUS_WITNESSES:
+        for r in remainders:
+            cert = check_steinhaus_family(rep9, i0, j0, r)
+            assert cert.to_json_dict()["period_counts"] == [288, 288]
+            assert oracle_verify_family(cert, 1)
 
 
 def test_remainder_scan_bound():
