@@ -195,17 +195,17 @@ def _generator_fields(kind: Orientation, x: ResidueTuple, i0: int, j0: int) -> d
 
 
 def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
-    """One certificate per witness, keyed by (class index, kind, remainder);
-    with k_verify > 0 each must pass the oracle up to that multiplier."""
+    """One certificate per witness, keyed by (class index, kind, remainder): a
+    witness must have one, and with k_verify > 0 it must pass the oracle too."""
     certs = {}
     for entry in report.classes:
         for kind in kinds:
             for r, i0, j0 in entry.remainders(kind).witnesses:
                 cert = check_family(entry.class_rep, i0, j0, r, kind)
-                if k_verify and (cert is None or not oracle_verify_family(cert, k_verify)):
+                if cert is None or (k_verify and not oracle_verify_family(cert, k_verify)):
+                    check = f"oracle verification at K={k_verify}" if k_verify else "check_family"
                     raise SteinhausError(
-                        f"witness ({i0},{j0},{r}) of class {entry.index} failed "
-                        f"oracle verification at K={k_verify}"
+                        f"witness ({i0},{j0},{r}) of class {entry.index} failed {check}"
                     )
                 certs[entry.index, kind, r] = cert
     return certs

@@ -15,6 +15,7 @@ per nonzero residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -27,7 +28,7 @@ from .core import (
     is_balanced,
 )
 from .errors import InvalidSpec, TooLarge
-from .orbits import AnchorFields, derive_tuple, is_periodic_tuple
+from .orbits import AnchorFields, is_periodic_tuple, orbit_rows
 
 # bound on (6m)^2 * n_max * m, positions x sizes x residues of interlaced_scan: under
 # a second at the bound, e.g. m = 3 to n_max = 10 288 (0.8 s), m = 7 to 809 (0.6 s)
@@ -134,12 +135,8 @@ def interlaced_tuple(m: int, length: int, start: int = 0) -> ResidueTuple:
 def _interlaced_orbit_rows(m: int) -> list[tuple[int, ...]]:
     """The 6m rows of the interlaced orbit's fundamental domain mod m."""
     q = 6 * m
-    row = interlaced_tuple(m, q)
-    rows = [row.entries]
-    for _ in range(q - 1):
-        row = derive_tuple(row)
-        rows.append(row.entries)
-    if derive_tuple(row).entries != rows[0]:
+    rows = [row.entries for row in islice(orbit_rows(interlaced_tuple(m, q)), q + 1)]
+    if rows.pop() != rows[0]:
         raise AssertionError(f"interlaced orbit mod {m} is not {q}-periodic")
     return rows
 

@@ -2,10 +2,11 @@
 
 Deriving a p-periodic sequence yields another p-periodic sequence, so a
 p-tuple generates a doubly indexed orbit whose rows are its iterated
-derivatives.  The orbit is *p-periodic* (vertically as well) exactly when
-the tuple lies in the kernel over GF(2) of the circulant matrix of binomial
-coefficients C(p, .); the p-by-p fundamental domain of such an orbit is the
-PeriodGrid.  Bit-level helpers pack modulus-2 tuples LSB-first into ints.
+derivatives, streamed by orbit_rows.  The orbit is *p-periodic* (vertically
+as well) exactly when the tuple lies in the GF(2) kernel of the circulant
+matrix of binomial coefficients C(p, .); its p-by-p fundamental domain is a
+PeriodGrid, whose line reads a row, column or diagonal of it as a tuple.
+Bit-level helpers pack modulus-2 tuples LSB-first into ints.
 AnchorFields counts the ones of the triangles at every anchor of a periodic
 orbit at once, one bit field per anchor of a packed int, on the grid rows
 (family scan) or on one one-hot grid per residue (mod-m scan).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import MultiplicityTable, Orientation, ResidueTuple
@@ -36,6 +38,14 @@ def derive_tuple(x: ResidueTuple) -> ResidueTuple:
     return ResidueTuple(m, tuple((e[j - 1] + e[j]) % m for j in range(len(e))))
 
 
+def orbit_rows(x: ResidueTuple) -> Iterator[ResidueTuple]:
+    """x, its derivative, its second derivative, ... without end: the rows of
+    its orbit, from the one loop that derives a tuple.  Read with islice."""
+    while True:
+        yield x
+        x = derive_tuple(x)
+
+
 def _rotl_bits(bits: int, p: int) -> int:
     return ((bits << 1) | (bits >> (p - 1))) & ((1 << p) - 1)
 
@@ -45,11 +55,7 @@ def _derive_bits(bits: int, p: int) -> int:
 
 
 def _reverse_bits(bits: int, p: int) -> int:
-    out = 0
-    for _ in range(p):
-        out = (out << 1) | (bits & 1)
-        bits >>= 1
-    return out
+    return int(format(bits, f"0{p}b")[::-1], 2)
 
 
 def binomial_is_odd(n: int, k: int) -> bool:
@@ -72,10 +78,7 @@ def is_periodic_tuple(x: ResidueTuple) -> bool:
     p = len(x)
     if p == 0:
         raise EmptyTuple("periodicity is undefined for an empty tuple")
-    row = x
-    for _ in range(p):
-        row = derive_tuple(row)
-    return row == x
+    return next(islice(orbit_rows(x), p, None)) == x
 
 
 def orbit_cell(x: ResidueTuple, i: int, j: int) -> int:
@@ -208,6 +211,12 @@ class PeriodGrid:
 
     def cell(self, i: int, j: int) -> int:
         return (self.rows[i % self.p] >> (j % self.p)) & 1
+
+    def line(self, i: int, j: int, di: int, dj: int) -> int:
+        """The p cells (i + k*di, j + k*dj), k = 0..p-1, packed LSB-first: a
+        row, column or diagonal of the orbit read from (i, j) on."""
+        p, rows = self.p, self.rows
+        return sum(((rows[(i + k * di) % p] >> ((j + k * dj) % p)) & 1) << k for k in range(p))
 
     def row_entries(self, i: int) -> tuple[int, ...]:
         bits = self.rows[i % self.p]
@@ -347,11 +356,7 @@ def detect_preperiod(x: ResidueTuple) -> PreperiodReport:
     if len(x) == 0:
         raise EmptyTuple("cannot iterate an empty tuple")
     seen: dict[ResidueTuple, int] = {}
-    current = x
-    index = 0
-    while current not in seen:
-        seen[current] = index
-        current = derive_tuple(current)
-        index += 1
-    first = seen[current]
-    return PreperiodReport(first, index - first)
+    for index, row in enumerate(orbit_rows(x)):
+        first = seen.setdefault(row, index)
+        if first != index:
+            return PreperiodReport(first, index - first)

@@ -8,10 +8,11 @@ and outlines are placed by Orientation.columns, for both kinds alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import Orientation, ResidueTuple
 from .errors import WindowTooLarge
-from .orbits import build_period_grid, derive_tuple, is_periodic_tuple
+from .orbits import build_period_grid, is_periodic_tuple, orbit_rows
 from .search import FamilyCertificate, extract_block
 
 MAX_PIXELS = 16_000_000
@@ -98,14 +99,7 @@ def _orbit_rows(x: ResidueTuple, i_lo: int, i_hi: int) -> list[tuple[int, ...]]:
     derived = start + i_hi - i_lo
     if derived * p > MAX_PIXELS:
         raise WindowTooLarge(f"deriving {derived} rows of {p} cells exceeds the pixel cap")
-    row = x
-    for _ in range(start):
-        row = derive_tuple(row)
-    rows = []
-    for _ in range(i_hi - i_lo):
-        rows.append(row.entries)
-        row = derive_tuple(row)
-    return rows
+    return [row.entries for row in islice(orbit_rows(x), start, derived)]
 
 
 def _overlay_cells(

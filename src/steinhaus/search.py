@@ -61,20 +61,20 @@ def extract_pascal_block(grid: PeriodGrid, i0: int, j0: int, n: int) -> Triangle
 
 
 def generator_tuple(x: ResidueTuple, i0: int, j0: int) -> ResidueTuple:
-    """The p-tuple read along orbit row i0 starting at column j0; its
-    periodic extension generates the Steinhaus triangles anchored there."""
+    """Orbit row i0 read from column j0 on, the image of x under t(-i0, -j0);
+    its periodic extension generates the Steinhaus triangles anchored there."""
     grid = build_period_grid(x)
-    return ResidueTuple(2, tuple(grid.cell(i0, j0 + j) for j in range(grid.p)))
+    return ResidueTuple.from_bits(grid.line(i0, j0, 0, 1), grid.p)
 
 
 def pascal_generator_tuples(
     x: ResidueTuple, i0: int, j0: int
 ) -> tuple[ResidueTuple, ResidueTuple]:
-    """Left and right side tuples of the Pascal triangles with apex at
-    (i0, j0): the column below the apex and the diagonal to its lower right."""
+    """Left and right side tuples of the Pascal triangles with apex at (i0, j0):
+    the grid lines down the column below it and down the diagonal to its lower
+    right, the images of x under t(-i0, -j0-1) r and t(-i0, -j0) r^2 i."""
     grid = build_period_grid(x)
-    left = ResidueTuple(2, tuple(grid.cell(i0 + i, j0) for i in range(grid.p)))
-    right = ResidueTuple(2, tuple(grid.cell(i0 + i, j0 + i) for i in range(grid.p)))
+    left, right = (ResidueTuple.from_bits(grid.line(i0, j0, 1, dj), grid.p) for dj in (0, 1))
     return left, right
 
 

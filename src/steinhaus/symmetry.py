@@ -3,12 +3,14 @@
 Generators: the unit translations of the orbit plane (t(-1,0) derives the
 tuple, t(0,1) shifts it cyclically), the 120-degree rotation r (read off the
 right side of the triangle on the tuple) and the reflection i (entry
-reversal).  apply, group_orbit and the kernel-coordinate partition all act
-through these four bit maps; they are GF(2)-linear on the kernel, so the
-partition never lists the 2^d periodic tuples.  Every element has the unique
-normal form t(u,v) r^alpha i^beta with the translation applied first;
-juxtaposition throughout this module means "left factor acts first",
-matching the rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
+reversal).  group_orbit and the kernel-coordinate partition act through
+these four bit maps; they are GF(2)-linear on the kernel, so the partition
+never lists the 2^d periodic tuples.  apply reads an image as one line of
+the period grid: a row, a column or a diagonal, one direction per power of
+r, read backward under i.  Every element has the unique normal form
+t(u,v) r^alpha i^beta with the translation applied first; juxtaposition
+throughout this module means "left factor acts first", matching the
+rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 """
 
 from __future__ import annotations
@@ -106,23 +108,21 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def apply(g: GroupElement, x: ResidueTuple) -> ResidueTuple:
-    """Image of x under g = t(u,v) r^alpha i^beta: row -u of the period grid
-    of x rotated v columns (entry j becomes cell (-u, j-v)), then r applied
-    alpha times and i beta times, by the generator bit maps.  NotPeriodic
-    unless x generates a p-periodic orbit.
+    """Image of x under g = t(u,v) r^alpha i^beta: one line of the period grid
+    of x (PeriodGrid.line).  For alpha = 0, 1, 2 it is row -u from column -v
+    on, column -1-v down from row -u, or the diagonal up-left from
+    (-1-u, -1-v): r turns one direction into the next.  i reads the line
+    backward.  NotPeriodic unless x generates a p-periodic orbit.
     Satisfies apply(h, apply(g, x)) == apply(compose(g, h), x).
     """
     grid = build_period_grid(x)
-    p = grid.p
-    if g.p != p:
+    if g.p != grid.p:
         raise ValueError("group period does not match tuple length")
-    row = grid.rows[-g.u % p]
-    bits = ((row << g.v) | (row >> (p - g.v))) & ((1 << p) - 1)
-    for _ in range(g.alpha):
-        bits = _rotate_r_bits(bits, p)
-    if g.beta:
-        bits = _reverse_bits(bits, p)
-    return ResidueTuple.from_bits(bits, p)
+    i, j, di, dj = ((0, 0, 0, 1), (0, -1, 1, 0), (-1, -1, -1, -1))[g.alpha]
+    i, j = i - g.u, j - g.v
+    if g.beta:  # the same cells from the last one back
+        i, j, di, dj = i - di, j - dj, -di, -dj
+    return ResidueTuple.from_bits(grid.line(i, j, di, dj), grid.p)
 
 
 def translate(x: ResidueTuple, u: int, v: int) -> ResidueTuple:
@@ -149,10 +149,9 @@ def reflect_i(x: ResidueTuple) -> ResidueTuple:
 
 def _rotate_r_bits(bits: int, p: int) -> int:
     out = 0
-    row = bits
     for i in range(p):
-        out |= ((row >> (p - 1)) & 1) << i
-        row = _derive_bits(row, p)
+        out |= ((bits >> (p - 1)) & 1) << i
+        bits = _derive_bits(bits, p)
     return out
 
 

@@ -257,6 +257,18 @@ def test_k_verify_zero_is_accepted(capsys):
     assert "verified" not in capsys.readouterr().out
 
 
+def test_search_json_witness_without_certificate_exits_one(monkeypatch, capsys):
+    # a scan witness that check_family rejects has no certificate to print
+    monkeypatch.setattr("steinhaus.cli.check_family", lambda *args: None)
+    assert main(["search", "--p", "24", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: witness (")
+    assert "failed check_family" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert main(["search", "--p", "24", "--k-verify", "1"]) == 1
+    assert "failed oracle verification at K=1" in capsys.readouterr().err
+
+
 def test_oversized_interlaced_scan_exits_one():
     result = run_cli(
         "modm", "--scan", "interlaced", "--modulus", "3", "--n-max", "100000", check=False

@@ -1,0 +1,40 @@
+"""orbits.orbit_rows is the one loop that derives a ResidueTuple: every other
+reader of iterated derivatives takes them from that stream (with islice).
+A module that calls derive_tuple itself, or a second call inside orbits.py,
+fails here."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "steinhaus"
+
+
+def _derive_callers(source: str) -> list[str]:
+    """The innermost function around each call of derive_tuple, called by
+    name or as a module attribute ("<module>" outside any function)."""
+    tree = ast.parse(source)
+    owner = {}
+    for function in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                owner[node] = function.name
+    return [
+        owner.get(node, "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "derive_tuple"
+    ]
+
+
+def test_the_call_finder_sees_both_spellings():
+    source = "def f(x):\n    def g(y):\n        return orbits.derive_tuple(y)\n    return derive_tuple(x)\n"
+    assert sorted(_derive_callers(source)) == ["f", "g"]
+    assert _derive_callers("y = derive_tuple(x)\n") == ["<module>"]
+
+
+def test_only_orbit_rows_derives_a_tuple():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert "orbits.py" in modules
+    outside = {name: _derive_callers(source) for name, source in modules.items() if name != "orbits.py"}
+    assert {name: callers for name, callers in outside.items() if callers} == {}
+    assert _derive_callers(modules["orbits.py"]) == ["orbit_rows"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import islice
 from functools import lru_cache, reduce
 from operator import xor
 
@@ -23,11 +24,13 @@ from steinhaus import (
     embed_pascal_in_steinhaus,
     enumerate_periodic_tuples,
     extract_center_pascal,
+    generator_tuple,
     gf2_kernel_basis,
     is_balanced,
     multiplicity,
     orbit_cell,
     partition_classes,
+    pascal_generator_tuples,
     reflect_i,
     rotate_r,
     translate,
@@ -35,7 +38,14 @@ from steinhaus import (
 )
 from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_pascal, packed_steinhaus
 from steinhaus.modm import SizeWitness, _interlaced_orbit_rows, interlaced_scan
-from steinhaus.orbits import AnchorFields, PeriodGrid, _derive_bits, periodic_tuple_bits
+from steinhaus.orbits import (
+    AnchorFields,
+    PeriodGrid,
+    _derive_bits,
+    _rotl_bits,
+    orbit_rows,
+    periodic_tuple_bits,
+)
 from steinhaus.search import (
     _accepts,
     _first_anchors,
@@ -130,6 +140,13 @@ def test_orbit_cell_agrees_with_iterated_derivation(x, i, j):
     for _ in range(i):
         row = derive_tuple(row)
     assert orbit_cell(x, i, j) == row[j % len(x)]
+
+
+@given(residue_tuples(min_len=1, max_len=9))
+@settings(max_examples=60, deadline=None)
+def test_orbit_rows_match_closed_form(x):
+    for i, row in enumerate(islice(orbit_rows(x), 21)):
+        assert row.entries == tuple(orbit_cell(x, i, j) for j in range(len(x)))
 
 
 @given(residue_tuples(min_len=1))
@@ -350,6 +367,44 @@ def test_kernel_coordinate_images_match_bit_level_generators(p, data):
     assert space.coordinates(bits) == c
     images = tuple(span[image] for image in space.images(c))
     assert images == _generator_images(bits, p)
+
+
+@lru_cache(maxsize=None)
+def _kernel_basis(p):
+    return gf2_kernel_basis(wendt_matrix(p))
+
+
+def _image_by_generators(x, u, v, alpha, beta):
+    """Image of x under t(u,v) r^alpha i^beta, one generator step at a time:
+    derive -u times and shift v columns (entry j becomes cell (-u, j-v)),
+    then rotate alpha times and reflect beta times."""
+    p, bits = len(x), x.bits
+    for _ in range(-u % p):
+        bits = _derive_bits(bits, p)
+    for _ in range(v % p):
+        bits = _rotl_bits(bits, p)
+    image = ResidueTuple.from_bits(bits, p)
+    for _ in range(alpha):
+        image = rotate_r(image)
+    return reflect_i(image) if beta else image
+
+
+@pytest.mark.parametrize("p", [6, 12, 24, 28, 48, 56, 216])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_group_images_and_witness_generators_are_grid_lines(p, data):
+    # kernel tuples drawn by their coordinates, so periods beyond the partition limit count too
+    basis = _kernel_basis(p)
+    c = data.draw(st.integers(0, (1 << len(basis)) - 1), label="kernel coordinates")
+    x = ResidueTuple.from_bits(reduce(xor, (b for k, b in enumerate(basis) if c >> k & 1), 0), p)
+    u, v, i0, j0 = (data.draw(st.integers(-p, 2 * p)) for _ in range(4))
+    alpha, beta = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+    assert apply(GroupElement(p, u, v, alpha, beta), x) == _image_by_generators(x, u, v, alpha, beta)
+    assert generator_tuple(x, i0, j0) == apply(GroupElement(p, -i0, -j0), x)
+    assert pascal_generator_tuples(x, i0, j0) == (
+        apply(GroupElement(p, -i0, -j0 - 1, 1, 0), x),
+        apply(GroupElement(p, -i0, -j0, 2, 1), x),
+    )
 
 
 @given(data=st.data())
