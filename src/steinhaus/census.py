@@ -1,12 +1,13 @@
 """Exhaustive censuses of small binary triangles: totals, averages, maxima.
 
 Both censuses count the ones of every triangle of a given size (2^n
-Steinhaus seeds, 2^(2n-1) Pascal side pairs), so they are capped.  A whole
+Steinhaus seeds, 2^(2n-1) Pascal triangles), so they are capped.  A whole
 triangle is packed into one int, row t at the bit offset of the rows above
-it, and rows are derived with shift/xor.  Since a binary triangle is
-GF(2)-linear in its free boundary bits (the n seed bits; or the apex, left
-bits 1..n-1 and right bits 1..n-1), every triangle is the XOR of the packed
-basis triangles of its set bits.  The basis is split into a low and a high
+it, and rows are derived with shift/xor.  A binary triangle is GF(2)-linear
+in its free bits, so it is the XOR of the packed basis triangles of its set
+bits: a Steinhaus triangle's n seed bits, or for a size-n Pascal triangle
+the 2n-1 seed bits of the Steinhaus triangle it is the center of
+(core.embed_pascal_in_steinhaus).  The basis is split into a low and a high
 half and each half is spanned into a table; each triangle is then one
 high ^ low entry, counted by one bit_count().  CENSUS_KINDS holds all
 that differs per kind: the size bound, the basis and the closed-form maximum.
@@ -38,32 +39,21 @@ def packed_steinhaus(seed: int, n: int) -> int:
     return packed
 
 
-def packed_pascal(left: int, right: int, n: int) -> int:
-    """The size-n Pascal triangle on LSB-first sides (apex = bit 0 of both),
-    packed: row t (t + 1 cells) starts at bit t(t+1)/2."""
-    row = left & 1
-    packed = row
-    for t in range(1, n):
-        row = (row ^ (row << 1)) & ((1 << t) - 2)
-        row |= (left >> t) & 1
-        row |= ((right >> t) & 1) << t
-        packed |= row << (t * (t + 1) // 2)
-    return packed
-
-
 def _steinhaus_basis(n: int) -> list[int]:
     """One packed triangle per seed bit."""
     return [packed_steinhaus(1 << j, n) for j in range(n)]
 
 
 def _pascal_basis(n: int) -> list[int]:
-    """One packed triangle per free side bit: the apex (set on both sides),
-    then left bits 1..n-1, then right bits 1..n-1."""
-    return (
-        [packed_pascal(1, 1, n)]
-        + [packed_pascal(1 << t, 0, n) for t in range(1, n)]
-        + [packed_pascal(0, 1 << t, n) for t in range(1, n)]
-    )
+    """The centers of the size-(2n-1) Steinhaus basis: Pascal row t is the
+    t+1 bits of Steinhaus row t from column n-1, repacked at bit t(t+1)/2."""
+    w = 2 * n - 1
+    starts = [t * w - t * (t - 1) // 2 + n - 1 - t for t in range(n)]
+    return [
+        sum(((s >> start) & ((2 << t) - 1)) << (t * (t + 1) // 2)
+            for t, start in enumerate(starts))
+        for s in _steinhaus_basis(w)
+    ]
 
 
 def _span_census(basis: list[int]) -> tuple[int, int]:
@@ -102,7 +92,7 @@ def pascal_max_ones(n: int) -> int:
 
 class CensusKind(NamedTuple):
     """The census of one triangle kind: its size bound, its basis (one packed
-    triangle per free boundary bit) and the closed-form maximum of ones."""
+    triangle per free bit) and the closed-form maximum of ones."""
 
     limit: int
     basis: Callable[[int], list[int]]

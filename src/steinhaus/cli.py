@@ -36,8 +36,6 @@ from .search import (
 )
 from .symmetry import partition_classes
 
-_KINDS = {"steinhaus": Orientation.STEINHAUS, "pascal": Orientation.PASCAL}
-
 
 def positive_int(text: str) -> int:
     value = int(text)
@@ -181,8 +179,8 @@ def _cmd_balanced_classes(args) -> int:
 
 def _search_kinds(args) -> list[Orientation]:
     if args.kind == "both":
-        return [Orientation.STEINHAUS, Orientation.PASCAL]
-    return [_KINDS[args.kind]]
+        return list(Orientation)
+    return [Orientation(args.kind)]
 
 
 def _generator_fields(kind: Orientation, x: ResidueTuple, i0: int, j0: int) -> dict:
@@ -277,7 +275,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    kind = _KINDS[args.kind]
+    kind = Orientation(args.kind)
     census = CENSUS_KINDS[kind]
     n_max = census.limit if args.n_max is None else args.n_max
     rows = []
@@ -309,7 +307,7 @@ def _cmd_modm(args) -> int:
             )
     else:
         n_max = args.periods * 6 * args.modulus if args.n_max is None else args.n_max
-        kind = _KINDS[args.kind]
+        kind = Orientation(args.kind)
         witnesses = interlaced_scan(args.modulus, n_max, kind)
         claimed = set(interlaced_claimed_sizes(args.modulus, n_max, kind))
         missing = [w.n for w in witnesses if w.n in claimed and not w.found]
@@ -341,7 +339,7 @@ def _cmd_render(args) -> int:
         data = render_orbit(x, spec)
     else:
         x = ResidueTuple.from_string(args.seed_tuple, 2)
-        kind = _KINDS[args.kind]
+        kind = Orientation(args.kind)
         cert = check_family(x, args.i0, args.j0, args.r, kind)
         if cert is None:
             raise SteinhausError(

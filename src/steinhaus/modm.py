@@ -3,13 +3,13 @@
 For odd m, the triangle on an arithmetic progression with invertible common
 difference is balanced whenever its size is 0 or -1 mod q, where q is m
 times the multiplicative order of 2^m mod m; the orbit of such a
-progression is q-periodic.  A second family interlaces three arithmetic
-progressions; its orbit mod m has period 6m and *contains* balanced
-triangles of every size divisible by m and every size -1 mod 3m, though not
-necessarily anchored at the origin, so those claims are checked by scanning
-every position of the fundamental domain at once with orbits.AnchorFields,
-the packed counter the binary family scan uses too, run on one one-hot grid
-per nonzero residue.
+progression is q-periodic, and its scan reads every size off one orbit.
+A second family interlaces three arithmetic progressions; its orbit mod m
+has period 6m and *contains* balanced triangles of every size divisible by
+m and every size -1 mod 3m, though not necessarily anchored at the origin,
+so those claims are checked by scanning every position of the fundamental
+domain at once with orbits.AnchorFields, the packed counter the binary
+family scan uses too, run on one one-hot grid per nonzero residue.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from math import gcd
 from typing import NamedTuple
 
 from .core import (
+    MultiplicityTable,
     ResidueTuple,
     Triangle,
     Orientation,
-    build_steinhaus,
     check_modulus,
     is_balanced,
 )
@@ -33,8 +33,9 @@ from .orbits import AnchorFields, is_periodic_tuple, orbit_rows
 # bound on (6m)^2 * n_max * m, positions x sizes x residues of interlaced_scan: under
 # a second at the bound, e.g. m = 3 to n_max = 10 288 (0.8 s), m = 7 to 809 (0.6 s)
 INTERLACED_WORK_LIMIT = 10**7
-# bound on the cells n_max(n_max+1)(n_max+2)/6 that ap_balanced_scan builds:
-# n_max <= 390, about 4 s
+# bound on n_max(n_max+1)(n_max+2)/6, the cells of all the triangles that
+# ap_balanced_scan reads: n_max <= 390, the documented refusal.  They are read
+# off one orbit of n_max^2 cells, about 0.05 s at 390
 AP_WORK_LIMIT = 10**7
 
 
@@ -92,15 +93,22 @@ class ScanRow(NamedTuple):
 
 def ap_balanced_scan(spec: ApFamilySpec, n_max: int) -> list[ScanRow]:
     """Balance of the triangle on the first n progression terms for every
-    n <= n_max; raises if any size 0 or -1 mod the period is unbalanced."""
+    n <= n_max, the cells (i, j), i <= j < n, of one orbit; raises if any
+    size 0 or -1 mod the period is unbalanced."""
     if n_max * (n_max + 1) * (n_max + 2) // 6 > AP_WORK_LIMIT:
         raise TooLarge(
             f"progression scan up to size {n_max} exceeds the work bound {AP_WORK_LIMIT}"
         )
+    if n_max < 1:
+        return []
+    orbit = [row.entries for row in islice(orbit_rows(spec.sequence_tuple(n_max)), n_max)]
+    counts = [0] * spec.modulus
     rows = []
     for n in range(1, n_max + 1):
-        result = is_balanced(build_steinhaus(spec.sequence_tuple(n)))
-        rows.append(ScanRow(n, result.balanced, result.spread))
+        for row in orbit[:n]:  # column n-1 of rows 0..n-1 completes the size-n triangle
+            counts[row[n - 1]] += 1
+        table = MultiplicityTable(spec.modulus, counts)
+        rows.append(ScanRow(n, table.balanced, table.spread))
     claimed = set(spec.claimed_sizes(n_max))
     for row in rows:
         if row.n in claimed and not row.balanced:

@@ -187,20 +187,21 @@ class _KernelCoordinates:
     of gf2_kernel_basis, so _Gf2Map(basis) maps coordinates c to their tuple.
     The four generators act linearly; ``matrices`` holds their d-by-d
     matrices as columns, each column the coordinates of a basis vector's
-    image.  ``step``, built on first use, packs them into one map: field g
-    (d bits each) of step(c) is the image of c under generator g, and the
-    bits above 4d are the lex key of c, its tuple's bits reversed, which
-    orders tuples as their entries do.
+    image.  ``step`` packs them into one map; both are built on first use.
+    Field g (d bits each) of step(c) is the image of c under generator g,
+    and the bits above 4d are the lex key of c, its tuple's bits reversed,
+    which orders tuples as their entries do.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.basis = gf2_kernel_basis(wendt_matrix(p))
         self.d = len(self.basis)
-        images = [_generator_images(b, p) for b in self.basis]
-        self.matrices = tuple(
-            [self.coordinates(image[g]) for image in images] for g in range(4)
-        )
+
+    @cached_property
+    def matrices(self) -> tuple[list[int], ...]:
+        images = [_generator_images(b, self.p) for b in self.basis]
+        return tuple([self.coordinates(image[g]) for image in images] for g in range(4))
 
     @cached_property
     def step(self) -> _Gf2Map:

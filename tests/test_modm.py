@@ -65,6 +65,11 @@ def test_single_cell_is_balanced():
         assert ap_balanced_scan(ApFamilySpec(m), 1)[0].balanced
 
 
+@pytest.mark.parametrize("n_max", [0, -1, -50])
+def test_ap_scan_of_no_size_is_empty(n_max):
+    assert ap_balanced_scan(ApFamilySpec(5), n_max) == []
+
+
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_ap_claims_across_three_periods(m):
     spec = ApFamilySpec(m)

@@ -2,6 +2,7 @@ import itertools
 import random
 from itertools import islice
 from functools import lru_cache, reduce
+from math import gcd
 from operator import xor
 
 import pytest
@@ -36,8 +37,14 @@ from steinhaus import (
     translate,
     wendt_matrix,
 )
-from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_pascal, packed_steinhaus
-from steinhaus.modm import SizeWitness, _interlaced_orbit_rows, interlaced_scan
+from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_steinhaus
+from steinhaus.modm import (
+    ApFamilySpec,
+    SizeWitness,
+    _interlaced_orbit_rows,
+    ap_balanced_scan,
+    interlaced_scan,
+)
 from steinhaus.orbits import (
     AnchorFields,
     PeriodGrid,
@@ -535,21 +542,39 @@ def test_packed_remainder_scan_matches_per_anchor_scan_on_any_grid(data):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_packed_census_triangle_matches_built_triangle(data):
-    """The census's packed triangle of a random seed or side pair has bit i
-    equal to cell i of the directly built triangle, and is the XOR of the
-    basis triangles of its free bits, as the census spans them."""
+    """The census's packed Steinhaus triangle of a random seed has bit i equal
+    to cell i of the directly built triangle; a packed triangle of either kind
+    is the XOR of the basis triangles of its free bits, as the census spans
+    them."""
     n = data.draw(st.integers(1, 16))
     if data.draw(st.booleans()):
         seed = data.draw(st.integers(0, (1 << n) - 1))
         built = build_steinhaus(ResidueTuple.from_bits(seed, n))
-        packed = packed_steinhaus(seed, n)
         basis, free_bits = _steinhaus_basis(n), seed
     else:
         left = data.draw(st.integers(0, (1 << n) - 1))
         right = data.draw(st.integers(0, (1 << n) - 1)) & ~1 | left & 1
         built = build_pascal(ResidueTuple.from_bits(left, n), ResidueTuple.from_bits(right, n))
-        packed = packed_pascal(left, right, n)
-        # basis order: apex, left bits 1..n-1, right bits 1..n-1
-        basis, free_bits = _pascal_basis(n), left | (right >> 1) << n
-    assert packed == sum(e << i for i, e in enumerate(built.cells()))
+        # the free bits: the seed of the Steinhaus triangle it is the center of
+        seed = embed_pascal_in_steinhaus(built).rows[0]
+        basis, free_bits = _pascal_basis(n), sum(e << j for j, e in enumerate(seed))
+    packed = sum(e << i for i, e in enumerate(built.cells()))
+    if built.orientation is Orientation.STEINHAUS:
+        assert packed_steinhaus(seed, n) == packed
     assert reduce(xor, (v for k, v in enumerate(basis) if free_bits >> k & 1), 0) == packed
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ap_scan_matches_triangles_built_per_size(data):
+    """The one-orbit progression scan gives, at every size, the balance and
+    spread of the triangle built on that many progression terms."""
+    m = data.draw(st.sampled_from(range(3, 16, 2)))
+    difference = data.draw(st.integers(1, m - 1).filter(lambda d: gcd(d, m) == 1))
+    spec = ApFamilySpec(m, difference, data.draw(st.integers(0, m - 1)))
+    n_max = data.draw(st.integers(1, min(3 * spec.period, 80)))
+    expected = []
+    for n in range(1, n_max + 1):
+        result = is_balanced(build_steinhaus(spec.sequence_tuple(n)))
+        expected.append((n, result.balanced, result.spread))
+    assert [tuple(row) for row in ap_balanced_scan(spec, n_max)] == expected

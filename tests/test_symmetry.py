@@ -10,6 +10,7 @@ from steinhaus import (
     build_steinhaus,
     NotPeriodic,
     ResidueTuple,
+    TooLarge,
     apply,
     balanced_period_classes,
     build_period_grid,
@@ -196,6 +197,22 @@ def test_partition_lists_no_span(p, monkeypatch):
         partition_classes.cache_clear()
     assert len(classes) == CLASS_COUNTS[p - 1]
     assert members == group_orbit(last.representative).members
+
+
+def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
+    """partition_classes refuses on d alone: the generator matrices of the
+    d kernel basis vectors are built only by what reads them."""
+
+    def refuse(bits, p):
+        raise AssertionError(f"generator images of period {p} were built")
+
+    monkeypatch.setattr(symmetry, "_generator_images", refuse)
+    partition_classes.cache_clear()
+    try:
+        with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
+            partition_classes(2044)
+    finally:
+        partition_classes.cache_clear()
 
 
 def test_burnside_count_matches_class_counts():
