@@ -33,10 +33,9 @@ from .orbits import AnchorFields, is_periodic_tuple, orbit_rows
 # bound on (6m)^2 * n_max * m, positions x sizes x residues of interlaced_scan: under
 # a second at the bound, e.g. m = 3 to n_max = 10 288 (0.8 s), m = 7 to 809 (0.6 s)
 INTERLACED_WORK_LIMIT = 10**7
-# bound on n_max(n_max+1)(n_max+2)/6, the cells of all the triangles that
-# ap_balanced_scan reads: n_max <= 390, the documented refusal.  They are read
-# off one orbit of n_max^2 cells, about 0.05 s at 390
-AP_WORK_LIMIT = 10**7
+# bound on n_max(n_max + m): the n_max^2 orbit cells and m residue counts per size that
+# ap_balanced_scan reads, about a second at the bound (m = 7 to n_max = 1577, 65535 to 38)
+AP_WORK_LIMIT = 25 * 10**5
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -63,6 +62,7 @@ class ApFamilySpec:
     def __post_init__(self) -> None:
         if self.modulus < 3 or self.modulus % 2 == 0:
             raise InvalidSpec(f"modulus must be odd and >= 3, got {self.modulus}")
+        check_modulus(self.modulus)
         if gcd(self.common_difference, self.modulus) != 1:
             raise InvalidSpec(
                 f"difference {self.common_difference} is not invertible mod {self.modulus}"
@@ -95,12 +95,12 @@ def ap_balanced_scan(spec: ApFamilySpec, n_max: int) -> list[ScanRow]:
     """Balance of the triangle on the first n progression terms for every
     n <= n_max, the cells (i, j), i <= j < n, of one orbit; raises if any
     size 0 or -1 mod the period is unbalanced."""
-    if n_max * (n_max + 1) * (n_max + 2) // 6 > AP_WORK_LIMIT:
+    if n_max < 1:
+        return []
+    if n_max * (n_max + spec.modulus) > AP_WORK_LIMIT:
         raise TooLarge(
             f"progression scan up to size {n_max} exceeds the work bound {AP_WORK_LIMIT}"
         )
-    if n_max < 1:
-        return []
     orbit = [row.entries for row in islice(orbit_rows(spec.sequence_tuple(n_max)), n_max)]
     counts = [0] * spec.modulus
     rows = []

@@ -295,10 +295,6 @@ class AnchorFields:
         """Field (i0, j0) takes field (i0+1, j0)."""
         return (v >> self.row_shift) | ((v << (self.width - self.row_shift)) & self.everything)
 
-    def along(self, kind: Orientation):
-        """The step along a growing edge: a column (Steinhaus) or a row (Pascal)."""
-        return self.next_column if kind is Orientation.STEINHAUS else self.next_row
-
     def equal(self, v: int, target: int) -> int:
         """The guard bit of each field of v holding target."""
         return self.guard & ~((v ^ target * self.lsb) + self.below_guard)
@@ -331,7 +327,7 @@ class AnchorFields:
         moved one step along that line plus the grid moved n-1 steps down
         the diagonal, and total_n = total_{n-1} + edge_n.
         """
-        along = self.along(kind)
+        along = self.next_column if kind is Orientation.STEINHAUS else self.next_row
         bits = "".join(format(row, f"0{self.q}b") for row in reversed(rows))
         diagonal = edge = total = int(self.pad + self.pad.join(bits), 2)
         while True:

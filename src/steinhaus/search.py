@@ -10,14 +10,16 @@ per orbit class, collects the achievable remainders with witnesses, and
 emits certificates that an independent oracle re-verifies by counting each
 triangle straight from the grid rows with masked popcounts.  The scan counts
 the triangles of all p^2 anchors at once, each anchor a bit field of one
-packed int (orbits.AnchorFields); a single certificate counts its corner and
-band by the oracle's triangle_ones.  Both test the counts against one
-acceptance rule (_accepts); each grid counts its period's ones once.
+packed int (orbits.AnchorFields), of one kind: the Pascal witnesses follow
+by duality (dual_position).  A single certificate counts its corner and band
+by the oracle's triangle_ones.  Both test the counts against one acceptance
+rule (_accepts); each grid counts its period's ones once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .core import (
@@ -74,13 +76,23 @@ def pascal_generator_tuples(
     the grid lines down the column below it and down the diagonal to its lower
     right, the images of x under t(-i0, -j0-1) r and t(-i0, -j0) r^2 i."""
     grid = build_period_grid(x)
-    left, right = (ResidueTuple.from_bits(grid.line(i0, j0, 1, dj), grid.p) for dj in (0, 1))
-    return left, right
+    return tuple(ResidueTuple.from_bits(grid.line(i0, j0, 1, dj), grid.p) for dj in (0, 1))
 
 
 def dual_position(i0: int, j0: int, r: int, p: int) -> tuple[int, int, int]:
     """Pascal family position dual to the Steinhaus family at (i0, j0, r):
-    (i0 + r + 1, j0 + r, p - 1 - r), returned without mod-p reduction."""
+    (i0 + r + 1, j0 + r, s), s = p - 1 - r, without mod-p reduction.  On a
+    balanced period the two families are balanced together.  Proof: let S(n)
+    be the size-n Steinhaus triangle at (i0, j0), P(n) the Pascal one at the
+    dual anchor and T the ones of the period.  On any p-by-p grid,
+    (i) ones(S(p+r) - S(r)) + ones(P(p+s) - P(s)) = 2T: the two bands,
+    reduced mod p, tile two p-by-p windows; (ii) ones(S(p+r)) + ones(P(s))
+    = T + 2 ones(S(r)): S(p+r) and P(s) cover the window at rows i0..,
+    columns j0+r.. once and S(r) twice, at (i0, j0) and (i0+p, j0+p).  The
+    bands hold 2p^2 cells, so if T = p^2/2, (i) splits the P band evenly
+    exactly when it splits the S band.  Then (ii) gives 2 ones(P(s)) -
+    s(s+1)/2 = 2 ones(S(r)) - r(r+1)/2: _accepts holds for both or neither.
+    """
     if not 0 <= r < p:
         raise ValueError("remainder must lie in 0..p-1")
     return i0 + r + 1, j0 + r, p - 1 - r
@@ -173,7 +185,7 @@ def check_family(
 ) -> FamilyCertificate | None:
     """Accept iff the size-r corner triangle of the given kind at (i0, j0) is
     balanced and the band added by growing it to size p + r splits evenly
-    (for Pascal the band is the first p columns of the size p+r triangle);
+    (the band is rows r..p+r-1 of the size p+r triangle, of either kind);
     returns the certificate of the two counts on acceptance, None on
     rejection, and raises UnbalancedPeriod on an unbalanced period."""
     p = len(x)
@@ -262,10 +274,7 @@ class RemainderSet:
         return tuple(w[0] for w in self.witnesses)
 
     def witness(self, r: int) -> tuple[int, int] | None:
-        for remainder, i0, j0 in self.witnesses:
-            if remainder == r:
-                return i0, j0
-        return None
+        return next(((i0, j0) for remainder, i0, j0 in self.witnesses if remainder == r), None)
 
     @property
     def full(self) -> bool:
@@ -275,26 +284,32 @@ class RemainderSet:
         return len(self.witnesses)
 
 
-def _first_anchors(grid: PeriodGrid, kind: Orientation) -> dict[int, int]:
-    """First accepting anchor i0*p + j0 per achievable remainder, found by
-    one scan over all p^2 anchors at once (orbits.AnchorFields).
+def _rotate(v: int, k: int, bits: int) -> int:
+    """The low bits of v rotated k places up."""
+    return ((v & (1 << (bits - k)) - 1) << k) | ((v >> (bits - k)) & (1 << k) - 1)
 
-    Past size p, edge_{n+p} is edge_n plus the sum of its whole line, which
-    is edge_p moved n steps along; so the band of remainder r (sizes
-    r+1..p+r) is total_p plus edge_p moved 1..r steps along.  No count
+
+@lru_cache(maxsize=2)  # the callers ask for both kinds of one tuple in turn
+def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
+    """First accepting anchor i0*p + j0 per achievable remainder of each kind,
+    from one Steinhaus scan of all p^2 anchors at once (orbits.AnchorFields).
+    The period must be balanced: the Pascal anchors are read by dual_position.
+
+    Past size p, edge_{n+p} is edge_n plus the sum of its whole column, which
+    is edge_p moved n columns along; so the band of remainder r (sizes
+    r+1..p+r) is total_p plus edge_p moved 1..r columns along.  No count
     exceeds the cells of a band, which stay below 2p^2.
     """
     p = grid.p
     fields = AnchorFields(p, 2 * p * p)
     totals = [0]
-    for total, edge in islice(fields.triangle_counts(grid.rows, kind), p):
+    for total, edge in islice(fields.triangle_counts(grid.rows, Orientation.STEINHAUS), p):
         totals.append(total)
-    along = fields.along(kind)
     band, line = total, edge  # of size p
-    first: dict[int, int] = {}
+    steinhaus, pascal = {}, {}
     for r in range(p):
         if r:
-            line = along(line)
+            line = fields.next_column(line)
             band += line
         corner_ones, band_half = _family_targets(p, r)
         if band_half is None:
@@ -303,16 +318,22 @@ def _first_anchors(grid: PeriodGrid, kind: Orientation) -> dict[int, int]:
         corner = sum(fields.equal(totals[r], ones) for ones in corner_ones)
         hits = fields.equal(band, band_half) & corner
         if hits:
-            first[r] = fields.first(hits)
-    return first
+            steinhaus[r] = fields.first(hits)
+            # the Pascal hits of p-1-r are these moved by (r+1, r): rotate the
+            # rows as one int, then the lowest non-empty row by its columns
+            moved = _rotate(hits, (r + 1) * fields.row_shift, fields.width)
+            i = fields.first(moved) // p
+            row = _rotate(moved >> i * fields.row_shift, r * fields.w, fields.row_shift)
+            pascal[p - 1 - r] = i * p + fields.first(row)
+    return {Orientation.STEINHAUS: steinhaus, Orientation.PASCAL: pascal}
 
 
 def remainder_set(
     x: ResidueTuple, kind: Orientation = Orientation.STEINHAUS
 ) -> RemainderSet:
     """Every remainder r with a balanced family in the orbit of x, with its
-    first accepting anchor in scan order (i0, then j0), from one packed scan
-    of all p^2 anchors (_first_anchors)."""
+    first accepting anchor in scan order (i0, then j0), from the one packed
+    scan of all p^2 anchors that serves both kinds (_first_anchors)."""
     p = len(x)
     _check_period(p)
     if p ** 3 > REMAINDER_WORK_LIMIT:
@@ -322,7 +343,7 @@ def remainder_set(
     grid = build_period_grid(x)
     if 2 * grid.ones != p * p:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
-    first = _first_anchors(grid, kind)
+    first = _first_anchors(grid)[kind]
     witnesses = tuple((r, *divmod(first[r], p)) for r in sorted(first))
     return RemainderSet(x, kind, p, witnesses)
 
@@ -361,10 +382,8 @@ class SearchReport:
 
 
 def _search_one_class(rep: ResidueTuple) -> tuple[RemainderSet, RemainderSet]:
-    return (
-        remainder_set(rep, Orientation.STEINHAUS),
-        remainder_set(rep, Orientation.PASCAL),
-    )
+    """Both kinds' remainder sets, Steinhaus first: one scan (_first_anchors)."""
+    return tuple(remainder_set(rep, kind) for kind in Orientation)
 
 
 def full_search(p: int, jobs: int = 1) -> SearchReport:

@@ -303,7 +303,7 @@ def _request_id(value):
         (("triangle", "--seed-tuple", "0110", "--modulus", "1000000000"), "modulus 1000000000 exceeds"),
         (("modm", "--scan", "ap", "--modulus", "1000000007", "--n-max", "5"), "modulus 1000000007 exceeds"),
         (("modm", "--scan", "ap", "--modulus", "101"), "work bound"),
-        (("modm", "--scan", "ap", "--modulus", "7", "--n-max", "500"), "work bound"),
+        (("modm", "--scan", "ap", "--modulus", "7", "--n-max", "1578"), "work bound"),
         (("render", "orbit", "--seed-tuple", "0110", "--window", "100000000:100000001,0:4",
           "--out", os.devnull), "rows of 4 cells exceeds the pixel cap"),
     ],

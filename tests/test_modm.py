@@ -162,6 +162,9 @@ def test_modulus_and_progression_bounds():
         Triangle(Orientation.STEINHAUS, MODULUS_LIMIT + 1, ())
     with pytest.raises(TooLarge):
         multiplicative_order(2, MODULUS_LIMIT + 1)
-    # 390 is the largest n_max whose 390*391*392/6 cells fit AP_WORK_LIMIT
+    # 1577 is the largest n_max whose 1577*(1577+7) fits AP_WORK_LIMIT at m = 7
     with pytest.raises(TooLarge):
-        ap_balanced_scan(ApFamilySpec(7), 391)
+        ap_balanced_scan(ApFamilySpec(7), 1578)
+    # a large modulus costs m residue counts per size: 390 sizes of 65535
+    with pytest.raises(TooLarge):
+        ap_balanced_scan(ApFamilySpec(65535), 390)

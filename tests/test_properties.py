@@ -525,18 +525,29 @@ def test_packed_remainder_scan_matches_per_anchor_scan(p):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_packed_remainder_scan_matches_per_anchor_scan_on_any_grid(data):
-    """Any p-by-p grid, not only an orbit's: odd p (whose bands of odd size
-    never split) and grids dense enough that the counts of balanced bands
-    approach the top bit of their fields."""
+    """Steinhaus anchors on any p-by-p grid, not only an orbit's: odd p (whose
+    bands of odd size never split) and grids dense enough that the counts of
+    balanced bands approach the top bit of their fields.  Pascal anchors,
+    which the scan reads off the Steinhaus hits by duality, on any grid with
+    a balanced period, the only kind remainder_set scans."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def witnesses(grid, kind):
+        first = _first_anchors(grid)[kind]
+        return tuple((r, *divmod(first[r], grid.p)) for r in sorted(first))
+
     p = data.draw(st.sampled_from([3, 5, 12, 20, 24]))
     density = data.draw(st.floats(0.3, 0.7))
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
     rows = tuple(sum((rng.random() < density) << j for j in range(p)) for _ in range(p))
     grid = PeriodGrid(p, rows)
-    for kind in Orientation:
-        first = _first_anchors(grid, kind)
-        packed = tuple((r, *divmod(first[r], p)) for r in sorted(first))
-        assert packed == _per_anchor_witnesses(grid, kind)
+    assert witnesses(grid, Orientation.STEINHAUS) == _per_anchor_witnesses(grid, Orientation.STEINHAUS)
+
+    p = data.draw(st.sampled_from([4, 8, 12, 20, 24]))
+    ones = rng.sample(range(p * p), p * p // 2)
+    rows = tuple(sum(1 << (k % p) for k in ones if k // p == i) for i in range(p))
+    grid = PeriodGrid(p, rows)
+    assert 2 * grid.ones == p * p
+    assert witnesses(grid, Orientation.PASCAL) == _per_anchor_witnesses(grid, Orientation.PASCAL)
 
 
 @given(data=st.data())

@@ -38,9 +38,9 @@ from steinhaus import (
     remainder_set,
     steinhaus_dual_position,
 )
-from steinhaus import orbits
+from steinhaus import orbits, search
 from steinhaus.errors import TooLarge
-from steinhaus.search import REMAINDER_WORK_LIMIT, family_accepts
+from steinhaus.search import REMAINDER_WORK_LIMIT, family_accepts, triangle_ones
 
 R = ResidueTuple.from_string
 
@@ -284,15 +284,27 @@ def test_block_additivity(rep9, rep9_grid):
 
 
 def test_complementarity_blocks(rep9_grid):
-    # the corner and band of one kind tile a full period together with the
-    # band and corner of the dual kind
-    p = 24
-    period_counts = rep9_grid.multiplicity().counts
-    for i0, j0, r in ((6, 9, 6), (1, 11, 4), (3, 3, 11), (0, 0, 17)):
-        ip, jp, rp = i0 + r + 1, j0 + r, p - 1 - r
+    """The corner and band of one kind tile a full period together with the
+    band and corner of the dual kind, on rep9 at four triples and on random
+    grids of any p and any number T of ones.  With S(n) the Steinhaus triangle
+    at (i0, j0) and P(n) the Pascal one at the dual anchor, s = p - 1 - r:
+    (i) the S band of r and the P band of s hold 2T ones together, and
+    (ii) S(p+r) and P(s) hold T ones plus twice those of S(r)."""
+    rng = random.Random(12)
+    cases = [(rep9_grid, triple) for triple in ((6, 9, 6), (1, 11, 4), (3, 3, 11), (0, 0, 17))]
+    for _ in range(60):
+        p = rng.randrange(4, 17)
+        density = rng.random()
+        rows = tuple(sum((rng.random() < density) << j for j in range(p)) for _ in range(p))
+        triple = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+        cases.append((orbits.PeriodGrid(p, rows), triple))
+    steinhaus, pascal = Orientation.STEINHAUS, Orientation.PASCAL
+    for grid, (i0, j0, r) in cases:
+        p, period_counts = grid.p, grid.multiplicity().counts
+        ip, jp, rp = dual_position(i0, j0, r, p)
 
         def count(cells, base_i, base_j):
-            ones = sum(rep9_grid.cell(base_i + i, base_j + j) for i, j in cells)
+            ones = sum(grid.cell(base_i + i, base_j + j) for i, j in cells)
             return (len(cells) - ones, ones)
 
         u0 = count([(i, j) for i in range(r) for j in range(i, r)], i0, j0)
@@ -305,6 +317,34 @@ def test_complementarity_blocks(rep9_grid):
         )
         assert tuple(a + b for a, b in zip(u0, v0)) == period_counts
         assert tuple(a + b for a, b in zip(u1, v1)) == period_counts
+
+        def ones(i, j, n, kind):
+            return triangle_ones(grid, i, j, n, kind)
+
+        s_band = ones(i0, j0, p + r, steinhaus) - ones(i0, j0, r, steinhaus)
+        p_band = ones(ip, jp, p + rp, pascal) - ones(ip, jp, rp, pascal)
+        assert s_band + p_band == 2 * grid.ones  # (i)
+        assert ones(i0, j0, p + r, steinhaus) + ones(ip, jp, rp, pascal) == (
+            grid.ones + 2 * ones(i0, j0, r, steinhaus)
+        )  # (ii)
+
+
+def test_both_remainder_sets_of_a_tuple_take_one_scan(rep9, monkeypatch):
+    """remainder_set of the Pascal kind reads the Steinhaus scan that the
+    Steinhaus call ran; neither kind scans the Pascal triangles."""
+    scans = []
+    counts = orbits.AnchorFields.triangle_counts
+
+    def counted(fields, rows, kind):
+        scans.append(kind)
+        return counts(fields, rows, kind)
+
+    monkeypatch.setattr(orbits.AnchorFields, "triangle_counts", counted)
+    search._first_anchors.cache_clear()
+    steinhaus = remainder_set(rep9, Orientation.STEINHAUS)
+    pascal = remainder_set(rep9, Orientation.PASCAL)
+    assert scans == [Orientation.STEINHAUS]
+    assert (len(steinhaus), len(pascal)) == (24, 24)
 
 
 def test_duality_random_triples():
