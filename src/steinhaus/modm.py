@@ -15,7 +15,7 @@ family scan uses too, run on one one-hot grid per nonzero residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ from .orbits import AnchorFields, is_periodic_tuple, orbit_rows
 # a second at the bound, e.g. m = 3 to n_max = 10 288 (0.8 s), m = 7 to 809 (0.6 s)
 INTERLACED_WORK_LIMIT = 10**7
 # bound on n_max(n_max + m): the n_max^2 orbit cells and m residue counts per size that
-# ap_balanced_scan reads, about a second at the bound (m = 7 to n_max = 1577, 65535 to 38)
+# ap_balanced_scan reads; at the bound m = 7 to n_max = 1577 takes 0.4 s, 65535 to 38 0.7 s
 AP_WORK_LIMIT = 25 * 10**5
 
 
@@ -93,27 +93,31 @@ class ScanRow(NamedTuple):
 
 def ap_balanced_scan(spec: ApFamilySpec, n_max: int) -> list[ScanRow]:
     """Balance of the triangle on the first n progression terms for every
-    n <= n_max, the cells (i, j), i <= j < n, of one orbit; raises if any
-    size 0 or -1 mod the period is unbalanced."""
+    n <= n_max, the cells (i, j), i <= j < n, of one orbit, derived one
+    column at a time; raises if any size 0 or -1 mod the period is
+    unbalanced."""
     if n_max < 1:
         return []
-    if n_max * (n_max + spec.modulus) > AP_WORK_LIMIT:
+    m = spec.modulus
+    if n_max * (n_max + m) > AP_WORK_LIMIT:
         raise TooLarge(
             f"progression scan up to size {n_max} exceeds the work bound {AP_WORK_LIMIT}"
         )
-    orbit = [row.entries for row in islice(orbit_rows(spec.sequence_tuple(n_max)), n_max)]
-    counts = [0] * spec.modulus
+    counts = [0] * m
     rows = []
-    for n in range(1, n_max + 1):
-        for row in orbit[:n]:  # column n-1 of rows 0..n-1 completes the size-n triangle
-            counts[row[n - 1]] += 1
-        table = MultiplicityTable(spec.modulus, counts)
+    column: list[int] = []  # column n-1 of rows 0..n-1, which completes the size-n triangle
+    for n, term in enumerate(spec.sequence_tuple(n_max).entries, 1):
+        # cell (i, n-1) is cell (i-1, n-1) + cell (i-1, n-2): the new column from the last
+        column = list(accumulate(column, lambda above, left: (above + left) % m, initial=term))
+        for cell in column:
+            counts[cell] += 1
+        table = MultiplicityTable(m, counts)
         rows.append(ScanRow(n, table.balanced, table.spread))
     claimed = set(spec.claimed_sizes(n_max))
     for row in rows:
         if row.n in claimed and not row.balanced:
             raise AssertionError(
-                f"size {row.n} should be balanced mod {spec.modulus} (spread {row.spread})"
+                f"size {row.n} should be balanced mod {m} (spread {row.spread})"
             )
     return rows
 

@@ -24,7 +24,8 @@ from .errors import EmptyTuple, NotPeriodic, TooLarge
 
 # kernel dimension d above which the span and the partition's 2^d visited array are refused
 KERNEL_ENUM_LIMIT = 20
-# largest period whose circulant is row-reduced: about a second at p = 2045
+# largest period whose circulant is row-reduced (about a second at p = 2045) or
+# whose p rows of p bits are derived into a period grid
 PERIOD_LIMIT = 2048
 # bound on the sum of p^2 over the periods of one kernel table: p = 1..368, about 3 s
 KERNEL_WORK_LIMIT = 1 << 24
@@ -234,14 +235,6 @@ class PeriodGrid:
     def multiplicity(self) -> MultiplicityTable:
         return MultiplicityTable(2, (self.p * self.p - self.ones, self.ones))
 
-    def window_multiplicity(self, i0: int, j0: int) -> MultiplicityTable:
-        """Multiplicity of the p-by-p window anchored at (i0, j0)."""
-        ones = 0
-        for i in range(self.p):
-            for j in range(self.p):
-                ones += self.cell(i0 + i, j0 + j)
-        return MultiplicityTable(2, (self.p * self.p - ones, ones))
-
     def to_json_dict(self) -> dict:
         return {"p": self.p, "cells": [list(self.row_entries(i)) for i in range(self.p)]}
 
@@ -255,6 +248,8 @@ def build_period_grid(x: ResidueTuple) -> PeriodGrid:
     p = len(x)
     if p == 0:
         raise EmptyTuple("cannot build a grid from an empty tuple")
+    if p > PERIOD_LIMIT:
+        raise TooLarge(f"period {p} exceeds the bound {PERIOD_LIMIT}")
     rows = []
     row = x.bits
     for _ in range(p):

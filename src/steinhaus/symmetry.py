@@ -15,9 +15,8 @@ rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .core import ResidueTuple
 from .errors import TooLarge
@@ -183,8 +182,15 @@ class _Gf2Map:
 class _KernelCoordinates:
     """The p-periodic generators in kernel coordinates.
 
-    Coordinate k of a tuple is its bit at the free column of basis vector k
-    of gf2_kernel_basis, so _Gf2Map(basis) maps coordinates c to their tuple.
+    The coordinates of a tuple are its top d bits, bits >> (p - d): bit k of
+    them is the tuple's bit at the free column of basis vector k of
+    gf2_kernel_basis, and those d free columns are p-d .. p-1.  Proof: the
+    kernel is linear and closed under the cyclic shift, so it is an ideal of
+    GF(2)[t]/(t^p + 1), generated by a divisor h of t^p + 1 of degree p - d
+    (MacWilliams and Sloane, ch. 7).  Every nonzero member, a polynomial of
+    degree < p, is a multiple of h, so its highest set bit is at least p - d.
+    Each basis vector's highest set bit is its free column, so the d free
+    columns all lie in p-d .. p-1: they are exactly those columns.
     The four generators act linearly; ``matrices`` holds their d-by-d
     matrices as columns, each column the coordinates of a basis vector's
     image.  ``step`` packs them into one map; both are built on first use.
@@ -212,7 +218,7 @@ class _KernelCoordinates:
         ])
 
     def coordinates(self, bits: int) -> int:
-        return sum(((bits >> (b.bit_length() - 1)) & 1) << k for k, b in enumerate(self.basis))
+        return bits >> (self.p - self.d)
 
     def images(self, c: int) -> tuple[int, int, int, int]:
         packed, mask = self.step(c), (1 << self.d) - 1
@@ -239,47 +245,39 @@ class _KernelCoordinates:
                     queue.append(x)
         return queue, best
 
-    def member_bits(self, tuple_bits: _Gf2Map, start: int) -> list[int]:
-        return [tuple_bits(c) for c in self.orbit(start, bytearray(1 << self.d))[0]]
 
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """A group orbit inside the p-periodic generators, named by its
-    lexicographically smallest member.  ``member_bits`` lists the members'
-    bitmasks on demand, so a partition holds no member tuples."""
-
-    representative: ResidueTuple
-    size: int
-    member_bits: Callable[[], Iterable[int]] = field(repr=False, compare=False)
-
-    @property
-    def members(self) -> tuple[ResidueTuple, ...]:
-        p = len(self.representative)
-        return tuple(
-            sorted(
-                (ResidueTuple.from_bits(b, p) for b in self.member_bits()),
-                key=lambda t: t.entries,
-            )
-        )
-
-
-def group_orbit(x: ResidueTuple) -> OrbitClass:
-    """All images of x under the 6p^2 group elements (closure of the four
-    generators, each of finite order), computed bit by bit: the reference
-    that the kernel-coordinate partition is tested against."""
-    build_period_grid(x)  # NotPeriodic guard
-    p = len(x)
-    start = x.bits
-    seen = {start}
-    queue = [start]
+def _orbit(x: ResidueTuple) -> tuple[ResidueTuple, ...]:
+    # closure of x under the four generators (each of finite order), walked
+    # bit by bit and sorted by entries
+    p, start = len(x), x.bits
+    seen, queue = {start}, [start]
     for b in queue:
         for image in _generator_images(b, p):
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
-    representative = min((ResidueTuple.from_bits(b, p) for b in seen), key=lambda t: t.entries)
-    return OrbitClass(representative, len(seen), lambda: seen)
+    return tuple(sorted((ResidueTuple.from_bits(b, p) for b in seen), key=lambda t: t.entries))
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """A group orbit inside the p-periodic generators, named by its
+    lexicographically smallest member; ``members`` walks the orbit from it."""
+
+    representative: ResidueTuple
+    size: int
+
+    @property
+    def members(self) -> tuple[ResidueTuple, ...]:
+        return _orbit(self.representative)
+
+
+def group_orbit(x: ResidueTuple) -> OrbitClass:
+    """All images of x under the 6p^2 group elements, computed bit by bit:
+    the reference that the kernel-coordinate partition is tested against."""
+    build_period_grid(x)  # NotPeriodic guard
+    members = _orbit(x)
+    return OrbitClass(members[0], len(members))
 
 
 @lru_cache(maxsize=None)
@@ -287,9 +285,8 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
     """Partition of the p-periodic generators into group orbits.
 
     One kernel-coordinate walk per class over a visited array of the 2^d
-    coordinates; a class decodes its members' tuples from their coordinates
-    by one basis map, so no list of the 2^d tuples is built.  Classes are
-    returned sorted by representative.
+    coordinates keeps the class's smallest lex key and size, and lists none
+    of the 2^d tuples.  Classes are sorted by representative.
     """
     space = _KernelCoordinates(p)
     if space.d > KERNEL_ENUM_LIMIT:  # before ``step`` builds its 2^(d/2)-entry tables
@@ -299,14 +296,10 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
     start = 0
     while start >= 0:
         orbit, key = space.orbit(start, visited)
-        found.append((key, len(orbit), start))
+        found.append((key, len(orbit)))
         start = visited.find(0, start + 1)
     found.sort()
-    members = partial(space.member_bits, _Gf2Map(space.basis))
-    return tuple(
-        OrbitClass(ResidueTuple.from_bits(_reverse_bits(key, p), p), size, partial(members, start))
-        for key, size, start in found
-    )
+    return tuple(OrbitClass(ResidueTuple.from_bits(_reverse_bits(k, p), p), n) for k, n in found)
 
 
 def burnside_class_count(p: int) -> int:

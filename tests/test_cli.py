@@ -306,6 +306,8 @@ def _request_id(value):
         (("modm", "--scan", "ap", "--modulus", "7", "--n-max", "1578"), "work bound"),
         (("render", "orbit", "--seed-tuple", "0110", "--window", "100000000:100000001,0:4",
           "--out", os.devnull), "rows of 4 cells exceeds the pixel cap"),
+        (("render", "family", "--seed-tuple", "1" + "0" * 4095, "--out", os.devnull),
+         "period 4096 exceeds the bound 2048"),
     ],
     ids=_request_id,
 )

@@ -4,6 +4,7 @@ from expected_values import KERNEL_DIMS, ORBIT_010100, PO6_TUPLES, CLASS9_REP
 
 from steinhaus import (
     EmptyTuple,
+    MultiplicityTable,
     NotPeriodic,
     ResidueTuple,
     TooLarge,
@@ -74,6 +75,11 @@ def test_wendt_matrix_layouts():
 def test_kernel_dimensions_table():
     got = [len(gf2_kernel_basis(wendt_matrix(p))) for p in range(1, 25)]
     assert got == KERNEL_DIMS
+    # the free columns are the top d bits (the kernel is a cyclic code), so a
+    # tuple's kernel coordinates are bits >> (p - d)
+    for p in range(1, 129):
+        basis = gf2_kernel_basis(wendt_matrix(p))
+        assert [v >> (p - len(basis)) for v in basis] == [1 << k for k in range(len(basis))]
 
 
 def test_kernel_vectors_annihilated():
@@ -128,11 +134,17 @@ def test_class9_grid_multiplicity():
     assert grid.multiplicity().as_dict() == {0: 288, 1: 288}
 
 
+def window_multiplicity(grid, i0, j0):
+    """Multiplicity of the p-by-p window of the orbit anchored at (i0, j0)."""
+    ones = sum(grid.cell(i0 + i, j0 + j) for i in range(grid.p) for j in range(grid.p))
+    return MultiplicityTable(2, (grid.p * grid.p - ones, ones))
+
+
 def test_window_independence():
     grid = build_period_grid(R(CLASS9_REP))
     base = grid.multiplicity()
     for i0, j0 in ((1, 2), (17, 5), (23, 23), (30, 49)):
-        assert grid.window_multiplicity(i0, j0) == base
+        assert window_multiplicity(grid, i0, j0) == base
 
 
 def test_detect_preperiod():
@@ -166,3 +178,6 @@ def test_period_bound():
     assert len(wendt_matrix(PERIOD_LIMIT).rows) == PERIOD_LIMIT
     with pytest.raises(TooLarge):
         wendt_matrix(PERIOD_LIMIT + 1)
+    message = f"period {PERIOD_LIMIT + 1} exceeds the bound {PERIOD_LIMIT}"
+    with pytest.raises(TooLarge, match=message):
+        build_period_grid(ResidueTuple(2, (1,) + (0,) * PERIOD_LIMIT))

@@ -174,14 +174,13 @@ def test_partition_agrees_with_full_orbits():
     for classes in (partition_classes(6), partition_classes(12), balanced_period_classes(24)):
         for cls in classes:
             orbit = group_orbit(cls.representative)
-            assert orbit.members == cls.members
             assert (orbit.representative, orbit.size) == (cls.representative, cls.size)
 
 
 @pytest.mark.parametrize("p", [12, 24])
 def test_partition_lists_no_span(p, monkeypatch):
-    """The partition walks kernel coordinates and decodes members by the
-    basis map; it never lists the 2^d periodic tuples."""
+    """The partition walks kernel coordinates and keeps each class's
+    representative and size; it never lists the 2^d periodic tuples."""
 
     def refuse(p):
         raise AssertionError(f"the span of period {p} was listed")
@@ -196,7 +195,7 @@ def test_partition_lists_no_span(p, monkeypatch):
     finally:
         partition_classes.cache_clear()
     assert len(classes) == CLASS_COUNTS[p - 1]
-    assert members == group_orbit(last.representative).members
+    assert len(members) == last.size
 
 
 def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
