@@ -7,10 +7,10 @@ it, and rows are derived with shift/xor.  A binary triangle is GF(2)-linear
 in its free bits, so it is the XOR of the packed basis triangles of its set
 bits: a Steinhaus triangle's n seed bits, or for a size-n Pascal triangle
 the 2n-1 seed bits of the Steinhaus triangle it is the center of
-(core.embed_pascal_in_steinhaus).  The basis is split into a low and a high
-half and each half is spanned into a table; each triangle is then one
-high ^ low entry, counted by one bit_count().  CENSUS_KINDS holds all
-that differs per kind: the size bound, the basis and the closed-form maximum.
+(core.embed_pascal_in_steinhaus).  orbits._Gf2Map spans the basis into a
+low and a high table; each triangle is then one high ^ low entry, counted
+by one bit_count().  CENSUS_KINDS holds all that differs per kind: the size
+bound, the basis and the closed-form maximum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .core import Orientation
 from .errors import TooLarge
-from .orbits import xor_span
+from .orbits import _Gf2Map
 
 STEINHAUS_CENSUS_LIMIT = 16
 PASCAL_CENSUS_LIMIT = 10
@@ -58,12 +58,11 @@ def _pascal_basis(n: int) -> list[int]:
 
 def _span_census(basis: list[int]) -> tuple[int, int]:
     """(total, maximum) one-count over all 2^len(basis) XORs of the basis."""
-    split = (len(basis) + 1) // 2
-    low = xor_span(basis[:split])
+    tables = _Gf2Map(basis)
     total = 0
     best = 0
-    for high in xor_span(basis[split:]):
-        ones = list(map(int.bit_count, map(high.__xor__, low)))
+    for high in tables.high:
+        ones = list(map(int.bit_count, map(high.__xor__, tables.low)))
         total += sum(ones)
         best = max(best, max(ones))
     return total, best

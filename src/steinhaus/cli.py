@@ -13,6 +13,7 @@ from .core import (
     ResidueTuple,
     build_pascal,
     build_steinhaus,
+    check_triangle_size,
     is_balanced,
     multiplicity,
 )
@@ -73,8 +74,7 @@ def _emit_table(headers: list[str], rows: list[list], args) -> None:
         writer.writerows(rows)
         _write_output(buffer.getvalue(), args.out)
     elif args.format == "json":
-        payload = [dict(zip(headers, row)) for row in rows]
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json([dict(zip(headers, row)) for row in rows], args)
     else:
         widths = [
             max(len(str(h)), *(len(str(row[k])) for row in rows)) if rows else len(h)
@@ -210,6 +210,8 @@ def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
 
 
 def _cmd_search(args) -> int:
+    if args.k_verify:  # the oracle's own bound, checked before the search starts
+        check_triangle_size(args.k_verify * args.p + args.p - 1)
     report = full_search(args.p, jobs=args.jobs)
     kinds = _search_kinds(args)
     certs = {}
@@ -393,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("--p", type=positive_int, required=True)
     p_sea.add_argument("--kind", choices=("steinhaus", "pascal", "both"), default="both")
     p_sea.add_argument("--k-verify", type=non_negative_int, default=0,
-                       help="re-verify every witness by direct extraction up to this multiplier")
-    p_sea.add_argument("--jobs", type=positive_int, default=1)
+                       help="re-verify every witness by direct extraction up to this multiplier "
+                       "(refused when K*p + p - 1 exceeds the triangle size bound)")
+    p_sea.add_argument("--jobs", type=positive_int, default=1, help="one per class and CPU at most")
     add_common(p_sea)
     p_sea.set_defaults(func=_cmd_search)
 

@@ -47,12 +47,21 @@ def orbit_rows(x: ResidueTuple) -> Iterator[ResidueTuple]:
         x = derive_tuple(x)
 
 
-def _rotl_bits(bits: int, p: int) -> int:
-    return ((bits << 1) | (bits >> (p - 1))) & ((1 << p) - 1)
+def _rotate(v: int, k: int, bits: int) -> int:
+    """The low bits of v rotated k places up."""
+    return ((v & (1 << (bits - k)) - 1) << k) | ((v >> (bits - k)) & (1 << k) - 1)
 
 
 def _derive_bits(bits: int, p: int) -> int:
-    return bits ^ _rotl_bits(bits, p)
+    return bits ^ _rotate(bits, 1, p)
+
+
+def _bit_rows(bits: int, p: int) -> Iterator[int]:
+    """The p-bit tuple, its derivative, ... without end: the bit-level twin
+    of orbit_rows and the one loop that derives bits.  Read with islice."""
+    while True:
+        yield bits
+        bits = _derive_bits(bits, p)
 
 
 def _reverse_bits(bits: int, p: int) -> int:
@@ -179,6 +188,21 @@ def xor_span(vectors: Sequence[int]) -> list[int]:
     return table
 
 
+class _Gf2Map:
+    """A GF(2)-linear map on d-bit vectors, given by the images of the d unit
+    vectors and applied with two XOR tables: ``low`` spans the first (d+1)//2
+    images and is indexed by the low bits of the argument, ``high`` the rest."""
+
+    def __init__(self, columns: list[int]):
+        self.half = (len(columns) + 1) // 2
+        self.low_mask = (1 << self.half) - 1
+        self.low = xor_span(columns[: self.half])
+        self.high = xor_span(columns[self.half :])
+
+    def __call__(self, x: int) -> int:
+        return self.low[x & self.low_mask] ^ self.high[x >> self.half]
+
+
 @lru_cache(maxsize=None)
 def periodic_tuple_bits(p: int) -> tuple[int, ...]:
     """All bitmasks of p-tuples generating p-periodic orbits (the kernel span).
@@ -250,12 +274,8 @@ def build_period_grid(x: ResidueTuple) -> PeriodGrid:
         raise EmptyTuple("cannot build a grid from an empty tuple")
     if p > PERIOD_LIMIT:
         raise TooLarge(f"period {p} exceeds the bound {PERIOD_LIMIT}")
-    rows = []
-    row = x.bits
-    for _ in range(p):
-        rows.append(row)
-        row = _derive_bits(row, p)
-    if row != rows[0]:
+    rows = list(islice(_bit_rows(x.bits, p), p + 1))
+    if rows.pop() != rows[0]:
         raise NotPeriodic(f"{x} does not generate a {p}-periodic orbit")
     return PeriodGrid(p, tuple(rows))
 
@@ -308,9 +328,19 @@ class AnchorFields:
         """Fieldwise minimum of a and b: each field of a + b stays below 2^w."""
         return a + b - self.maximum(a, b)
 
-    def first(self, hits: int) -> int:
-        """Index i0*q + j0 of the lowest field whose guard bit is set in hits."""
-        return ((hits & -hits).bit_length() - 1) // self.w
+    def first(self, hits: int, di: int = 0, dj: int = 0) -> int:
+        """Index i0*q + j0 of the lowest field whose guard bit is set in hits
+        once every field (i0, j0) has moved to (i0+di, j0+dj) mod q: the rows
+        rotate as one int, then only the lowest non-empty row by dj."""
+        q, row_shift = self.q, self.row_shift
+        if di % q:
+            hits = _rotate(hits, di % q * row_shift, self.width)
+        k = ((hits & -hits).bit_length() - 1) // self.w
+        if dj % q:
+            i = k // q
+            row = _rotate(hits >> i * row_shift, dj % q * self.w, row_shift)
+            k = i * q + ((row & -row).bit_length() - 1) // self.w
+        return k
 
     def triangle_counts(self, rows: Sequence[int], kind: Orientation) -> Iterator[tuple[int, int]]:
         """Packed (total_n, edge_n) for n = 1, 2, ...: at every anchor, the

@@ -44,8 +44,6 @@ class RenderSpec:
 
 def default_palette(modulus: int) -> dict[int, tuple[int, int, int]]:
     """Residue 0 renders white, the top residue black, the rest evenly gray."""
-    if modulus == 2:
-        return {0: (255, 255, 255), 1: (0, 0, 0)}
     return {
         x: (round(255 * (1 - x / (modulus - 1))),) * 3 for x in range(modulus)
     }

@@ -18,6 +18,7 @@ rule (_accepts); each grid counts its period's ones once.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -27,6 +28,7 @@ from .core import (
     Orientation,
     ResidueTuple,
     Triangle,
+    check_triangle_size,
     is_balanced,
     multiplicity,  # unused here; perfbench/workloads.py traces it as search.multiplicity
 )
@@ -247,10 +249,12 @@ def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
     """Independent check of a certificate: for every k up to max_multiplier,
     count the ones of the triangle of size kp + r directly (triangle_ones)
     and require it balanced.  Reads neither the certificate's counts nor the
-    packed counts of the remainder scan."""
+    packed counts of the remainder scan.  TooLarge when the largest triangle
+    any remainder could need, of size max_multiplier*p + p - 1, is too large."""
     if max_multiplier < 1:
         raise ValueError("need at least one multiplier")
     grid = build_period_grid(cert.generator)
+    check_triangle_size(max_multiplier * grid.p + grid.p - 1)
     i0, j0 = cert.position
     for k in range(max_multiplier + 1):
         n = k * grid.p + cert.remainder
@@ -284,11 +288,6 @@ class RemainderSet:
         return len(self.witnesses)
 
 
-def _rotate(v: int, k: int, bits: int) -> int:
-    """The low bits of v rotated k places up."""
-    return ((v & (1 << (bits - k)) - 1) << k) | ((v >> (bits - k)) & (1 << k) - 1)
-
-
 @lru_cache(maxsize=2)  # the callers ask for both kinds of one tuple in turn
 def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
     """First accepting anchor i0*p + j0 per achievable remainder of each kind,
@@ -319,12 +318,7 @@ def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
         hits = fields.equal(band, band_half) & corner
         if hits:
             steinhaus[r] = fields.first(hits)
-            # the Pascal hits of p-1-r are these moved by (r+1, r): rotate the
-            # rows as one int, then the lowest non-empty row by its columns
-            moved = _rotate(hits, (r + 1) * fields.row_shift, fields.width)
-            i = fields.first(moved) // p
-            row = _rotate(moved >> i * fields.row_shift, r * fields.w, fields.row_shift)
-            pascal[p - 1 - r] = i * p + fields.first(row)
+            pascal[p - 1 - r] = fields.first(hits, r + 1, r)  # the Pascal hits of p-1-r
     return {Orientation.STEINHAUS: steinhaus, Orientation.PASCAL: pascal}
 
 
@@ -388,14 +382,15 @@ def _search_one_class(rep: ResidueTuple) -> tuple[RemainderSet, RemainderSet]:
 
 def full_search(p: int, jobs: int = 1) -> SearchReport:
     """Remainder sets (both kinds) for every balanced-period class of the
-    given period.  ``jobs`` > 1 splits the classes across worker processes;
-    the report is identical either way."""
+    given period, split across min(jobs, classes, CPUs) worker processes
+    when that exceeds 1; the report is identical either way."""
     classes = balanced_period_classes(p)
     tasks = [cls.representative for cls in classes]
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_search_one_class, tasks))
     else:
         results = [_search_one_class(task) for task in tasks]

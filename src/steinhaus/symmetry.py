@@ -17,20 +17,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 from .core import ResidueTuple
 from .errors import TooLarge
 from .orbits import (
     KERNEL_ENUM_LIMIT,
     Gf2Matrix,
+    _bit_rows,
     _derive_bits,
+    _Gf2Map,
     _reverse_bits,
-    _rotl_bits,
+    _rotate,
     build_period_grid,
     gf2_kernel_basis,
     periodic_tuple_bits,  # unused here; perfbench/workloads.py traces it by this name
     wendt_matrix,
-    xor_span,
 )
 
 
@@ -147,36 +149,18 @@ def reflect_i(x: ResidueTuple) -> ResidueTuple:
 
 
 def _rotate_r_bits(bits: int, p: int) -> int:
-    out = 0
-    for i in range(p):
-        out |= ((bits >> (p - 1)) & 1) << i
-        bits = _derive_bits(bits, p)
-    return out
+    # column p-1 of orbit rows 0..p-1, read downward
+    return sum(((row >> (p - 1)) & 1) << i for i, row in enumerate(islice(_bit_rows(bits, p), p)))
 
 
 def _generator_images(bits: int, p: int) -> tuple[int, int, int, int]:
     # images under t(-1,0) (= derivation), t(0,1) (= cyclic shift), r and i
     return (
         _derive_bits(bits, p),
-        _rotl_bits(bits, p),
+        _rotate(bits, 1, p),
         _rotate_r_bits(bits, p),
         _reverse_bits(bits, p),
     )
-
-
-class _Gf2Map:
-    """A GF(2)-linear map on d-bit coordinate vectors, given by the images of
-    the d unit vectors and applied with two XOR tables: one indexed by the
-    low half of the argument's bits, one by the high half."""
-
-    def __init__(self, columns: list[int]):
-        self.half = len(columns) // 2
-        self.low_mask = (1 << self.half) - 1
-        self.low = xor_span(columns[: self.half])
-        self.high = xor_span(columns[self.half :])
-
-    def __call__(self, x: int) -> int:
-        return self.low[x & self.low_mask] ^ self.high[x >> self.half]
 
 
 class _KernelCoordinates:

@@ -298,6 +298,7 @@ def _request_id(value):
         (("search", "--p", "28"), "kernel dimension 24 exceeds 20"),
         (("search", "--p", "5000"), "period 5000 exceeds the bound"),
         (("search", "--p", "2028"), "remainder scan of period 2028 exceeds the work bound"),
+        (("search", "--p", "24", "--k-verify", "100000"), "triangle of size 2400023 exceeds the bound"),
         (("triangle", "--seed-tuple", "0" * 3000), "triangle of size 3000 exceeds the bound"),
         (("triangle", "--left", "1" * 3000, "--right", "1" * 3000), "triangle of size 3000 exceeds"),
         (("triangle", "--seed-tuple", "0110", "--modulus", "1000000000"), "modulus 1000000000 exceeds"),

@@ -50,7 +50,7 @@ from steinhaus.orbits import (
     AnchorFields,
     PeriodGrid,
     _derive_bits,
-    _rotl_bits,
+    _rotate,
     orbit_rows,
     periodic_tuple_bits,
 )
@@ -357,6 +357,10 @@ def test_anchor_fields_comparisons_match_field_loop(data):
     hits = fields.at_most(pack(a), target)
     if hits:
         assert fields.first(hits) == min(k for k, x in enumerate(a) if x <= target)
+        # every field (i0, j0) moved to (i0+di, j0+dj) mod q, field by field
+        di, dj = data.draw(st.integers(-2 * q, 2 * q)), data.draw(st.integers(-2 * q, 2 * q))
+        moved = [((k // q + di) % q) * q + (k % q + dj) % q for k, x in enumerate(a) if x <= target]
+        assert fields.first(hits, di, dj) == min(moved)
 
 
 @lru_cache(maxsize=None)
@@ -390,7 +394,7 @@ def _image_by_generators(x, u, v, alpha, beta):
     for _ in range(-u % p):
         bits = _derive_bits(bits, p)
     for _ in range(v % p):
-        bits = _rotl_bits(bits, p)
+        bits = _rotate(bits, 1, p)
     image = ResidueTuple.from_bits(bits, p)
     for _ in range(alpha):
         image = rotate_r(image)

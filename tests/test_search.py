@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import random
 
@@ -155,6 +156,14 @@ def test_block_multiplicities_of_main_witness(rep9):
     assert cert.band.counts == (222, 222)
     assert cert.period.counts == (288, 288)
     assert oracle_verify_family(cert, 4)
+
+
+def test_oracle_refuses_multipliers_past_the_triangle_bound(rep9):
+    # K*p + p - 1 = 2039 at K = 84 and 2063 at K = 85, against the bound 2048
+    cert = check_steinhaus_family(rep9, 6, 9, 6)
+    assert oracle_verify_family(cert, 84)
+    with pytest.raises(TooLarge, match="triangle of size 2063 exceeds the bound 2048"):
+        oracle_verify_family(cert, 85)
 
 
 def test_corrupted_certificate_fails_oracle(rep9):
@@ -430,6 +439,31 @@ def test_full_search_p12_all_empty():
 def test_full_search_jobs_equivalence():
     # p = 24, where the classes have non-empty remainder sets to merge
     assert full_search(24, jobs=2) == full_search(24, jobs=1)
+
+
+@pytest.mark.parametrize("cpus,workers", [(4, 4), (64, 17), (None, None)])
+def test_full_search_caps_the_worker_count(report24, monkeypatch, cpus, workers):
+    """jobs is capped by the CPUs and by the 17 classes at p = 24; one worker
+    runs serially.  The fake pool maps in process, so no process starts."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    assert full_search(24, jobs=10 ** 6) == report24
+    assert started == ([workers] if workers else [])
 
 
 def test_balanced_triangle_of_size(report24):
