@@ -252,6 +252,13 @@ class PeriodGrid:
         return tuple(self.row_entries(i) for i in range(self.p))
 
     @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """columns[j] packs orbit column j LSB-first, bit i the cell (i, j):
+        the transposed rows, read as strings (row p-1 first) and zipped."""
+        bits = [format(row, f"0{self.p}b") for row in reversed(self.rows)]
+        return tuple(int("".join(column), 2) for column in zip(*bits))[::-1]
+
+    @cached_property
     def ones(self) -> int:
         """Ones in the p-by-p period, counted once per (cached) grid."""
         return sum(row.bit_count() for row in self.rows)

@@ -8,12 +8,18 @@ two counts must be equal), and the p-by-p period itself.  This holds only
 when p is divisible by 4.  The module scans all (position, remainder) pairs
 per orbit class, collects the achievable remainders with witnesses, and
 emits certificates that an independent oracle re-verifies by counting each
-triangle straight from the grid rows with masked popcounts.  The scan counts
+triangle straight from the grid with masked popcounts.  The scan counts
 the triangles of all p^2 anchors at once, each anchor a bit field of one
 packed int (orbits.AnchorFields), of one kind: the Pascal witnesses follow
-by duality (dual_position).  A single certificate counts its corner and band
-by the oracle's triangle_ones.  Both test the counts against one acceptance
-rule (_accepts); each grid counts its period's ones once.
+by duality (dual_position).  Certificates and the oracle count a triangle
+line by line (_line_counts): Pascal line t is grid row i0+t read from
+column j0, Steinhaus line t grid column j0+t read from row i0, each masked
+to its t+1 cells.  No line depends on the triangle's size, so the ones of
+every size up to n are the prefix sums of one stream of n popcounts
+(_ones_prefix): a certificate reads its corner and band from one prefix,
+the oracle every size kp + r from another of its own.  Both test the
+counts against one acceptance rule (_accepts); each grid counts its
+period's ones once.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, chain, cycle, islice
+from operator import and_
+from typing import Iterable, Iterator
 
 from .core import (
+    TRIANGLE_SIZE_LIMIT,
     MultiplicityTable,
     Orientation,
     ResidueTuple,
@@ -197,8 +206,8 @@ def check_family(
     grid = build_period_grid(x)
     if 2 * grid.ones != p * p:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
-    corner = triangle_ones(grid, i0, j0, r, kind)
-    band = triangle_ones(grid, i0, j0, p + r, kind) - corner
+    ones = _ones_prefix(grid, i0, j0, p + r, kind)
+    corner, band = ones[r], ones[p + r] - ones[r]
     if not _accepts(corner, band, p, r):
         return None
     return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, corner, band)
@@ -222,45 +231,72 @@ def family_accepts(
     return check_family(x, i0, j0, r, kind) is not None
 
 
+# _LINE_MASKS[t] = 2^(t+1) - 1 keeps the t+1 cells of line t: one table, grown
+# to the largest size counted so far up to TRIANGLE_SIZE_LIMIT, never one per size
+_LINE_MASKS = [1]
+
+
+def _line_masks(n: int) -> Iterable[int]:
+    """At least n masks, of lines 0, 1, ...: the table, grown first to
+    min(n, TRIANGLE_SIZE_LIMIT) entries, then masks made on the fly."""
+    table = _LINE_MASKS
+    if len(table) < n:
+        table.extend((2 << t) - 1 for t in range(len(table), min(n, TRIANGLE_SIZE_LIMIT)))
+        if len(table) < n:
+            return chain(table, ((2 << t) - 1 for t in range(len(table), n)))
+    return table
+
+
+def _line_counts(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> Iterator[int]:
+    """Ones of lines 0..n-1 of the triangles of the given kind anchored at
+    orbit position (i0, j0); line t holds the t+1 cells that growing the
+    size-t triangle to size t+1 adds, and none depends on the size: for
+    Pascal it is orbit row i0+t read from column j0 on, for Steinhaus orbit
+    column j0+t read from row i0 on (the Pascal line of the transposed grid
+    with the anchor swapped).  Each line is popcounted straight from the
+    grid: rotated to the anchor, repeated out to n bits, masked."""
+    p = grid.p
+    if kind is Orientation.STEINHAUS:
+        lines, start, s = grid.columns, j0 % p, i0 % p
+    else:
+        lines, start, s = grid.rows, i0 % p, j0 % p
+    # enough copies of a line side by side to read bits s..s+n-1 of it at once
+    copies = sum(1 << (k * p) for k in range(-(-(s + n) // p)))
+    rotated = [(line * copies) >> s for line in (lines[start:] + lines[:start])[:n]]
+    return map(int.bit_count, map(and_, islice(cycle(rotated), n), _line_masks(n)))
+
+
+def _ones_prefix(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> list[int]:
+    """Entry m is the ones of the size-m triangle of the given kind anchored
+    at (i0, j0), for m = 0..n: the prefix sums of one line-count stream."""
+    return list(accumulate(_line_counts(grid, i0, j0, n, kind), initial=0))
+
+
 def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> int:
     """Ones in the size-n triangle of the given kind anchored at orbit
-    position (i0, j0), counted row by row: row i of the triangle is orbit
-    row i0+i read n bits from column j0 on, masked to the triangle's cells
-    (kind.columns(i, n)) before its popcount.  The mask comes from its own
-    kind test, not from a kind.columns call per row: the oracle and the
-    certificates run this loop for every row they count."""
+    position (i0, j0): the sum of its n line counts (_line_counts), rows
+    for Pascal and columns for Steinhaus."""
     if n < 0:
         raise ValueError("size must be non-negative")
-    p = grid.p
-    s, start = j0 % p, i0 % p
-    # enough copies of a row side by side to read columns s..s+n-1 of it at once
-    copies = sum(1 << (k * p) for k in range(-(-(s + n) // p)))
-    width = (1 << n) - 1
-    rows = (grid.rows[start:] + grid.rows[:start])[:n]  # orbit row i0+p repeats row i0
-    lines = [((row * copies) >> s) & width for row in rows]
-    steinhaus = kind is Orientation.STEINHAUS
-    ones = 0
-    for i in range(n):
-        ones += (lines[i % p] >> i if steinhaus else lines[i % p] & (2 << i) - 1).bit_count()
-    return ones
+    return sum(_line_counts(grid, i0, j0, n, kind))
 
 
 def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
     """Independent check of a certificate: for every k up to max_multiplier,
-    count the ones of the triangle of size kp + r directly (triangle_ones)
-    and require it balanced.  Reads neither the certificate's counts nor the
-    packed counts of the remainder scan.  TooLarge when the largest triangle
-    any remainder could need, of size max_multiplier*p + p - 1, is too large."""
+    require the triangle of size kp + r balanced, its ones read from one
+    prefix of line counts of length max_multiplier*p + r that this call
+    derives afresh from the grid (_ones_prefix).  Reads neither the
+    certificate's counts nor the packed counts of the remainder scan.
+    TooLarge when the largest triangle any remainder could need, of size
+    max_multiplier*p + p - 1, is too large."""
     if max_multiplier < 1:
         raise ValueError("need at least one multiplier")
     grid = build_period_grid(cert.generator)
-    check_triangle_size(max_multiplier * grid.p + grid.p - 1)
+    p, r = grid.p, cert.remainder
+    check_triangle_size(max_multiplier * p + p - 1)
     i0, j0 = cert.position
-    for k in range(max_multiplier + 1):
-        n = k * grid.p + cert.remainder
-        if abs(n * (n + 1) // 2 - 2 * triangle_ones(grid, i0, j0, n, cert.kind)) > 1:
-            return False
-    return True
+    ones = _ones_prefix(grid, i0, j0, max_multiplier * p + r, cert.kind)
+    return all(abs(n * (n + 1) // 2 - 2 * ones[n]) <= 1 for n in range(r, len(ones), p))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from steinhaus import (
     wendt_matrix,
 )
 from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_steinhaus
+from steinhaus.core import TRIANGLE_SIZE_LIMIT
 from steinhaus.modm import (
     ApFamilySpec,
     SizeWitness,
@@ -57,6 +58,7 @@ from steinhaus.orbits import (
 from steinhaus.search import (
     _accepts,
     _first_anchors,
+    _ones_prefix,
     balanced_period_classes,
     extract_block,
     remainder_set,
@@ -433,6 +435,22 @@ def test_oracle_popcount_matches_extraction(data):
     assert triangle_ones(grid, i0, j0, n, kind) == expected
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_line_count_prefix_matches_extraction_at_every_size(data):
+    """Entry m of the one line-count prefix is the ones of the size-m
+    triangle, for every m up to n: no size reads another size's lines."""
+    p = 24
+    grid = build_period_grid(
+        ResidueTuple.from_string(data.draw(st.sampled_from(BALANCED_REPRESENTATIVES_24)))
+    )
+    kind = data.draw(st.sampled_from(list(Orientation)))
+    i0, j0 = data.draw(st.integers(-p, 2 * p)), data.draw(st.integers(-p, 2 * p))
+    n = data.draw(st.integers(0, 5 * p))
+    expected = [multiplicity(extract_block(grid, i0, j0, m, kind)).counts[1] for m in range(n + 1)]
+    assert _ones_prefix(grid, i0, j0, n, kind) == expected
+
+
 def _line_prefixes(rows, kind, residue):
     """Prefix sums of the cells equal to residue along each column
     (Steinhaus) or row (Pascal) of the fundamental domain, over the line
@@ -454,6 +472,15 @@ def _profile(prefixes, kind, i0, j0, n_max):
         full, rest = divmod(n, q)
         counts.append(counts[-1] + full * pref[q] + pref[start + rest] - pref[start])
     return counts
+
+
+@pytest.mark.parametrize("kind", list(Orientation))
+def test_line_count_prefix_past_the_mask_table(rep9_grid, kind):
+    """Sizes past TRIANGLE_SIZE_LIMIT, where the line masks outgrow their
+    table, against the per-line prefix sums of the fundamental domain."""
+    n = TRIANGLE_SIZE_LIMIT + 30
+    prefixes = _line_prefixes(rep9_grid.cells, kind, 1)
+    assert _ones_prefix(rep9_grid, 7, -5, n, kind) == _profile(prefixes, kind, 7, -5, n)
 
 
 def _per_anchor_witnesses(grid, kind):

@@ -179,6 +179,37 @@ def test_corrupted_pascal_certificate_fails_oracle(rep9):
     assert not oracle_verify_family(shifted, 2)
 
 
+def _reference_balance(cert, K):
+    """Triangle k = 0..K of the certificate's family balanced, by extraction."""
+    grid = build_period_grid(cert.generator)
+    i0, j0 = cert.position
+    sizes = [k * cert.p + cert.remainder for k in range(K + 1)]
+    return [is_balanced(search.extract_block(grid, i0, j0, n, cert.kind)).balanced for n in sizes]
+
+
+def test_oracle_reads_every_size_of_its_prefix(rep9):
+    """oracle_verify_family(cert, K) for K = 1..4 against extraction, on the
+    real certificates of class 9 and on forged ones moved off their anchor;
+    some forged ones pass k = 0 and fail later, so a size read from the
+    wrong entry of the prefix shows."""
+    p = len(rep9)
+    late_rejections = 0
+    for kind in Orientation:
+        for r, i0, j0 in remainder_set(rep9, kind).witnesses:
+            cert = check_family(rep9, i0, j0, r, kind)
+            forged = [
+                dataclasses.replace(cert, position=((i0 + di) % p, (j0 + dj) % p))
+                for di, dj in ((0, 1), (1, 0), (5, 11))
+            ]
+            for candidate in [cert, *forged]:
+                balanced = _reference_balance(candidate, 4)
+                late_rejections += balanced[0] and not all(balanced)
+                for K in range(1, 5):
+                    assert oracle_verify_family(candidate, K) == all(balanced[: K + 1])
+            assert all(_reference_balance(cert, 4))
+    assert late_rejections > 0
+
+
 def test_rejections_on_doubled_class():
     y1 = R(BALANCED_REPRESENTATIVES_12[0] * 2)
     assert len(remainder_set(y1)) == 0
