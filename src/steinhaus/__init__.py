@@ -1,9 +1,10 @@
 """Balanced binary triangles under the Pascal rule mod 2.
 
 Construct Steinhaus and generalized Pascal triangles, enumerate the
-p-tuples whose orbits are fully p-periodic via the kernel of the binomial
-circulant over GF(2), reduce them under the order-6p^2 symmetry group, and
-search the reduced classes for infinite families of balanced triangles.
+p-tuples whose orbits are fully p-periodic (the kernel of the binomial
+circulant over GF(2), a cyclic code read off one polynomial gcd), reduce
+them under the order-6p^2 symmetry group, and search the reduced classes
+for infinite families of balanced triangles.
 """
 
 from .core import (

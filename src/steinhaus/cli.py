@@ -18,14 +18,18 @@ from .core import (
     multiplicity,
 )
 from .census import CENSUS_KINDS, average_census, extremal_ones_scan, triangle_count
-from .errors import SteinhausError, TooLarge
+from .errors import SteinhausError
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
     interlaced_claimed_sizes,
     interlaced_scan,
 )
-from .orbits import KERNEL_WORK_LIMIT, gf2_kernel_basis, wendt_matrix
+from .orbits import (
+    check_period,
+    gf2_kernel_basis,  # unused here; perfbench/workloads.py traces it by this name
+    kernel_generator,
+)
 from .render import RenderSpec, render_family, render_orbit
 from .search import (
     balanced_period_classes,
@@ -130,17 +134,11 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    if args.p is not None:
-        periods = [args.p]
-    elif args.p_max * (args.p_max + 1) * (2 * args.p_max + 1) // 6 > KERNEL_WORK_LIMIT:
-        raise TooLarge(
-            f"kernel table up to p={args.p_max} exceeds the work bound {KERNEL_WORK_LIMIT}"
-        )
-    else:
-        periods = list(range(1, args.p_max + 1))
+    periods = [args.p] if args.p is not None else range(1, args.p_max + 1)
+    check_period(periods[-1])  # before the first row of a table
     rows = []
     for p in periods:
-        dim = len(gf2_kernel_basis(wendt_matrix(p)))
+        dim = kernel_generator(p)[0]
         rows.append([p, dim, 1 << dim])
     _emit_table(["p", "kernel_dim", "tuple_count"], rows, args)
     return 0
@@ -423,11 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ren.add_argument("--seed-tuple", required=True)
     p_ren.add_argument("--modulus", type=int, default=2)
     p_ren.add_argument("--window", help="orbit window I0:I1,J0:J1")
-    p_ren.add_argument("--cell-size", type=int, default=1)
+    p_ren.add_argument("--cell-size", type=positive_int, default=1)
     p_ren.add_argument("--i0", type=int, default=0)
     p_ren.add_argument("--j0", type=int, default=0)
     p_ren.add_argument("--r", type=int, default=0)
-    p_ren.add_argument("--k", type=int, default=1)
+    p_ren.add_argument("--k", type=non_negative_int, default=1)
     p_ren.add_argument("--kind", choices=("steinhaus", "pascal"), default="steinhaus")
     p_ren.add_argument("--out", required=True)
     p_ren.set_defaults(func=_cmd_render)

@@ -4,8 +4,9 @@ Deriving a p-periodic sequence yields another p-periodic sequence, so a
 p-tuple generates a doubly indexed orbit whose rows are its iterated
 derivatives, streamed by orbit_rows.  The orbit is *p-periodic* (vertically
 as well) exactly when the tuple lies in the GF(2) kernel of the circulant
-matrix of binomial coefficients C(p, .); its p-by-p fundamental domain is a
-PeriodGrid, whose line reads a row, column or diagonal of it as a tuple.
+matrix of binomial coefficients C(p, .), a cyclic code whose generator
+polynomial kernel_generator finds by one gcd; its p-by-p fundamental domain
+is a PeriodGrid, whose line reads a row, column or diagonal of it as a tuple.
 Bit-level helpers pack modulus-2 tuples LSB-first into ints.
 AnchorFields counts the ones of the triangles at every anchor of a periodic
 orbit at once, one bit field per anchor of a packed int, on the grid rows
@@ -24,11 +25,14 @@ from .errors import EmptyTuple, NotPeriodic, TooLarge
 
 # kernel dimension d above which the span and the partition's 2^d visited array are refused
 KERNEL_ENUM_LIMIT = 20
-# largest period whose circulant is row-reduced (about a second at p = 2045) or
-# whose p rows of p bits are derived into a period grid
+# largest period accepted: its p rows of p bits are derived into a period grid,
+# and every generator of a period fits one triangle (core.TRIANGLE_SIZE_LIMIT)
 PERIOD_LIMIT = 2048
-# bound on the sum of p^2 over the periods of one kernel table: p = 1..368, about 3 s
-KERNEL_WORK_LIMIT = 1 << 24
+
+
+def check_period(p: int) -> None:
+    if p > PERIOD_LIMIT:
+        raise TooLarge(f"period {p} exceeds the bound {PERIOD_LIMIT}")
 
 
 def derive_tuple(x: ResidueTuple) -> ResidueTuple:
@@ -134,11 +138,12 @@ class Gf2Matrix:
 
 def wendt_matrix(p: int) -> Gf2Matrix:
     """The p-by-p circulant of binomial parities whose row 0 is
-    (C(p,p), C(p,p-1), ..., C(p,1)) mod 2; row i is its cyclic shift by i."""
+    (C(p,p), C(p,p-1), ..., C(p,1)) mod 2; row i is its cyclic shift by i.
+    Its row-reduced kernel is the reference that systematic_basis is tested
+    against."""
     if p < 1:
         raise ValueError("period must be positive")
-    if p > PERIOD_LIMIT:
-        raise TooLarge(f"period {p} exceeds the bound {PERIOD_LIMIT}")
+    check_period(p)
     first = 0
     for j in range(p):
         if binomial_is_odd(p, p - j):
@@ -203,17 +208,65 @@ class _Gf2Map:
         return self.low[x & self.low_mask] ^ self.high[x >> self.half]
 
 
+def _gf2_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of the GF(2)[t] polynomials a and b != 0, bit k
+    the coefficient of t^k."""
+    q, top = 0, b.bit_length()
+    while (shift := a.bit_length() - top) >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+@lru_cache(maxsize=None)
+def kernel_generator(p: int) -> tuple[int, int]:
+    """The kernel dimension d and the generator h of the p-periodic tuples.
+
+    A tuple is the polynomial x(t) with bit k the coefficient of t^k, taken
+    mod t^p + 1: derivation multiplies it by 1 + t, the cyclic shift by t.
+    So x generates a p-periodic orbit exactly when f*x = 0, where
+    f = (1+t)^p + 1, whose odd binomial coefficients Lucas gives.  That
+    kernel is the cyclic code of the multiples of h = (t^p + 1)/g, where
+    g = gcd(f, t^p + 1) and d = deg g (Martin, Odlyzko and Wolfram, Commun.
+    Math. Phys. 93, 1984; MacWilliams and Sloane, ch. 7).
+    """
+    if p < 1:
+        raise ValueError("period must be positive")
+    check_period(p)
+    modulus = (1 << p) | 1  # t^p + 1
+    g, rest = modulus, sum(1 << k for k in range(1, p + 1) if binomial_is_odd(p, k))
+    while rest:  # Euclid, from rest = f
+        g, rest = rest, _gf2_divmod(g, rest)[1]
+    return g.bit_length() - 1, _gf2_divmod(modulus, g)[0]
+
+
+def systematic_basis(p: int) -> list[int]:
+    """The kernel basis read off h: vector k is t^j + (t^j mod h) for
+    j = p-d+k, a multiple of h whose only set bit among the top d is bit j.
+    Vector for vector it is gf2_kernel_basis(wendt_matrix(p)), the reduced
+    basis with the same free columns p-d .. p-1."""
+    d, h = kernel_generator(p)
+    basis, low = [], 1 << (p - d)
+    remainder = h ^ low  # t^(p-d) mod h
+    for k in range(d):
+        basis.append(low << k | remainder)
+        remainder <<= 1
+        if remainder & low:
+            remainder ^= h
+    return basis
+
+
 @lru_cache(maxsize=None)
 def periodic_tuple_bits(p: int) -> tuple[int, ...]:
     """All bitmasks of p-tuples generating p-periodic orbits (the kernel span).
 
     Entry c is the tuple whose kernel coordinates are c: the XOR of the
-    gf2_kernel_basis vectors k with bit k set in c.
+    systematic_basis vectors k with bit k set in c.
     """
-    basis = gf2_kernel_basis(wendt_matrix(p))
-    if len(basis) > KERNEL_ENUM_LIMIT:
-        raise TooLarge(f"kernel dimension {len(basis)} exceeds {KERNEL_ENUM_LIMIT}")
-    return tuple(xor_span(basis))
+    d = kernel_generator(p)[0]
+    if d > KERNEL_ENUM_LIMIT:
+        raise TooLarge(f"kernel dimension {d} exceeds {KERNEL_ENUM_LIMIT}")
+    return tuple(xor_span(systematic_basis(p)))
 
 
 def enumerate_periodic_tuples(p: int) -> list[ResidueTuple]:
@@ -279,8 +332,7 @@ def build_period_grid(x: ResidueTuple) -> PeriodGrid:
     p = len(x)
     if p == 0:
         raise EmptyTuple("cannot build a grid from an empty tuple")
-    if p > PERIOD_LIMIT:
-        raise TooLarge(f"period {p} exceeds the bound {PERIOD_LIMIT}")
+    check_period(p)
     rows = list(islice(_bit_rows(x.bits, p), p + 1))
     if rows.pop() != rows[0]:
         raise NotPeriodic(f"{x} does not generate a {p}-periodic orbit")

@@ -31,8 +31,9 @@ from .orbits import (
     _rotate,
     build_period_grid,
     gf2_kernel_basis,
+    kernel_generator,
     periodic_tuple_bits,  # unused here; perfbench/workloads.py traces it by this name
-    wendt_matrix,
+    systematic_basis,
 )
 
 
@@ -166,15 +167,11 @@ def _generator_images(bits: int, p: int) -> tuple[int, int, int, int]:
 class _KernelCoordinates:
     """The p-periodic generators in kernel coordinates.
 
-    The coordinates of a tuple are its top d bits, bits >> (p - d): bit k of
-    them is the tuple's bit at the free column of basis vector k of
-    gf2_kernel_basis, and those d free columns are p-d .. p-1.  Proof: the
-    kernel is linear and closed under the cyclic shift, so it is an ideal of
-    GF(2)[t]/(t^p + 1), generated by a divisor h of t^p + 1 of degree p - d
-    (MacWilliams and Sloane, ch. 7).  Every nonzero member, a polynomial of
-    degree < p, is a multiple of h, so its highest set bit is at least p - d.
-    Each basis vector's highest set bit is its free column, so the d free
-    columns all lie in p-d .. p-1: they are exactly those columns.
+    The coordinates of a tuple are its top d bits, bits >> (p - d), by
+    construction: basis vector k of systematic_basis has bit p-d+k as its
+    only set bit among the top d, so bit k of the coordinates of a kernel
+    member says whether vector k is in its sum.  Only d is read up front;
+    the basis is built on first use, so a refused d builds nothing.
     The four generators act linearly; ``matrices`` holds their d-by-d
     matrices as columns, each column the coordinates of a basis vector's
     image.  ``step`` packs them into one map; both are built on first use.
@@ -185,8 +182,11 @@ class _KernelCoordinates:
 
     def __init__(self, p: int):
         self.p = p
-        self.basis = gf2_kernel_basis(wendt_matrix(p))
-        self.d = len(self.basis)
+        self.d = kernel_generator(p)[0]
+
+    @cached_property
+    def basis(self) -> list[int]:
+        return systematic_basis(self.p)
 
     @cached_property
     def matrices(self) -> tuple[list[int], ...]:

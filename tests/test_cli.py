@@ -189,6 +189,12 @@ def test_render_family(tmp_path: Path):
     )
     tokens = target.read_text().split()
     assert tokens[:3] == ["P1", "30", "30"]
+    # --k 0 draws the remainder triangle alone
+    assert main([
+        "render", "family", "--seed-tuple", "000000101000111110001101",
+        "--i0", "6", "--j0", "9", "--r", "6", "--k", "0", "--out", str(target),
+    ]) == 0
+    assert target.read_text().split()[:3] == ["P1", "6", "6"]
 
 
 def test_render_family_rejection_exits_one(tmp_path: Path):
@@ -242,6 +248,8 @@ def test_out_flag_writes_file(tmp_path: Path):
         ("census", "--n-max", "0"),
         ("modm", "--scan", "ap", "--modulus", "5", "--n-max", "0"),
         ("modm", "--scan", "interlaced", "--modulus", "3", "--periods", "0"),
+        ("render", "orbit", "--seed-tuple", "0110", "--cell-size", "0", "--out", os.devnull),
+        ("render", "family", "--seed-tuple", "0110", "--k", "-1", "--out", os.devnull),
     ],
     ids=" ".join,
 )
@@ -291,7 +299,8 @@ def _request_id(value):
     "args,message",
     [
         (("kernel", "--p", "10000"), "period 10000 exceeds the bound"),
-        (("kernel", "--p-max", "5000"), "work bound"),
+        (("kernel", "--p-max", "5000"), "period 5000 exceeds the bound 2048"),
+        (("kernel", "--p-max", "2049"), "period 2049 exceeds the bound 2048"),
         (("classes", "--p", "5000"), "period 5000 exceeds the bound"),
         (("classes", "--p", "28"), "kernel dimension 24 exceeds 20"),
         (("classes", "--p", "56"), "kernel dimension 48 exceeds 20"),
@@ -325,9 +334,12 @@ def test_oversized_requests_are_refused(args, message):
     assert "Traceback" not in result.stderr
 
 
-def test_kernel_table_within_bounds():
+def test_kernel_table_within_bounds(capsys):
     out = run_cli("kernel", "--p-max", "36", "--format", "csv").stdout
     assert out.splitlines()[-1] == "36,8,256"
+    # the period bound is the table's only bound
+    assert main(["kernel", "--p-max", "2048", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2048,0,1"
 
 
 def test_out_into_missing_directory_exits_one(tmp_path: Path):

@@ -17,7 +17,13 @@ from steinhaus import (
     orbit_cell,
     wendt_matrix,
 )
-from steinhaus.orbits import PERIOD_LIMIT, binomial_row_mod, periodic_tuple_bits
+from steinhaus.orbits import (
+    PERIOD_LIMIT,
+    binomial_row_mod,
+    kernel_generator,
+    periodic_tuple_bits,
+    systematic_basis,
+)
 
 R = ResidueTuple.from_string
 
@@ -75,11 +81,24 @@ def test_wendt_matrix_layouts():
 def test_kernel_dimensions_table():
     got = [len(gf2_kernel_basis(wendt_matrix(p))) for p in range(1, 25)]
     assert got == KERNEL_DIMS
-    # the free columns are the top d bits (the kernel is a cyclic code), so a
-    # tuple's kernel coordinates are bits >> (p - d)
-    for p in range(1, 129):
-        basis = gf2_kernel_basis(wendt_matrix(p))
-        assert [v >> (p - len(basis)) for v in basis] == [1 << k for k in range(len(basis))]
+    assert [kernel_generator(p)[0] for p in range(1, 25)] == KERNEL_DIMS
+
+
+def test_systematic_basis_is_the_row_reduced_basis():
+    # vector for vector, so a tuple's kernel coordinates are its top d bits
+    # under either basis
+    for p in range(1, 301):
+        basis = systematic_basis(p)
+        assert basis == gf2_kernel_basis(wendt_matrix(p)), p
+        d = len(basis)
+        assert [v >> (p - d) for v in basis] == [1 << k for k in range(d)]
+
+
+def test_kernel_dimension_at_large_periods():
+    dims = {28: 24, 72: 16, 216: 16, 264: 16, 1944: 16, 1992: 16, 2028: 8, 2044: 2040, 2048: 0}
+    assert {p: kernel_generator(p)[0] for p in dims} == dims
+    # the row reduction is quick at 2044, where all but 4 columns are free
+    assert systematic_basis(2044) == gf2_kernel_basis(wendt_matrix(2044))
 
 
 def test_kernel_vectors_annihilated():
@@ -178,6 +197,8 @@ def test_period_bound():
     assert len(wendt_matrix(PERIOD_LIMIT).rows) == PERIOD_LIMIT
     with pytest.raises(TooLarge):
         wendt_matrix(PERIOD_LIMIT + 1)
+    with pytest.raises(TooLarge):
+        kernel_generator(PERIOD_LIMIT + 1)
     message = f"period {PERIOD_LIMIT + 1} exceeds the bound {PERIOD_LIMIT}"
     with pytest.raises(TooLarge, match=message):
         build_period_grid(ResidueTuple(2, (1,) + (0,) * PERIOD_LIMIT))

@@ -199,13 +199,14 @@ def test_partition_lists_no_span(p, monkeypatch):
 
 
 def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
-    """partition_classes refuses on d alone: the generator matrices of the
-    d kernel basis vectors are built only by what reads them."""
+    """partition_classes refuses on d alone: the d kernel basis vectors and
+    their generator matrices are built only by what reads them."""
 
-    def refuse(bits, p):
-        raise AssertionError(f"generator images of period {p} were built")
+    def refuse(*args):
+        raise AssertionError(f"kernel basis or generator images were built: {args}")
 
     monkeypatch.setattr(symmetry, "_generator_images", refuse)
+    monkeypatch.setattr(symmetry, "systematic_basis", refuse)
     partition_classes.cache_clear()
     try:
         with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
