@@ -13,7 +13,6 @@ from .core import (
     ResidueTuple,
     build_pascal,
     build_steinhaus,
-    check_triangle_size,
     is_balanced,
     multiplicity,
 )
@@ -34,6 +33,7 @@ from .render import RenderSpec, render_family, render_orbit
 from .search import (
     balanced_period_classes,
     check_family,
+    check_oracle_size,
     full_search,
     generator_tuple,
     oracle_verify_family,
@@ -209,7 +209,7 @@ def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
 
 def _cmd_search(args) -> int:
     if args.k_verify:  # the oracle's own bound, checked before the search starts
-        check_triangle_size(args.k_verify * args.p + args.p - 1)
+        check_oracle_size(args.p, args.k_verify)
     report = full_search(args.p, jobs=args.jobs)
     kinds = _search_kinds(args)
     certs = {}

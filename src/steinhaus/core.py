@@ -56,10 +56,10 @@ class ResidueTuple:
 
     def __post_init__(self) -> None:
         check_modulus(self.modulus)
-        entries = tuple(int(e) for e in self.entries)
-        for e in entries:
-            if not 0 <= e < self.modulus:
-                raise ValueError(f"entry {e} outside 0..{self.modulus - 1}")
+        entries = tuple(map(int, self.entries))
+        if entries and not 0 <= min(entries) <= max(entries) < self.modulus:
+            e = next(e for e in entries if not 0 <= e < self.modulus)
+            raise ValueError(f"entry {e} outside 0..{self.modulus - 1}")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -68,26 +68,19 @@ class ResidueTuple:
         text = text.strip()
         if not text:
             return cls(modulus, ())
-        if "," in text:
-            parts = tuple(int(p) for p in text.split(","))
-        else:
-            parts = tuple(int(ch) for ch in text)
-        return cls(modulus, parts)
+        return cls(modulus, tuple(map(int, text.split(",") if "," in text else text)))
 
     @classmethod
     def from_bits(cls, bits: int, length: int) -> "ResidueTuple":
-        """Unpack an LSB-first bitmask into a modulus-2 tuple."""
-        return cls(2, tuple((bits >> j) & 1 for j in range(length)))
+        """Unpack the low ``length`` bits of an LSB-first bitmask into a modulus-2 tuple."""
+        return cls.from_string(format(bits, f"0{length}b")[::-1][:length])
 
     @property
     def bits(self) -> int:
         """Entries packed LSB-first into an int (modulus 2 only)."""
         if self.modulus != 2:
             raise ValueError("bit packing requires modulus 2")
-        value = 0
-        for j, e in enumerate(self.entries):
-            value |= e << j
-        return value
+        return int(str(self)[::-1] or "0", 2)
 
     def power(self, k: int) -> "ResidueTuple":
         """The tuple concatenated with itself k times."""
@@ -105,9 +98,7 @@ class ResidueTuple:
         return self.entries[j]
 
     def __str__(self) -> str:
-        if self.modulus <= 10:
-            return "".join(str(e) for e in self.entries)
-        return ",".join(str(e) for e in self.entries)
+        return ("" if self.modulus <= 10 else ",").join(map(str, self.entries))
 
 
 @dataclass(frozen=True)

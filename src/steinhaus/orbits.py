@@ -6,7 +6,7 @@ derivatives, streamed by orbit_rows.  The orbit is *p-periodic* (vertically
 as well) exactly when the tuple lies in the GF(2) kernel of the circulant
 matrix of binomial coefficients C(p, .), a cyclic code whose generator
 polynomial kernel_generator finds by one gcd; its p-by-p fundamental domain
-is a PeriodGrid, whose line reads a row, column or diagonal of it as a tuple.
+is a PeriodGrid, whose line rotates a stored row, column or diagonal of it.
 Bit-level helpers pack modulus-2 tuples LSB-first into ints.
 AnchorFields counts the ones of the triangles at every anchor of a periodic
 orbit at once, one bit field per anchor of a packed int, on the grid rows
@@ -20,11 +20,13 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import MultiplicityTable, Orientation, ResidueTuple
+from .core import MultiplicityTable, Orientation, ResidueTuple, check_triangle_size
 from .errors import EmptyTuple, NotPeriodic, TooLarge
 
 # kernel dimension d above which the span and the partition's 2^d visited array are refused
 KERNEL_ENUM_LIMIT = 20
+# cells that detect_preperiod may derive and keep, a row counting at least 16: about 0.5 s
+PREPERIOD_WORK_LIMIT = 1 << 20
 # largest period accepted: its p rows of p bits are derived into a period grid,
 # and every generator of a period fits one triangle (core.TRIANGLE_SIZE_LIMIT)
 PERIOD_LIMIT = 2048
@@ -77,9 +79,11 @@ def binomial_is_odd(n: int, k: int) -> bool:
     return 0 <= k <= n and (k & n) == k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def binomial_row_mod(n: int, m: int) -> tuple[int, ...]:
-    """Row n of the Pascal triangle reduced mod m, built without bignums."""
+    """Row n of the Pascal triangle reduced mod m, built without bignums in
+    O(n^2) steps; TooLarge past the triangle size bound."""
+    check_triangle_size(n)
     row = (1,)
     for _ in range(n):
         row = (1,) + tuple((row[k] + row[k + 1]) % m for k in range(len(row) - 1)) + (1 % m,)
@@ -291,14 +295,20 @@ class PeriodGrid:
         return (self.rows[i % self.p] >> (j % self.p)) & 1
 
     def line(self, i: int, j: int, di: int, dj: int) -> int:
-        """The p cells (i + k*di, j + k*dj), k = 0..p-1, packed LSB-first: a
-        row, column or diagonal of the orbit read from (i, j) on."""
-        p, rows = self.p, self.rows
-        return sum(((rows[(i + k * di) % p] >> ((j + k * dj) % p)) & 1) << k for k in range(p))
+        """The p cells (i + k*di, j + k*dj), k = 0..p-1, packed LSB-first: row
+        i from column j on (step (0, 1)), column j down from row i (1, 0) or
+        the diagonal down-right from (i, j) (1, 1), a stored line rotated."""
+        p = self.p
+        if (di, dj) == (0, 1):
+            return _rotate(self.rows[i % p], -j % p, p)
+        if (di, dj) == (1, 0):
+            return _rotate(self.columns[j % p], -i % p, p)
+        if (di, dj) == (1, 1):
+            return _rotate(self.diagonals[(j - i) % p], -i % p, p)
+        raise ValueError(f"no stored line has step ({di}, {dj})")
 
     def row_entries(self, i: int) -> tuple[int, ...]:
-        bits = self.rows[i % self.p]
-        return tuple((bits >> j) & 1 for j in range(self.p))
+        return ResidueTuple.from_bits(self.rows[i % self.p], self.p).entries
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
@@ -310,6 +320,13 @@ class PeriodGrid:
         the transposed rows, read as strings (row p-1 first) and zipped."""
         bits = [format(row, f"0{self.p}b") for row in reversed(self.rows)]
         return tuple(int("".join(column), 2) for column in zip(*bits))[::-1]
+
+    @cached_property
+    def diagonals(self) -> tuple[int, ...]:
+        """diagonals[c] packs the cells (k, k+c) LSB-first, bit k from row k:
+        the columns of the rows, row k rotated down by k places."""
+        rotated = tuple(_rotate(row, -k % self.p, self.p) for k, row in enumerate(self.rows))
+        return PeriodGrid(self.p, rotated).columns
 
     @cached_property
     def ones(self) -> int:
@@ -430,13 +447,18 @@ def detect_preperiod(x: ResidueTuple) -> PreperiodReport:
     """First repetition among iterated derivatives of x.
 
     Returns the smallest i1 such that some later i2 repeats the i1-th
-    derivative, together with the cycle length i2 - i1.  Termination is
-    guaranteed: there are finitely many tuples of the given length.
+    derivative, together with the cycle length i2 - i1.  There are finitely
+    many tuples of the given length, but the cycle can be exponentially long:
+    TooLarge once the rows derived exceed PREPERIOD_WORK_LIMIT cells.
     """
     if len(x) == 0:
         raise EmptyTuple("cannot iterate an empty tuple")
+    max_rows = PREPERIOD_WORK_LIMIT // max(len(x), 16)
     seen: dict[ResidueTuple, int] = {}
-    for index, row in enumerate(orbit_rows(x)):
+    for index, row in enumerate(islice(orbit_rows(x), max_rows + 1)):
         first = seen.setdefault(row, index)
         if first != index:
             return PreperiodReport(first, index - first)
+    raise TooLarge(
+        f"no repetition among the first {max_rows + 1} derivatives of a length-{len(x)} tuple"
+    )

@@ -281,19 +281,24 @@ def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation)
     return sum(_line_counts(grid, i0, j0, n, kind))
 
 
+def check_oracle_size(p: int, max_multiplier: int) -> None:
+    """The oracle's size rule: TooLarge when the largest triangle any
+    remainder could need, of size max_multiplier*p + p - 1, is too large."""
+    check_triangle_size(max_multiplier * p + p - 1)
+
+
 def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
     """Independent check of a certificate: for every k up to max_multiplier,
     require the triangle of size kp + r balanced, its ones read from one
     prefix of line counts of length max_multiplier*p + r that this call
     derives afresh from the grid (_ones_prefix).  Reads neither the
     certificate's counts nor the packed counts of the remainder scan.
-    TooLarge when the largest triangle any remainder could need, of size
-    max_multiplier*p + p - 1, is too large."""
+    Refused by check_oracle_size before any count."""
     if max_multiplier < 1:
         raise ValueError("need at least one multiplier")
     grid = build_period_grid(cert.generator)
     p, r = grid.p, cert.remainder
-    check_triangle_size(max_multiplier * p + p - 1)
+    check_oracle_size(p, max_multiplier)
     i0, j0 = cert.position
     ones = _ones_prefix(grid, i0, j0, max_multiplier * p + r, cert.kind)
     return all(abs(n * (n + 1) // 2 - 2 * ones[n]) <= 1 for n in range(r, len(ones), p))
@@ -354,7 +359,8 @@ def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
         hits = fields.equal(band, band_half) & corner
         if hits:
             steinhaus[r] = fields.first(hits)
-            pascal[p - 1 - r] = fields.first(hits, r + 1, r)  # the Pascal hits of p-1-r
+            di, dj, s = dual_position(0, 0, r, p)
+            pascal[s] = fields.first(hits, di, dj)  # every hit moved to its dual anchor
     return {Orientation.STEINHAUS: steinhaus, Orientation.PASCAL: pascal}
 
 

@@ -113,18 +113,19 @@ def apply(g: GroupElement, x: ResidueTuple) -> ResidueTuple:
     """Image of x under g = t(u,v) r^alpha i^beta: one line of the period grid
     of x (PeriodGrid.line).  For alpha = 0, 1, 2 it is row -u from column -v
     on, column -1-v down from row -u, or the diagonal up-left from
-    (-1-u, -1-v): r turns one direction into the next.  i reads the line
-    backward.  NotPeriodic unless x generates a p-periodic orbit.
+    (-1-u, -1-v), the one down-right from (-u, -v) read backward: r turns one
+    direction into the next.  i reads the line backward.  NotPeriodic unless
+    x generates a p-periodic orbit.
     Satisfies apply(h, apply(g, x)) == apply(compose(g, h), x).
     """
     grid = build_period_grid(x)
     if g.p != grid.p:
         raise ValueError("group period does not match tuple length")
-    i, j, di, dj = ((0, 0, 0, 1), (0, -1, 1, 0), (-1, -1, -1, -1))[g.alpha]
-    i, j = i - g.u, j - g.v
-    if g.beta:  # the same cells from the last one back
-        i, j, di, dj = i - di, j - dj, -di, -dj
-    return ResidueTuple.from_bits(grid.line(i, j, di, dj), grid.p)
+    i, j, di, dj = ((0, 0, 0, 1), (0, -1, 1, 0), (0, 0, 1, 1))[g.alpha]
+    line = grid.line(i - g.u, j - g.v, di, dj)
+    if g.beta != (g.alpha == 2):
+        line = _reverse_bits(line, grid.p)
+    return ResidueTuple.from_bits(line, grid.p)
 
 
 def translate(x: ResidueTuple, u: int, v: int) -> ResidueTuple:
@@ -270,7 +271,7 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
 
     One kernel-coordinate walk per class over a visited array of the 2^d
     coordinates keeps the class's smallest lex key and size, and lists none
-    of the 2^d tuples.  Classes are sorted by representative.
+    of the 2^d tuples.  Classes are sorted by representative, the key in p binary digits.
     """
     space = _KernelCoordinates(p)
     if space.d > KERNEL_ENUM_LIMIT:  # before ``step`` builds its 2^(d/2)-entry tables
@@ -283,7 +284,7 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
         found.append((key, len(orbit)))
         start = visited.find(0, start + 1)
     found.sort()
-    return tuple(OrbitClass(ResidueTuple.from_bits(_reverse_bits(k, p), p), n) for k, n in found)
+    return tuple(OrbitClass(ResidueTuple.from_string(format(k, f"0{p}b")), n) for k, n in found)
 
 
 def burnside_class_count(p: int) -> int:

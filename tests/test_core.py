@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -123,6 +124,20 @@ def test_residue_tuple_validation_and_strings():
     assert R("0101").bits == 0b1010
     assert ResidueTuple.from_bits(0b1010, 4) == R("0101")
     assert R("01").power(3) == R("010101")
+
+
+@pytest.mark.parametrize("length", [0, 1, 24, 2048])
+def test_from_bits_and_bits_round_trip(length):
+    rng = random.Random(length)
+    for _ in range(5):
+        bits = rng.getrandbits(length)
+        x = ResidueTuple.from_bits(bits, length)
+        assert len(x) == length and x.modulus == 2
+        assert x.entries == tuple((bits >> j) & 1 for j in range(length))
+        assert x.bits == bits
+        assert str(x) == "".join(str((bits >> j) & 1) for j in range(length))
+        # bits above the length are ignored
+        assert ResidueTuple.from_bits(bits | rng.getrandbits(64) << length, length) == x
 
 
 def test_triangle_row_shape_validation():

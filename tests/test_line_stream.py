@@ -50,4 +50,5 @@ def test_the_oracle_never_reads_the_certificate_counts():
 def test_columns_are_the_grid_read_down_each_column(p):
     for cls in partition_classes(p):
         grid = build_period_grid(cls.representative)
-        assert grid.columns == tuple(grid.line(0, j, 1, 0) for j in range(p))
+        cells = [[grid.cell(i, j) for j in range(p)] for i in range(p)]
+        assert grid.columns == tuple(sum(cells[i][j] << i for i in range(p)) for j in range(p))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from expected_values import KERNEL_DIMS, ORBIT_010100, PO6_TUPLES, CLASS9_REP
@@ -17,8 +19,10 @@ from steinhaus import (
     orbit_cell,
     wendt_matrix,
 )
+from steinhaus.core import TRIANGLE_SIZE_LIMIT
 from steinhaus.orbits import (
     PERIOD_LIMIT,
+    PeriodGrid,
     binomial_row_mod,
     kernel_generator,
     periodic_tuple_bits,
@@ -202,3 +206,55 @@ def test_period_bound():
     message = f"period {PERIOD_LIMIT + 1} exceeds the bound {PERIOD_LIMIT}"
     with pytest.raises(TooLarge, match=message):
         build_period_grid(ResidueTuple(2, (1,) + (0,) * PERIOD_LIMIT))
+
+
+def _reference_line(grid, i, j, di, dj):
+    # the per-cell reader: cell (i + k*di, j + k*dj) is bit k
+    return sum(grid.cell(i + k * di, j + k * dj) << k for k in range(grid.p))
+
+
+def _grids(p):
+    # the grid of a periodic tuple and one of random rows
+    rng = random.Random(p)
+    rows = tuple(rng.getrandbits(p) for _ in range(p))
+    periodic = ResidueTuple.from_bits(periodic_tuple_bits(p)[-1], p)
+    return [build_period_grid(periodic), PeriodGrid(p, rows)]
+
+
+@pytest.mark.parametrize("p", [4, 8, 12, 24, 36, 72])
+def test_line_rotates_a_stored_line(p):
+    rng = random.Random(p)
+    anchors = [-2 * p - 3, -1, 0, 1, p - 1, p, 3 * p + 5]
+    for grid in _grids(p):
+        for di, dj in ((0, 1), (1, 0), (1, 1)):
+            for i in anchors + [rng.randrange(-5 * p, 5 * p)]:
+                for j in anchors + [rng.randrange(-5 * p, 5 * p)]:
+                    assert grid.line(i, j, di, dj) == _reference_line(grid, i, j, di, dj)
+
+
+@pytest.mark.parametrize("p", [4, 12, 24])
+def test_diagonals_pack_the_cells_k_k_plus_c(p):
+    for grid in _grids(p):
+        for c in range(p):
+            assert grid.diagonals[c] == sum(grid.cell(k, k + c) << k for k in range(p))
+
+
+@pytest.mark.parametrize("step", [(0, -1), (-1, -1), (2, 1), (0, 0)])
+def test_line_refuses_a_step_with_no_stored_line(step):
+    grid = build_period_grid(R("010100"))
+    with pytest.raises(ValueError, match="no stored line"):
+        grid.line(0, 0, *step)
+
+
+def test_detect_preperiod_refuses_past_its_work_bound():
+    # the cycle of this tuple is longer than the bound allows
+    with pytest.raises(TooLarge, match="no repetition among the first"):
+        detect_preperiod(R("1" + "0" * 36))
+
+
+def test_binomial_row_refuses_past_the_triangle_size_bound():
+    with pytest.raises(TooLarge, match=f"triangle of size {TRIANGLE_SIZE_LIMIT + 1}"):
+        binomial_row_mod(TRIANGLE_SIZE_LIMIT + 1, 3)
+    # a non-periodic mod-3 tuple reads its rows through binomial_row_mod
+    with pytest.raises(TooLarge):
+        orbit_cell(R("1201", 3), TRIANGLE_SIZE_LIMIT + 1, 0)
