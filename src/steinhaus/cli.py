@@ -17,7 +17,7 @@ from .core import (
     multiplicity,
 )
 from .census import CENSUS_KINDS, average_census, extremal_ones_scan, triangle_count
-from .errors import SteinhausError
+from .errors import SteinhausError, TooLarge
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
@@ -40,6 +40,10 @@ from .search import (
     pascal_generator_tuples,
 )
 from .symmetry import partition_classes
+
+# bound on witnesses x p, the per-witness work behind CSV, JSON and --k-verify: p = 264 reaches
+# 91% of it (CSV 2.0 s, 40 MB; JSON 3.5 s, 61 MB; --k-verify 6 --format json 7.6 s)
+WITNESS_WORK_LIMIT = 1 << 21
 
 
 def positive_int(text: str) -> int:
@@ -210,8 +214,11 @@ def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
 def _cmd_search(args) -> int:
     if args.k_verify:  # the oracle's own bound, checked before the search starts
         check_oracle_size(args.p, args.k_verify)
-    report = full_search(args.p, jobs=args.jobs)
+    report = full_search(args.p)
     kinds = _search_kinds(args)
+    n = sum(len(entry.remainders(kind)) for entry in report.classes for kind in kinds)
+    if (args.k_verify or args.format != "text") and n * args.p > WITNESS_WORK_LIMIT:
+        raise TooLarge(f"{n} witnesses of period {args.p} exceed the work bound {WITNESS_WORK_LIMIT}")
     certs = {}
     if args.k_verify or args.format == "json":
         certs = _certificates(report, kinds, args.k_verify)
@@ -395,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("--k-verify", type=non_negative_int, default=0,
                        help="re-verify every witness by direct extraction up to this multiplier "
                        "(refused when K*p + p - 1 exceeds the triangle size bound)")
-    p_sea.add_argument("--jobs", type=positive_int, default=1, help="one per class and CPU at most")
+    # no process pool is left: 1 only, so that perfbench's --jobs 1 parses
+    p_sea.add_argument("--jobs", type=positive_int, choices=(1,), default=1, help=argparse.SUPPRESS)
     add_common(p_sea)
     p_sea.set_defaults(func=_cmd_search)
 

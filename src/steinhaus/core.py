@@ -66,9 +66,7 @@ class ResidueTuple:
     def from_string(cls, text: str, modulus: int = 2) -> "ResidueTuple":
         """Parse ``'010100'`` (one digit per entry) or ``'0,11,3'`` (comma form)."""
         text = text.strip()
-        if not text:
-            return cls(modulus, ())
-        return cls(modulus, tuple(map(int, text.split(",") if "," in text else text)))
+        return cls(modulus, text.split(",") if "," in text else text)
 
     @classmethod
     def from_bits(cls, bits: int, length: int) -> "ResidueTuple":

@@ -114,12 +114,6 @@ def orbit_cell(x: ResidueTuple, i: int, j: int) -> int:
     if i >= p and is_periodic_tuple(x):
         i %= p
     e, m = x.entries, x.modulus
-    if m == 2:
-        acc = 0
-        for k in range(i + 1):
-            if (k & i) == k:
-                acc ^= e[(j - k) % p]
-        return acc
     row = binomial_row_mod(i, m)
     return sum(c * e[(j - k) % p] for k, c in enumerate(row) if c) % m
 
@@ -327,6 +321,14 @@ class PeriodGrid:
         the columns of the rows, row k rotated down by k places."""
         rotated = tuple(_rotate(row, -k % self.p, self.p) for k, row in enumerate(self.rows))
         return PeriodGrid(self.p, rotated).columns
+
+    @cached_property
+    def true_period(self) -> int:
+        """The least divisor q of p under which a shift of q rows and a shift
+        of q columns both leave the grid unchanged."""
+        p, first = self.p, self.rows[0]
+        divisors = (q for q in range(1, p + 1) if p % q == 0)
+        return next(q for q in divisors if self.rows[q % p] == first == _rotate(first, q, p))
 
     @cached_property
     def ones(self) -> int:

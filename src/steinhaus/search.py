@@ -6,25 +6,24 @@ for every k exactly when three blocks are balanced: the corner triangle of
 size r, the band of cells added by one period step (an even block, so its
 two counts must be equal), and the p-by-p period itself.  This holds only
 when p is divisible by 4.  The module scans all (position, remainder) pairs
-per orbit class, collects the achievable remainders with witnesses, and
-emits certificates that an independent oracle re-verifies by counting each
-triangle straight from the grid with masked popcounts.  The scan counts
-the triangles of all p^2 anchors at once, each anchor a bit field of one
-packed int (orbits.AnchorFields), of one kind: the Pascal witnesses follow
-by duality (dual_position).  Certificates and the oracle count a triangle
-line by line (_line_counts): Pascal line t is grid row i0+t read from
-column j0, Steinhaus line t grid column j0+t read from row i0, each masked
-to its t+1 cells.  No line depends on the triangle's size, so the ones of
-every size up to n are the prefix sums of one stream of n popcounts
+per orbit class at once, each anchor of the class's true period a bit field
+of one packed int (orbits.AnchorFields; remainder_set lifts them to p), of
+one kind: the Pascal witnesses follow by duality (dual_position).  It
+collects the achievable remainders with witnesses, and emits certificates
+that an independent oracle re-verifies by counting each triangle straight
+from the grid with masked popcounts.  Certificates and the oracle count a
+triangle line by line (_line_counts): Pascal line t is grid row i0+t read
+from column j0, Steinhaus line t grid column j0+t read from row i0, each
+masked to its t+1 cells.  No line depends on the triangle's size, so the
+ones of every size up to n are the prefix sums of one stream of n popcounts
 (_ones_prefix): a certificate reads its corner and band from one prefix,
-the oracle every size kp + r from another of its own.  Both test the
-counts against one acceptance rule (_accepts); each grid counts its
-period's ones once.
+the oracle every size kp + r from another of its own.  Both test the counts
+against one acceptance rule (_accepts); each grid counts its period's ones
+once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice
@@ -45,7 +44,7 @@ from .errors import PeriodNotDivisibleBy4, TooLarge, UnbalancedPeriod
 from .orbits import AnchorFields, PeriodGrid, build_period_grid
 from .symmetry import OrbitClass, partition_classes
 
-# bound on p^3, the packed remainder scan's work: p <= 256, ~0.5 s and ~45 MB per scan there
+# bound on q^3, the packed remainder scan's work at true period q: q <= 256, ~0.5 s and ~45 MB
 REMAINDER_WORK_LIMIT = 1 << 24
 
 
@@ -368,19 +367,28 @@ def remainder_set(
     x: ResidueTuple, kind: Orientation = Orientation.STEINHAUS
 ) -> RemainderSet:
     """Every remainder r with a balanced family in the orbit of x, with its
-    first accepting anchor in scan order (i0, then j0), from the one packed
-    scan of all p^2 anchors that serves both kinds (_first_anchors)."""
+    first accepting anchor in scan order (i0, then j0), lifted from the one
+    scan that serves both kinds (_first_anchors) of y = x[:q], q the true
+    period: r is in the set exactly when r mod q is in y's, at the same
+    anchor.  Proof: at an anchor, each q-step band of a triangle holds one
+    q-by-q period more than the one before it, so 2 ones - cells of size
+    kq + r' is a polynomial of degree <= 2 in k.  Bounded in {-1, 0, 1} on
+    the sizes kp + r = (kp/q + m)q + r', it is constant: they are balanced
+    exactly when every size kq + r' is.  (i0, j0) accepts exactly when
+    (i0 mod q, j0 mod q) does, which comes no later.  A balanced q is even
+    (ones_p = (p/q)^2 ones_q), and for q = 2 (mod 4) every band is odd."""
     p = len(x)
     _check_period(p)
-    if p ** 3 > REMAINDER_WORK_LIMIT:
-        raise TooLarge(
-            f"remainder scan of period {p} exceeds the work bound {REMAINDER_WORK_LIMIT} on p^3"
-        )
     grid = build_period_grid(x)
     if 2 * grid.ones != p * p:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
-    first = _first_anchors(grid)[kind]
-    witnesses = tuple((r, *divmod(first[r], p)) for r in sorted(first))
+    q = grid.true_period
+    if q ** 3 > REMAINDER_WORK_LIMIT:
+        raise TooLarge(
+            f"remainder scan of true period {q} exceeds the work bound {REMAINDER_WORK_LIMIT} on q^3"
+        )
+    first = _first_anchors(build_period_grid(ResidueTuple(2, x.entries[:q])))[kind]
+    witnesses = tuple((r, *divmod(first[r % q], q)) for r in range(p) if r % q in first)
     return RemainderSet(x, kind, p, witnesses)
 
 
@@ -417,30 +425,13 @@ class SearchReport:
         return tuple(c.index for c in self.classes if c.remainders(kind).full)
 
 
-def _search_one_class(rep: ResidueTuple) -> tuple[RemainderSet, RemainderSet]:
-    """Both kinds' remainder sets, Steinhaus first: one scan (_first_anchors)."""
-    return tuple(remainder_set(rep, kind) for kind in Orientation)
-
-
-def full_search(p: int, jobs: int = 1) -> SearchReport:
-    """Remainder sets (both kinds) for every balanced-period class of the
-    given period, split across min(jobs, classes, CPUs) worker processes
-    when that exceeds 1; the report is identical either way."""
-    classes = balanced_period_classes(p)
-    tasks = [cls.representative for cls in classes]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_one_class, tasks))
-    else:
-        results = [_search_one_class(task) for task in tasks]
-    entries = tuple(
-        ClassFamilySearch(k + 1, cls.representative, st, pa)
-        for k, (cls, (st, pa)) in enumerate(zip(classes, results))
-    )
-    return SearchReport(p, entries)
+def full_search(p: int) -> SearchReport:
+    """Remainder sets (both kinds) for every balanced-period class of period p."""
+    reps = [cls.representative for cls in balanced_period_classes(p)]
+    return SearchReport(p, tuple(
+        ClassFamilySearch(k + 1, rep, *(remainder_set(rep, kind) for kind in Orientation))
+        for k, rep in enumerate(reps)
+    ))
 
 
 def balanced_triangle_of_size(

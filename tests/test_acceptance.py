@@ -5,8 +5,10 @@ criteria complete.
 """
 
 import random
+import tempfile
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from expected_values import (
     BALANCED_REPRESENTATIVES_24,
@@ -53,6 +55,7 @@ from steinhaus import (
     wendt_matrix,
 )
 from steinhaus.census import triangle_count
+from steinhaus.cli import main
 from steinhaus.modm import interlaced_claimed_sizes
 from steinhaus.orbits import _derive_bits, periodic_tuple_bits
 from steinhaus.search import generator_tuple
@@ -233,3 +236,21 @@ def test_criterion_10_mod_m_checks():
             pascal = interlaced_scan(m, n_max, Orientation.PASCAL)
             for n in interlaced_claimed_sizes(m, n_max, Orientation.PASCAL):
                 assert pascal[n - 1].found, (m, n)
+
+
+def test_criterion_11_large_periods_at_their_true_period():
+    with criterion(11, "search at p = 264 and 1944, each class scanned at its true period", 3.0):
+        with tempfile.TemporaryDirectory() as scratch:
+            out = Path(scratch) / "search.txt"
+            for p, classes in ((264, 17), (1944, 17)):
+                assert main(["search", "--p", str(p), "--out", str(out)]) == 0
+                lines = out.read_text().splitlines()
+                assert lines[0] == f"balanced-period classes at p={p}: {classes}"
+                # each class repeats a p = 24 class, so it has p/24 times its remainders
+                for line, count in zip(lines[1:], REMAINDER_COUNTS_24):
+                    n = p // 24 * count
+                    assert line.endswith(f"steinhaus |R|={n}  pascal |R|={n}")
+                assert lines[-2:] == [
+                    "classes with every remainder (steinhaus): 4, 6, 7, 8, 9, 11",
+                    "classes with every remainder (pascal): 4, 6, 7, 8, 9, 11",
+                ]

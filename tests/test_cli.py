@@ -5,11 +5,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from steinhaus.cli import main
+from steinhaus import Orientation, full_search
+from steinhaus.cli import WITNESS_WORK_LIMIT, main
 
 CLI = [sys.executable, "-m", "steinhaus.cli"]
 
@@ -140,7 +142,9 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 
 
 # command -> SHA-256 of its output bytes, frozen while a certificate still held
-# three MultiplicityTables; covers every certificate field that search prints
+# three MultiplicityTables; covers every certificate field that search prints.
+# The p = 264 and p = 2028 rows were checked against a full p^2 anchor scan of
+# each class's own grid, without the lift to its true period
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 
@@ -223,10 +227,15 @@ def test_byte_determinism():
     assert run_cli_bytes(*args) == run_cli_bytes(*args)
 
 
-def test_jobs_flag_equivalence():
-    # p = 24, where the classes have non-empty remainder sets to merge
-    args = ("search", "--p", "24", "--format", "csv")
-    assert run_cli_bytes(*args, "--jobs", "2") == run_cli_bytes(*args, "--jobs", "1")
+def test_jobs_accepts_only_one(capsys):
+    """The search has no process pool; --jobs 1 still parses, and any other
+    count is a usage error."""
+    assert main(["search", "--p", "12", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "--p", "12", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 2" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(tmp_path: Path):
@@ -306,7 +315,7 @@ def _request_id(value):
         (("classes", "--p", "56"), "kernel dimension 48 exceeds 20"),
         (("search", "--p", "28"), "kernel dimension 24 exceeds 20"),
         (("search", "--p", "5000"), "period 5000 exceeds the bound"),
-        (("search", "--p", "2028"), "remainder scan of period 2028 exceeds the work bound"),
+        (("search", "--p", "648", "--format", "csv"), "witnesses of period 648 exceed the work bound"),
         (("search", "--p", "24", "--k-verify", "100000"), "triangle of size 2400023 exceeds the bound"),
         (("triangle", "--seed-tuple", "0" * 3000), "triangle of size 3000 exceeds the bound"),
         (("triangle", "--left", "1" * 3000, "--right", "1" * 3000), "triangle of size 3000 exceeds"),
@@ -332,6 +341,29 @@ def test_oversized_requests_are_refused(args, message):
     assert result.returncode == 1
     assert result.stderr.startswith("error:") and message in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [("--format", "csv"), ("--k-verify", "1")], ids=" ".join)
+def test_witness_bound_refuses_p648_before_any_witness_work(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["search", "--p", "648", *args, "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 2
+    assert "17658 witnesses of period 648 exceed the work bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_witness_bound_accepts_p264_in_every_format(tmp_path):
+    """p = 264 has 7 194 witnesses, 91% of the bound; text output runs in
+    the search digests."""
+    report = full_search(264)
+    assert sum(len(entry.remainders(kind)) for entry in report.classes for kind in Orientation) == 7194
+    assert 7194 * 264 <= WITNESS_WORK_LIMIT
+    out = tmp_path / "out"
+    assert main(["search", "--p", "264", "--format", "csv", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7194 + 1
+    assert main(["search", "--p", "264", "--format", "json", "--k-verify", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verified_certificates"] == 7194
 
 
 def test_kernel_table_within_bounds(capsys):

@@ -126,6 +126,18 @@ def test_residue_tuple_validation_and_strings():
     assert R("01").power(3) == R("010101")
 
 
+def test_from_string_hands_the_fields_to_the_constructor():
+    """The constructor converts and validates the digits or comma fields."""
+    x = R(" 1, 2", 3)
+    assert x.entries == (1, 2) and all(type(e) is int for e in x.entries)
+    assert R(" 0110 ").entries == (0, 1, 1, 0)
+    assert R("").entries == ()
+    with pytest.raises(ValueError, match=r"^entry 2 outside 0\.\.1$"):
+        R("0120")
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        R("01a0")
+
+
 @pytest.mark.parametrize("length", [0, 1, 24, 2048])
 def test_from_bits_and_bits_round_trip(length):
     rng = random.Random(length)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from expected_values import KERNEL_DIMS, ORBIT_010100, PO6_TUPLES, CLASS9_REP
+from expected_values import BALANCED_REPRESENTATIVES_24, KERNEL_DIMS, ORBIT_010100, PO6_TUPLES, CLASS9_REP
 
 from steinhaus import (
     EmptyTuple,
@@ -147,6 +147,19 @@ def test_period_grid_rejects_non_periodic():
         build_period_grid(R("1"))
 
 
+def test_true_period_of_the_p24_classes():
+    """Classes 16 and 17 repeat every 12 and every 6 entries; the others only every 24."""
+    periods = [build_period_grid(R(rep)).true_period for rep in BALANCED_REPRESENTATIVES_24]
+    assert periods == [24] * 15 + [12, 6]
+    # repeating a tuple does not change its true period; a zero grid has true period 1
+    assert build_period_grid(R(BALANCED_REPRESENTATIVES_24[16] * 3)).true_period == 6
+    assert build_period_grid(R("0" * 12)).true_period == 1
+    # both shifts count: this tuple repeats every 5 entries but its rows only
+    # every 15, and the next one has row 5 equal to row 0 but repeats every 15
+    assert build_period_grid(R("110001100011000")).true_period == 15
+    assert build_period_grid(R("100110101111000")).true_period == 15
+
+
 def test_zero_grid():
     grid = build_period_grid(R("000000"))
     assert all(grid.cell(i, j) == 0 for i in range(6) for j in range(6))
@@ -255,6 +268,10 @@ def test_detect_preperiod_refuses_past_its_work_bound():
 def test_binomial_row_refuses_past_the_triangle_size_bound():
     with pytest.raises(TooLarge, match=f"triangle of size {TRIANGLE_SIZE_LIMIT + 1}"):
         binomial_row_mod(TRIANGLE_SIZE_LIMIT + 1, 3)
-    # a non-periodic mod-3 tuple reads its rows through binomial_row_mod
+    # a non-periodic tuple of any modulus reads its rows through binomial_row_mod
     with pytest.raises(TooLarge):
         orbit_cell(R("1201", 3), TRIANGLE_SIZE_LIMIT + 1, 0)
+    with pytest.raises(TooLarge, match=f"triangle of size {TRIANGLE_SIZE_LIMIT + 1}"):
+        binomial_row_mod(TRIANGLE_SIZE_LIMIT + 1, 2)
+    with pytest.raises(TooLarge, match="triangle of size 4000000"):
+        orbit_cell(R("1000000"), 4 * 10 ** 6, 0)

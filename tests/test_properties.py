@@ -54,6 +54,7 @@ from steinhaus.orbits import (
     _rotate,
     orbit_rows,
     periodic_tuple_bits,
+    systematic_basis,
 )
 from steinhaus.search import (
     _accepts,
@@ -552,6 +553,28 @@ def test_packed_remainder_scan_matches_per_anchor_scan(p):
         for kind in Orientation:
             expected = _per_anchor_witnesses(grid, kind)
             assert remainder_set(cls.representative, kind).witnesses == expected
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_lifted_remainder_set_matches_the_full_scan(data):
+    """remainder_set of y^k scans y's q-grid and lifts; the reference is the
+    full scan of all p^2 anchors of y^k's own grid.  y is a random balanced
+    kernel tuple of true period q, drawn by its kernel coordinates."""
+    q, k = data.draw(st.sampled_from([24, 28])), data.draw(st.sampled_from([2, 3]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    basis = systematic_basis(q)
+    while True:
+        bits = reduce(xor, (b for b in basis if rng.random() < 0.5), 0)
+        grid = build_period_grid(ResidueTuple.from_bits(bits, q))
+        if 2 * grid.ones == q * q and grid.true_period == q:
+            break
+    x = ResidueTuple.from_bits(bits, q).power(k)
+    full = _first_anchors(build_period_grid(x))
+    for kind in Orientation:
+        first = full[kind]
+        expected = tuple((r, *divmod(first[r], q * k)) for r in sorted(first))
+        assert remainder_set(x, kind).witnesses == expected
 
 
 @given(data=st.data())

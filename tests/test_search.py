@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import random
 
@@ -257,9 +256,43 @@ def test_search_and_certificates_never_recount_the_period(rep9, monkeypatch):
 
 def test_remainder_scan_bound():
     assert 216 ** 3 <= 256 ** 3 <= REMAINDER_WORK_LIMIT
-    # refused before the grid is built, so the tuple need not be periodic
-    with pytest.raises(TooLarge):
+    # the bound reads the true period off the grid, so the grid and its
+    # balance are checked first
+    with pytest.raises(UnbalancedPeriod):
         remainder_set(R("0" * 260))
+
+
+def test_remainder_scan_bound_reads_the_true_period(monkeypatch):
+    """A p = 72 class of true period 24 is bounded by 24^3, not 72^3."""
+    x = full_search(72).classes[8].class_rep
+    assert build_period_grid(x).true_period == 24
+    monkeypatch.setattr(search, "REMAINDER_WORK_LIMIT", 24 ** 3 - 1)
+    with pytest.raises(TooLarge, match="true period 24 exceeds the work bound"):
+        remainder_set(x)
+    monkeypatch.setattr(search, "REMAINDER_WORK_LIMIT", 24 ** 3)
+    assert len(remainder_set(x)) == 72
+
+
+def test_lifted_witnesses_at_p72_are_the_p24_witnesses(report24):
+    """Each p = 72 class repeats a p = 24 class (its first 24 entries), and
+    each of its witnesses (r, i0, j0) is that class's witness of r mod 24,
+    as the p = 24 search digests freeze it."""
+    witnesses24 = {
+        (str(entry.class_rep), kind): {r: (i0, j0) for r, i0, j0 in entry.remainders(kind).witnesses}
+        for entry in report24.classes
+        for kind in Orientation
+    }
+    report72 = full_search(72)
+    assert len(report72.classes) == len(report24.classes)
+    for entry in report72.classes:
+        y = str(entry.class_rep)[:24]
+        assert str(entry.class_rep) == y * 3
+        for kind in Orientation:
+            expected = witnesses24[y, kind]
+            rset = entry.remainders(kind)
+            assert len(rset) == 3 * len(expected)
+            for r, i0, j0 in rset.witnesses:
+                assert (i0, j0) == expected[r % 24]
 
 
 def test_pascal_dual_witness_rows_accept(rep9):
@@ -465,36 +498,6 @@ def test_full_search_p12_all_empty():
     report = full_search(12)
     assert report.remainder_counts(Orientation.STEINHAUS) == (0, 0)
     assert report.remainder_counts(Orientation.PASCAL) == (0, 0)
-
-
-def test_full_search_jobs_equivalence():
-    # p = 24, where the classes have non-empty remainder sets to merge
-    assert full_search(24, jobs=2) == full_search(24, jobs=1)
-
-
-@pytest.mark.parametrize("cpus,workers", [(4, 4), (64, 17), (None, None)])
-def test_full_search_caps_the_worker_count(report24, monkeypatch, cpus, workers):
-    """jobs is capped by the CPUs and by the 17 classes at p = 24; one worker
-    runs serially.  The fake pool maps in process, so no process starts."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    assert full_search(24, jobs=10 ** 6) == report24
-    assert started == ([workers] if workers else [])
 
 
 def test_balanced_triangle_of_size(report24):
