@@ -323,14 +323,6 @@ class PeriodGrid:
         return PeriodGrid(self.p, rotated).columns
 
     @cached_property
-    def true_period(self) -> int:
-        """The least divisor q of p under which a shift of q rows and a shift
-        of q columns both leave the grid unchanged."""
-        p, first = self.p, self.rows[0]
-        divisors = (q for q in range(1, p + 1) if p % q == 0)
-        return next(q for q in divisors if self.rows[q % p] == first == _rotate(first, q, p))
-
-    @cached_property
     def ones(self) -> int:
         """Ones in the p-by-p period, counted once per (cached) grid."""
         return sum(row.bit_count() for row in self.rows)
@@ -342,20 +334,36 @@ class PeriodGrid:
         return {"p": self.p, "cells": [list(self.row_entries(i)) for i in range(self.p)]}
 
 
+def _grid_bits(x: ResidueTuple) -> tuple[int, int]:
+    """x packed and its length p, refused unless x can head a period grid."""
+    if x.modulus != 2:
+        raise ValueError("period grids are defined for modulus 2")
+    if not x.entries:
+        raise EmptyTuple("cannot build a grid from an empty tuple")
+    check_period(len(x))
+    return x.bits, len(x)
+
+
 @lru_cache(maxsize=512)
 def build_period_grid(x: ResidueTuple) -> PeriodGrid:
     """Fundamental domain of the orbit of x; raises NotPeriodic when row p
     of the orbit differs from row 0."""
-    if x.modulus != 2:
-        raise ValueError("period grids are defined for modulus 2")
-    p = len(x)
-    if p == 0:
-        raise EmptyTuple("cannot build a grid from an empty tuple")
-    check_period(p)
-    rows = list(islice(_bit_rows(x.bits, p), p + 1))
+    bits, p = _grid_bits(x)
+    rows = list(islice(_bit_rows(bits, p), p + 1))
     if rows.pop() != rows[0]:
         raise NotPeriodic(f"{x} does not generate a {p}-periodic orbit")
     return PeriodGrid(p, tuple(rows))
+
+
+def true_period(x: ResidueTuple) -> int:
+    """The least divisor q of p under which shifts of q rows and of q columns
+    leave the orbit of x unchanged: the least q <= p whose q-th derivative is x,
+    that divides p and rotates x onto itself.  Refuses as build_period_grid."""
+    bits, p = _grid_bits(x)
+    for q, row in enumerate(islice(_bit_rows(bits, p), 1, p + 1), 1):
+        if row == bits and p % q == 0 and _rotate(bits, q, p) == bits:
+            return q
+    raise NotPeriodic(f"{x} does not generate a {p}-periodic orbit")
 
 
 class AnchorFields:

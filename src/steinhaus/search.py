@@ -41,7 +41,7 @@ from .core import (
     multiplicity,  # unused here; perfbench/workloads.py traces it as search.multiplicity
 )
 from .errors import PeriodNotDivisibleBy4, TooLarge, UnbalancedPeriod
-from .orbits import AnchorFields, PeriodGrid, build_period_grid
+from .orbits import AnchorFields, PeriodGrid, build_period_grid, true_period
 from .symmetry import OrbitClass, partition_classes
 
 # bound on q^3, the packed remainder scan's work at true period q: q <= 256, ~0.5 s and ~45 MB
@@ -379,27 +379,28 @@ def remainder_set(
     (ones_p = (p/q)^2 ones_q), and for q = 2 (mod 4) every band is odd."""
     p = len(x)
     _check_period(p)
-    grid = build_period_grid(x)
-    if 2 * grid.ones != p * p:
+    grid = _true_period_grid(x)
+    q = grid.p
+    if 2 * grid.ones != q * q:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
-    q = grid.true_period
     if q ** 3 > REMAINDER_WORK_LIMIT:
-        raise TooLarge(
-            f"remainder scan of true period {q} exceeds the work bound {REMAINDER_WORK_LIMIT} on q^3"
-        )
-    first = _first_anchors(build_period_grid(ResidueTuple(2, x.entries[:q])))[kind]
+        raise TooLarge(f"remainder scan of true period {q} exceeds the work bound "
+                       f"{REMAINDER_WORK_LIMIT} on q^3")
+    first = _first_anchors(grid)[kind]
     witnesses = tuple((r, *divmod(first[r % q], q)) for r in range(p) if r % q in first)
     return RemainderSet(x, kind, p, witnesses)
+
+
+def _true_period_grid(x: ResidueTuple) -> PeriodGrid:
+    """The grid of x[:q], q = true_period(x), balanced exactly when x's grid is."""
+    return build_period_grid(ResidueTuple(2, x.entries[:true_period(x)]))
 
 
 def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
     """Orbit classes whose p-by-p period has equally many zeroes and ones."""
     _check_period(p)
-    return tuple(
-        cls
-        for cls in partition_classes(p)
-        if 2 * build_period_grid(cls.representative).ones == p * p
-    )
+    grids = ((cls, _true_period_grid(cls.representative)) for cls in partition_classes(p))
+    return tuple(cls for cls, grid in grids if 2 * grid.ones == grid.p * grid.p)
 
 
 @dataclass(frozen=True)
@@ -437,10 +438,11 @@ def full_search(p: int) -> SearchReport:
 def balanced_triangle_of_size(
     report: SearchReport, n: int, kind: Orientation
 ) -> Triangle:
-    """A balanced triangle of size n taken from the first class of the
-    report whose remainder set is full; verified by direct count."""
+    """A balanced triangle of size n, within the size bound, taken from the
+    first class of the report whose remainder set is full; verified by direct count."""
     if n < 1:
         raise ValueError("size must be positive")
+    check_triangle_size(n)
     p = report.p
     r = n % p
     for entry in report.classes:

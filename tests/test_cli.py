@@ -144,7 +144,9 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 # command -> SHA-256 of its output bytes, frozen while a certificate still held
 # three MultiplicityTables; covers every certificate field that search prints.
 # The p = 264 and p = 2028 rows were checked against a full p^2 anchor scan of
-# each class's own grid, without the lift to its true period
+# each class's own grid, without the lift to its true period.  The p = 1944
+# rows of search and balanced-classes were frozen while the balance filter
+# still counted every class's ones on its own p-by-p grid
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 

@@ -19,6 +19,7 @@ from steinhaus import (
     orbit_cell,
     wendt_matrix,
 )
+from steinhaus import orbits
 from steinhaus.core import TRIANGLE_SIZE_LIMIT
 from steinhaus.orbits import (
     PERIOD_LIMIT,
@@ -27,6 +28,7 @@ from steinhaus.orbits import (
     kernel_generator,
     periodic_tuple_bits,
     systematic_basis,
+    true_period,
 )
 
 R = ResidueTuple.from_string
@@ -149,15 +151,33 @@ def test_period_grid_rejects_non_periodic():
 
 def test_true_period_of_the_p24_classes():
     """Classes 16 and 17 repeat every 12 and every 6 entries; the others only every 24."""
-    periods = [build_period_grid(R(rep)).true_period for rep in BALANCED_REPRESENTATIVES_24]
+    periods = [true_period(R(rep)) for rep in BALANCED_REPRESENTATIVES_24]
     assert periods == [24] * 15 + [12, 6]
     # repeating a tuple does not change its true period; a zero grid has true period 1
-    assert build_period_grid(R(BALANCED_REPRESENTATIVES_24[16] * 3)).true_period == 6
-    assert build_period_grid(R("0" * 12)).true_period == 1
+    assert true_period(R(BALANCED_REPRESENTATIVES_24[16] * 3)) == 6
+    assert true_period(R("0" * 12)) == 1
     # both shifts count: this tuple repeats every 5 entries but its rows only
     # every 15, and the next one has row 5 equal to row 0 but repeats every 15
-    assert build_period_grid(R("110001100011000")).true_period == 15
-    assert build_period_grid(R("100110101111000")).true_period == 15
+    assert true_period(R("110001100011000")) == 15
+    assert true_period(R("100110101111000")) == 15
+
+
+def test_true_period_refuses_what_the_grid_refuses(monkeypatch):
+    with pytest.raises(EmptyTuple):
+        true_period(ResidueTuple(2, ()))
+    with pytest.raises(ValueError):
+        true_period(ResidueTuple(3, (0, 0, 0)))
+    with pytest.raises(NotPeriodic):
+        true_period(R("0010000"))
+    with pytest.raises(NotPeriodic):
+        true_period(R("1"))
+
+    def refuse(bits, p):
+        raise AssertionError("derived a tuple past the period bound")
+
+    monkeypatch.setattr(orbits, "_bit_rows", refuse)
+    with pytest.raises(TooLarge, match="period 3000 exceeds the bound"):
+        true_period(ResidueTuple(2, (0,) * 3000))
 
 
 def test_zero_grid():

@@ -55,6 +55,7 @@ from steinhaus.orbits import (
     orbit_rows,
     periodic_tuple_bits,
     systematic_basis,
+    true_period,
 )
 from steinhaus.search import (
     _accepts,
@@ -566,15 +567,44 @@ def test_lifted_remainder_set_matches_the_full_scan(data):
     basis = systematic_basis(q)
     while True:
         bits = reduce(xor, (b for b in basis if rng.random() < 0.5), 0)
-        grid = build_period_grid(ResidueTuple.from_bits(bits, q))
-        if 2 * grid.ones == q * q and grid.true_period == q:
+        y = ResidueTuple.from_bits(bits, q)
+        if 2 * build_period_grid(y).ones == q * q and true_period(y) == q:
             break
-    x = ResidueTuple.from_bits(bits, q).power(k)
+    x = y.power(k)
     full = _first_anchors(build_period_grid(x))
     for kind in Orientation:
         first = full[kind]
         expected = tuple((r, *divmod(first[r], q * k)) for r in sorted(first))
         assert remainder_set(x, kind).witnesses == expected
+
+
+def _grid_true_period(grid):
+    """The reference definition of true_period, read off the whole grid: the
+    least divisor q of p under which a shift of q rows and a shift of q
+    columns both leave the grid unchanged."""
+    p, first = grid.p, grid.rows[0]
+    divisors = (q for q in range(1, p + 1) if p % q == 0)
+    return next(q for q in divisors if grid.rows[q % p] == first == _rotate(first, q, p))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_true_period_matches_the_grid_definition(data):
+    """On random kernel tuples y, drawn by their kernel coordinates, and on
+    their powers y^k."""
+    p = data.draw(st.sampled_from([6, 12, 15, 20, 24, 28, 36, 72, 216]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    bits = reduce(xor, (b for b in systematic_basis(p) if rng.random() < 0.5), 0)
+    y = ResidueTuple.from_bits(bits, p)
+    for x in (y, y.power(data.draw(st.integers(2, 4)))):
+        assert true_period(x) == _grid_true_period(build_period_grid(x))
+
+
+@pytest.mark.parametrize("x", ["110001100011000", "100110101111000"])
+def test_true_period_matches_the_grid_definition_at_p15(x):
+    """Two tuples whose column shift and row shift repeat at different periods."""
+    x = ResidueTuple.from_string(x)
+    assert true_period(x) == _grid_true_period(build_period_grid(x)) == 15
 
 
 @given(data=st.data())

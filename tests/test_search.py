@@ -39,7 +39,8 @@ from steinhaus import (
     steinhaus_dual_position,
 )
 from steinhaus import orbits, search
-from steinhaus.errors import TooLarge
+from steinhaus.errors import EmptyTuple, NotPeriodic, TooLarge
+from steinhaus.orbits import true_period
 from steinhaus.search import REMAINDER_WORK_LIMIT, family_accepts, triangle_ones
 
 R = ResidueTuple.from_string
@@ -256,16 +257,56 @@ def test_search_and_certificates_never_recount_the_period(rep9, monkeypatch):
 
 def test_remainder_scan_bound():
     assert 216 ** 3 <= 256 ** 3 <= REMAINDER_WORK_LIMIT
-    # the bound reads the true period off the grid, so the grid and its
-    # balance are checked first
+    # the bound reads the true period off the tuple, so the tuple and the
+    # balance of its true-period grid are checked first
     with pytest.raises(UnbalancedPeriod):
         remainder_set(R("0" * 260))
+
+
+def test_remainder_set_error_contract(monkeypatch):
+    with pytest.raises(EmptyTuple):
+        remainder_set(ResidueTuple(2, ()))
+    with pytest.raises(ValueError):
+        remainder_set(ResidueTuple(3, (0,) * 4))
+    with pytest.raises(NotPeriodic):
+        remainder_set(R("1000"))
+    with pytest.raises(PeriodNotDivisibleBy4):
+        remainder_set(R("0010000"))
+    # an unbalanced period is refused before the q^3 bound, however low
+    monkeypatch.setattr(search, "REMAINDER_WORK_LIMIT", 0)
+    with pytest.raises(UnbalancedPeriod):
+        remainder_set(R("0" * 24))
+
+    def refuse(bits, p):
+        raise AssertionError("derived a tuple past the period bound")
+
+    monkeypatch.setattr(orbits, "_bit_rows", refuse)
+    with pytest.raises(TooLarge, match="period 3000 exceeds the bound"):
+        remainder_set(ResidueTuple(2, (0,) * 3000))
+
+
+def test_search_builds_only_true_period_grids(monkeypatch):
+    """Every p = 1944 class has a true period dividing 24, and the balance
+    filter and the remainder scans ask for no grid of any other tuple."""
+    lengths = []
+    build = search.build_period_grid
+
+    def recording(x):
+        lengths.append(len(x))
+        return build(x)
+
+    monkeypatch.setattr(search, "build_period_grid", recording)
+    classes = balanced_period_classes(1944)
+    assert lengths and max(lengths) <= 24
+    lengths.clear()
+    assert len(full_search(1944).classes) == len(classes)
+    assert lengths and max(lengths) <= 24
 
 
 def test_remainder_scan_bound_reads_the_true_period(monkeypatch):
     """A p = 72 class of true period 24 is bounded by 24^3, not 72^3."""
     x = full_search(72).classes[8].class_rep
-    assert build_period_grid(x).true_period == 24
+    assert true_period(x) == 24
     monkeypatch.setattr(search, "REMAINDER_WORK_LIMIT", 24 ** 3 - 1)
     with pytest.raises(TooLarge, match="true period 24 exceeds the work bound"):
         remainder_set(x)
@@ -506,3 +547,14 @@ def test_balanced_triangle_of_size(report24):
         assert tri.size == n and is_balanced(tri).balanced
         tri = balanced_triangle_of_size(report24, n, Orientation.PASCAL)
         assert tri.size == n and is_balanced(tri).balanced
+
+
+def test_balanced_triangle_of_size_is_bounded(report24, monkeypatch):
+    """A size past the triangle bound is refused before any cell is read."""
+    def refuse(*args):
+        raise AssertionError("extracted a triangle past the size bound")
+
+    monkeypatch.setattr(search, "extract_block", refuse)
+    for kind in Orientation:
+        with pytest.raises(TooLarge, match="triangle of size 2049 exceeds the bound"):
+            balanced_triangle_of_size(report24, 2049, kind)
