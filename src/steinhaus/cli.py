@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 from .core import (
@@ -17,7 +16,8 @@ from .core import (
     multiplicity,
 )
 from .census import CENSUS_KINDS, average_census, extremal_ones_scan, triangle_count
-from .errors import SteinhausError, TooLarge
+from .errors import EmptyTuple, SteinhausError, TooLarge
+from .jsonout import indented
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
@@ -25,6 +25,7 @@ from .modm import (
     interlaced_scan,
 )
 from .orbits import (
+    build_period_grid,
     check_period,
     gf2_kernel_basis,  # unused here; perfbench/workloads.py traces it by this name
     kernel_generator,
@@ -35,6 +36,8 @@ from .search import (
     check_family,
     check_oracle_size,
     full_search,
+    # generator_tuple and pascal_generator_tuples are unused here:
+    # perfbench/workloads.py traces them by these names
     generator_tuple,
     oracle_verify_family,
     pascal_generator_tuples,
@@ -97,12 +100,15 @@ def _emit_table(headers: list[str], rows: list[list], args) -> None:
 
 
 def _emit_json(payload, args) -> None:
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(indented(payload) + "\n", args.out)
 
 
 def _cmd_triangle(args) -> int:
     if args.seed_tuple is not None:
-        triangle = build_steinhaus(ResidueTuple.from_string(args.seed_tuple, args.modulus))
+        seed = ResidueTuple.from_string(args.seed_tuple, args.modulus)
+        if not seed.entries:
+            raise EmptyTuple("the seed tuple is empty")
+        triangle = build_steinhaus(seed)
     elif args.left is not None and args.right is not None:
         triangle = build_pascal(
             ResidueTuple.from_string(args.left, args.modulus),
@@ -186,12 +192,18 @@ def _search_kinds(args) -> list[Orientation]:
 
 
 def _generator_fields(kind: Orientation, x: ResidueTuple, i0: int, j0: int) -> dict:
-    """The tuples generating a witness's triangles: the row z for Steinhaus,
-    the two sides z_left and z_right for Pascal."""
+    """The tuples generating a witness's triangles, as the digits str prints
+    for generator_tuple (the row z, Steinhaus) and pascal_generator_tuples
+    (the sides z_left and z_right, Pascal): the packed grid lines they
+    unpack, formatted LSB first."""
+    grid = build_period_grid(x)
+    fmt = f"0{grid.p}b"
     if kind is Orientation.STEINHAUS:
-        return {"z": str(generator_tuple(x, i0, j0))}
-    left, right = pascal_generator_tuples(x, i0, j0)
-    return {"z_left": str(left), "z_right": str(right)}
+        return {"z": format(grid.line(i0, j0, 0, 1), fmt)[::-1]}
+    return {
+        "z_left": format(grid.line(i0, j0, 1, 0), fmt)[::-1],
+        "z_right": format(grid.line(i0, j0, 1, 1), fmt)[::-1],
+    }
 
 
 def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
@@ -250,11 +262,12 @@ def _cmd_search(args) -> int:
     if args.format == "csv":
         rows = []
         for entry in report.classes:
+            representative = str(entry.class_rep)
             for kind in kinds:
                 for r, i0, j0 in entry.remainders(kind).witnesses:
                     fields = _generator_fields(kind, entry.class_rep, i0, j0)
                     rows.append(
-                        [entry.index, str(entry.class_rep), kind.value, r, i0, j0]
+                        [entry.index, representative, kind.value, r, i0, j0]
                         + [fields.get(key, "") for key in ("z", "z_left", "z_right")]
                     )
         _emit_table(

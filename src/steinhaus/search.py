@@ -162,14 +162,17 @@ class FamilyCertificate:
         return MultiplicityTable(2, (self.p * self.p // 2,) * 2)
 
     def to_json_dict(self) -> dict:
+        """The printed record; its count pairs (zeroes, ones) are those of
+        the corner, band and period views, taken from the two counts."""
+        r, corner, band, half = self.remainder, self.corner_ones, self.band_ones, self.p * self.p // 2
         return {
             "kind": self.kind.value,
             "generator": str(self.generator),
             "position": list(self.position),
-            "remainder": self.remainder,
-            "corner_counts": list(self.corner.counts),
-            "band_counts": list(self.band.counts),
-            "period_counts": list(self.period.counts),
+            "remainder": r,
+            "corner_counts": [r * (r + 1) // 2 - corner, corner],
+            "band_counts": [band, band],
+            "period_counts": [half, half],
         }
 
 
@@ -377,10 +380,13 @@ def remainder_set(
     exactly when every size kq + r' is.  (i0, j0) accepts exactly when
     (i0 mod q, j0 mod q) does, which comes no later.  A balanced q is even
     (ones_p = (p/q)^2 ones_q), and for q = 2 (mod 4) every band is odd."""
-    p = len(x)
-    _check_period(p)
-    grid = _true_period_grid(x)
-    q = grid.p
+    _check_period(len(x))
+    return _lifted_remainder_set(x, _true_period_grid(x), kind)
+
+
+def _lifted_remainder_set(x: ResidueTuple, grid: PeriodGrid, kind: Orientation) -> RemainderSet:
+    """remainder_set of x, given the grid of x[:q] (_true_period_grid)."""
+    p, q = len(x), grid.p
     if 2 * grid.ones != q * q:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
     if q ** 3 > REMAINDER_WORK_LIMIT:
@@ -396,11 +402,16 @@ def _true_period_grid(x: ResidueTuple) -> PeriodGrid:
     return build_period_grid(ResidueTuple(2, x.entries[:true_period(x)]))
 
 
-def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
-    """Orbit classes whose p-by-p period has equally many zeroes and ones."""
+def _balanced_grids(p: int) -> list[tuple[OrbitClass, PeriodGrid]]:
+    """Each balanced-period class of period p with its true-period grid."""
     _check_period(p)
     grids = ((cls, _true_period_grid(cls.representative)) for cls in partition_classes(p))
-    return tuple(cls for cls, grid in grids if 2 * grid.ones == grid.p * grid.p)
+    return [(cls, grid) for cls, grid in grids if 2 * grid.ones == grid.p * grid.p]
+
+
+def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
+    """Orbit classes whose p-by-p period has equally many zeroes and ones."""
+    return tuple(cls for cls, _ in _balanced_grids(p))
 
 
 @dataclass(frozen=True)
@@ -427,11 +438,13 @@ class SearchReport:
 
 
 def full_search(p: int) -> SearchReport:
-    """Remainder sets (both kinds) for every balanced-period class of period p."""
-    reps = [cls.representative for cls in balanced_period_classes(p)]
+    """Remainder sets (both kinds) for every balanced-period class of period p,
+    lifted from the grid the balance filter read: one true period per class."""
     return SearchReport(p, tuple(
-        ClassFamilySearch(k + 1, rep, *(remainder_set(rep, kind) for kind in Orientation))
-        for k, rep in enumerate(reps)
+        ClassFamilySearch(k + 1, cls.representative, *(
+            _lifted_remainder_set(cls.representative, grid, kind) for kind in Orientation
+        ))
+        for k, (cls, grid) in enumerate(_balanced_grids(p))
     ))
 
 

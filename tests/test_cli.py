@@ -146,7 +146,8 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 # The p = 264 and p = 2028 rows were checked against a full p^2 anchor scan of
 # each class's own grid, without the lift to its true period.  The p = 1944
 # rows of search and balanced-classes were frozen while the balance filter
-# still counted every class's ones on its own p-by-p grid
+# still counted every class's ones on its own p-by-p grid, and the p = 216 CSV
+# row while each generator field was still str of a generator_tuple
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 
@@ -217,6 +218,21 @@ def test_validation_failure_exit_code():
     result = run_cli("triangle", "--seed-tuple", "012", check=False)
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "sides,message",
+    [(("--seed-tuple", ""), "the seed tuple is empty"),
+     (("--left", "", "--right", ""), "sides must contain at least the apex entry")],
+    ids=["seed", "sides"],
+)
+def test_empty_triangle_arguments_are_refused(sides, message, fmt, capsys):
+    """An empty argument is refused, not read as a size-0 triangle."""
+    assert main(["triangle", *sides, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_usage_error_exit_code():

@@ -34,6 +34,7 @@ from steinhaus import (
     is_balanced,
     multiplicity,
     oracle_verify_family,
+    partition_classes,
     pascal_generator_tuples,
     remainder_set,
     steinhaus_dual_position,
@@ -301,6 +302,20 @@ def test_search_builds_only_true_period_grids(monkeypatch):
     lengths.clear()
     assert len(full_search(1944).classes) == len(classes)
     assert lengths and max(lengths) <= 24
+
+
+def test_full_search_finds_each_true_period_once(monkeypatch):
+    """The scans read the grids the balance filter built: one true period
+    per class of the partition, 92 at p = 24."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return true_period(x)
+
+    monkeypatch.setattr(search, "true_period", counting)
+    full_search(24)
+    assert len(calls) == len(partition_classes(24)) == 92
 
 
 def test_remainder_scan_bound_reads_the_true_period(monkeypatch):
