@@ -1,71 +1,65 @@
 """Exhaustive censuses of small binary triangles: totals, averages, maxima.
 
-Both censuses count the ones of every triangle of a given size (2^n
-Steinhaus seeds, 2^(2n-1) Pascal triangles), so they are capped.  A whole
-triangle is packed into one int, row t at the bit offset of the rows above
-it, and rows are derived with shift/xor.  A binary triangle is GF(2)-linear
-in its free bits, so it is the XOR of the packed basis triangles of its set
-bits: a Steinhaus triangle's n seed bits, or for a size-n Pascal triangle
-the 2n-1 seed bits of the Steinhaus triangle it is the center of
-(core.embed_pascal_in_steinhaus).  orbits._Gf2Map spans the basis into a
-low and a high table; each triangle is then one high ^ low entry, counted
-by one bit_count().  CENSUS_KINDS holds all that differs per kind: the size
-bound, the basis and the closed-form maximum.
+Both count every triangle of a size (2^n Steinhaus, 2^(2n-1) Pascal), so they
+are capped.  They are bit-sliced over blocks of 2^LANE_BITS triangles: a cell
+is one int whose bit t is that cell in triangle t, derived from the free-bit
+planes by the local rule, one XOR each, and added into a bit-sliced counter,
+planes whose bit t, read down the list, is the one-count of triangle t.
+CENSUS_KINDS holds what differs per kind: size bound, free-bit count, cell
+planes and closed-form maximum.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import Orientation
 from .errors import TooLarge
-from .orbits import _Gf2Map
 
 STEINHAUS_CENSUS_LIMIT = 16
 PASCAL_CENSUS_LIMIT = 10
+LANE_BITS = 16  # a block counts 2^16 triangles, one per bit of each plane
 
 
-def packed_steinhaus(seed: int, n: int) -> int:
-    """The size-n Steinhaus triangle on the LSB-first seed row, packed:
-    row t (n - t cells) starts at bit n + (n-1) + ... + (n-t+1)."""
-    packed = 0
-    offset = 0
-    row = seed
-    for width in range(n, 0, -1):
-        packed |= row << offset
-        offset += width
-        row = (row ^ (row >> 1)) & ((1 << (width - 1)) - 1)
-    return packed
+def _lane_planes(lanes: int) -> list[int]:
+    """Plane j of 2^lanes lanes has bit t set when bit j of t is, built by
+    doubling.  Cheap next to a census, so none is kept after it."""
+    planes: list[int] = []
+    for j in range(lanes):
+        width = 1 << j
+        planes = [*(plane | plane << width for plane in planes), ((1 << width) - 1) << width]
+    return planes
 
 
-def _steinhaus_basis(n: int) -> list[int]:
-    """One packed triangle per seed bit."""
-    return [packed_steinhaus(1 << j, n) for j in range(n)]
+def _free_planes(k: int) -> Iterator[list[int]]:
+    """The k free-bit planes of each block in turn: lane t of block b is the
+    triangle whose free bits are the bits of b * 2^LANE_BITS + t."""
+    lanes = min(k, LANE_BITS)
+    low, ones = _lane_planes(lanes), (1 << (1 << lanes)) - 1
+    for block in range(1 << (k - lanes)):
+        yield [*low, *(ones if block >> j & 1 else 0 for j in range(k - lanes))]
 
 
-def _pascal_basis(n: int) -> list[int]:
-    """The centers of the size-(2n-1) Steinhaus basis: Pascal row t is the
-    t+1 bits of Steinhaus row t from column n-1, repacked at bit t(t+1)/2."""
-    w = 2 * n - 1
-    starts = [t * w - t * (t - 1) // 2 + n - 1 - t for t in range(n)]
-    return [
-        sum(((s >> start) & ((2 << t) - 1)) << (t * (t + 1) // 2)
-            for t, start in enumerate(starts))
-        for s in _steinhaus_basis(w)
-    ]
+def _steinhaus_cells(free: list[int]) -> Iterator[int]:
+    """Cell planes row by row from the n seed planes, one row alive at a time."""
+    row = list(free)
+    while row:
+        yield from row
+        for j in range(len(row) - 1):
+            row[j] ^= row[j + 1]
+        row.pop()
 
 
-def _span_census(basis: list[int]) -> tuple[int, int]:
-    """(total, maximum) one-count over all 2^len(basis) XORs of the basis."""
-    tables = _Gf2Map(basis)
-    total = 0
-    best = 0
-    for high in tables.high:
-        ones = list(map(int.bit_count, map(high.__xor__, tables.low)))
-        total += sum(ones)
-        best = max(best, max(ones))
-    return total, best
+def _pascal_cells(free: list[int]) -> Iterator[int]:
+    """Cell planes row by row from the 2n-1 free planes: the apex, then the n-1
+    further left-side and n-1 further right-side bits of core.build_pascal."""
+    n = (len(free) + 1) // 2
+    row = free[:1]
+    yield from row
+    for left, right in zip(free[1:n], free[n:]):
+        row = [left, *(a ^ b for a, b in zip(row, row[1:])), right]
+        yield from row
 
 
 def steinhaus_max_ones(n: int) -> int:
@@ -78,46 +72,60 @@ def steinhaus_max_ones(n: int) -> int:
 def pascal_max_ones(n: int) -> int:
     """Steinhaus maximum plus a correction depending on n mod 3, with the
     two exceptional sizes 1 and 8."""
-    if n == 1:
-        extra = 0
-    elif n == 8:
-        extra = 3
-    elif n % 3 == 1:
-        extra = 2
-    else:
-        extra = 1
+    extra = 0 if n == 1 else 3 if n == 8 else 2 if n % 3 == 1 else 1
     return steinhaus_max_ones(n) + extra
 
 
 class CensusKind(NamedTuple):
-    """The census of one triangle kind: its size bound, its basis (one packed
-    triangle per free bit) and the closed-form maximum of ones."""
+    """One kind's census: size bound, free-bit count, cell planes, maximum formula."""
 
     limit: int
-    basis: Callable[[int], list[int]]
+    free_bits: Callable[[int], int]
+    cells: Callable[[list[int]], Iterator[int]]
     max_ones: Callable[[int], int]
 
 
 CENSUS_KINDS = {
-    Orientation.STEINHAUS: CensusKind(STEINHAUS_CENSUS_LIMIT, _steinhaus_basis, steinhaus_max_ones),
-    Orientation.PASCAL: CensusKind(PASCAL_CENSUS_LIMIT, _pascal_basis, pascal_max_ones),
+    Orientation.STEINHAUS:
+        CensusKind(STEINHAUS_CENSUS_LIMIT, lambda n: n, _steinhaus_cells, steinhaus_max_ones),
+    Orientation.PASCAL:
+        CensusKind(PASCAL_CENSUS_LIMIT, lambda n: 2 * n - 1, _pascal_cells, pascal_max_ones),
 }
 
 
 def triangle_count(n: int, kind: Orientation) -> int:
-    """Binary triangles of size n: one per subset of the basis."""
-    return 1 << len(CENSUS_KINDS[kind].basis(n))
+    """Binary triangles of size n: one per setting of the free bits."""
+    return 1 << CENSUS_KINDS[kind].free_bits(n)
+
+
+def check_census_size(n: int, kind: Orientation) -> None:
+    if n < 1:
+        raise ValueError("census size must be positive")
+    if n > CENSUS_KINDS[kind].limit:
+        raise TooLarge(f"census of size {n} exceeds the bound {CENSUS_KINDS[kind].limit}")
 
 
 @lru_cache(maxsize=None)
 def _census(n: int, kind: Orientation) -> tuple[int, int]:
     """(total, maximum) one-count over all binary triangles of size n."""
-    if n < 1:
-        raise ValueError("census size must be positive")
-    limit = CENSUS_KINDS[kind].limit
-    if n > limit:
-        raise TooLarge(f"census of size {n} exceeds the bound {limit}")
-    return _span_census(CENSUS_KINDS[kind].basis(n))
+    check_census_size(n, kind)
+    census = CENSUS_KINDS[kind]
+    total = best = 0
+    for free in _free_planes(census.free_bits(n)):
+        counter: list[int] = []
+        for carry in census.cells(free):
+            for i, plane in enumerate(counter):
+                counter[i], carry = plane ^ carry, plane & carry
+            if carry:
+                counter.append(carry)
+        total += sum(plane.bit_count() << i for i, plane in enumerate(counter))
+        alive, ones = -1, 0  # from the top plane down: the lanes with the most ones, and that count
+        for i in reversed(range(len(counter))):
+            if alive & counter[i]:
+                alive &= counter[i]
+                ones |= 1 << i
+        best = max(best, ones)
+    return total, best
 
 
 def average_census(n: int, kind: Orientation) -> int:

@@ -15,7 +15,7 @@ from .core import (
     is_balanced,
     multiplicity,
 )
-from .census import CENSUS_KINDS, average_census, extremal_ones_scan, triangle_count
+from .census import CENSUS_KINDS, average_census, check_census_size, extremal_ones_scan, triangle_count
 from .errors import EmptyTuple, SteinhausError, TooLarge
 from .jsonout import indented
 from .modm import (
@@ -237,15 +237,13 @@ def _cmd_search(args) -> int:
     if args.format == "json":
         payload = {"p": report.p, "classes": []}
         for entry in report.classes:
-            item = {
-                "index": entry.index,
-                "representative": str(entry.class_rep),
-            }
+            representative = str(entry.class_rep)
+            item = {"index": entry.index, "representative": representative}
             for kind in kinds:
                 rset = entry.remainders(kind)
                 witnesses = []
                 for r, i0, j0 in rset.witnesses:
-                    record = certs[entry.index, kind, r].to_json_dict()
+                    record = certs[entry.index, kind, r].to_json_dict(representative)
                     record.update(_generator_fields(kind, entry.class_rep, i0, j0))
                     witnesses.append(record)
                 item[kind.value] = {
@@ -298,20 +296,14 @@ def _cmd_census(args) -> int:
     kind = Orientation(args.kind)
     census = CENSUS_KINDS[kind]
     n_max = census.limit if args.n_max is None else args.n_max
+    check_census_size(n_max, kind)  # before the first row is counted
     rows = []
     for n in range(1, n_max + 1):
-        total = average_census(n, kind)
-        count = triangle_count(n, kind)
-        cells = n * (n + 1) // 2
-        rows.append(
-            [n, count, total, total / count, cells / 2, extremal_ones_scan(n, kind),
-             census.max_ones(n)]
-        )
-    _emit_table(
-        ["n", "triangles", "total_ones", "average", "expected_average", "max_ones", "formula_max"],
-        rows,
-        args,
-    )
+        total, count = average_census(n, kind), triangle_count(n, kind)
+        rows.append([n, count, total, total / count, n * (n + 1) / 4,
+                     extremal_ones_scan(n, kind), census.max_ones(n)])
+    headers = ["n", "triangles", "total_ones", "average", "expected_average", "max_ones", "formula_max"]
+    _emit_table(headers, rows, args)
     return 0
 
 

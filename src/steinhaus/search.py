@@ -161,13 +161,13 @@ class FamilyCertificate:
     def period(self) -> MultiplicityTable:
         return MultiplicityTable(2, (self.p * self.p // 2,) * 2)
 
-    def to_json_dict(self) -> dict:
-        """The printed record; its count pairs (zeroes, ones) are those of
-        the corner, band and period views, taken from the two counts."""
+    def to_json_dict(self, generator: str | None = None) -> dict:
+        """The printed record; its count pairs (zeroes, ones) are those of the corner,
+        band and period views.  A caller may pass str(self.generator) as generator."""
         r, corner, band, half = self.remainder, self.corner_ones, self.band_ones, self.p * self.p // 2
         return {
             "kind": self.kind.value,
-            "generator": str(self.generator),
+            "generator": str(self.generator) if generator is None else generator,
             "position": list(self.position),
             "remainder": r,
             "corner_counts": [r * (r + 1) // 2 - corner, corner],

@@ -12,6 +12,7 @@ from steinhaus import (
     pascal_max_ones,
     steinhaus_max_ones,
 )
+from steinhaus import census
 from steinhaus.census import triangle_count
 
 
@@ -68,21 +69,41 @@ def _direct_census(triangles):
     return sum(ones), max(ones)
 
 
+def _direct_triangles(n, kind):
+    """Every binary triangle of size n, rebuilt by the core builders."""
+    if kind is Orientation.STEINHAUS:
+        return [build_steinhaus(ResidueTuple.from_bits(s, n)) for s in range(1 << n)]
+    return [
+        build_pascal(ResidueTuple.from_bits(left, n), ResidueTuple.from_bits(right, n))
+        for left in range(1 << n)
+        for right in range(1 << n)
+        if (left ^ right) & 1 == 0
+    ]
+
+
 @pytest.mark.parametrize(
     "kind,n_max", [(Orientation.STEINHAUS, 7), (Orientation.PASCAL, 4)], ids=["steinhaus", "pascal"]
 )
 def test_census_matches_direct_enumeration(kind, n_max):
     """Every triangle of each size rebuilt by the core builders and recounted,
-    independently of the packed span tables."""
+    independently of the bit-sliced planes."""
     for n in range(1, n_max + 1):
-        if kind is Orientation.STEINHAUS:
-            triangles = [build_steinhaus(ResidueTuple.from_bits(s, n)) for s in range(1 << n)]
-        else:
-            triangles = [
-                build_pascal(ResidueTuple.from_bits(left, n), ResidueTuple.from_bits(right, n))
-                for left in range(1 << n)
-                for right in range(1 << n)
-                if (left ^ right) & 1 == 0
-            ]
+        triangles = _direct_triangles(n, kind)
         assert len(triangles) == triangle_count(n, kind)
         assert _direct_census(triangles) == (average_census(n, kind), extremal_ones_scan(n, kind))
+
+
+@pytest.mark.parametrize(
+    "kind,n_max", [(Orientation.STEINHAUS, 7), (Orientation.PASCAL, 4)], ids=["steinhaus", "pascal"]
+)
+def test_census_split_into_blocks_matches_direct_enumeration(kind, n_max, monkeypatch):
+    """With four lanes a block, every size past two free bits runs several
+    blocks, whose totals and maxima combine to the direct recount."""
+    monkeypatch.setattr(census, "LANE_BITS", 2)
+    census._census.cache_clear()
+    try:
+        for n in range(1, n_max + 1):
+            expected = _direct_census(_direct_triangles(n, kind))
+            assert (average_census(n, kind), extremal_ones_scan(n, kind)) == expected
+    finally:
+        census._census.cache_clear()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from steinhaus import Orientation, full_search
+from steinhaus import Orientation, census, full_search
 from steinhaus.cli import WITNESS_WORK_LIMIT, main
 
 CLI = [sys.executable, "-m", "steinhaus.cli"]
@@ -260,6 +260,13 @@ def test_out_flag_writes_file(tmp_path: Path):
     target = tmp_path / "kernel.csv"
     run_cli("kernel", "--p-max", "6", "--format", "csv", "--out", str(target))
     assert target.read_text().splitlines()[3] == "3,2,4"
+
+
+def test_census_over_bound_is_refused_before_counting(capsys):
+    census._census.cache_clear()
+    assert main(["census", "--kind", "pascal", "--n-max", "11"]) == 1
+    assert capsys.readouterr().err == "error: census of size 11 exceeds the bound 10\n"
+    assert census._census.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

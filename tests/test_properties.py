@@ -38,7 +38,7 @@ from steinhaus import (
     translate,
     wendt_matrix,
 )
-from steinhaus.census import _pascal_basis, _steinhaus_basis, packed_steinhaus
+from steinhaus.census import CENSUS_KINDS, LANE_BITS, _free_planes
 from steinhaus.core import TRIANGLE_SIZE_LIMIT
 from steinhaus.modm import (
     ApFamilySpec,
@@ -638,26 +638,23 @@ def test_packed_remainder_scan_matches_per_anchor_scan_on_any_grid(data):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_packed_census_triangle_matches_built_triangle(data):
-    """The census's packed Steinhaus triangle of a random seed has bit i equal
-    to cell i of the directly built triangle; a packed triangle of either kind
-    is the XOR of the basis triangles of its free bits, as the census spans
-    them."""
-    n = data.draw(st.integers(1, 16))
-    if data.draw(st.booleans()):
-        seed = data.draw(st.integers(0, (1 << n) - 1))
-        built = build_steinhaus(ResidueTuple.from_bits(seed, n))
-        basis, free_bits = _steinhaus_basis(n), seed
+    """Bit t of the census's cell plane i is cell i of triangle t, the one
+    the core builders make from the free bits of t: the Steinhaus seed, or
+    the Pascal apex, further left-side bits and further right-side bits.
+    Triangle t lies in block t >> LANE_BITS, at lane t mod 2^LANE_BITS."""
+    kind = data.draw(st.sampled_from(list(Orientation)))
+    census = CENSUS_KINDS[kind]
+    n = data.draw(st.integers(1, census.limit))
+    k = census.free_bits(n)
+    t = data.draw(st.integers(0, (1 << k) - 1))
+    block, lane = divmod(t, 1 << LANE_BITS)
+    if kind is Orientation.STEINHAUS:
+        built = build_steinhaus(ResidueTuple.from_bits(t, n))
     else:
-        left = data.draw(st.integers(0, (1 << n) - 1))
-        right = data.draw(st.integers(0, (1 << n) - 1)) & ~1 | left & 1
+        left, right = t & ((1 << n) - 1), t >> n << 1 | t & 1
         built = build_pascal(ResidueTuple.from_bits(left, n), ResidueTuple.from_bits(right, n))
-        # the free bits: the seed of the Steinhaus triangle it is the center of
-        seed = embed_pascal_in_steinhaus(built).rows[0]
-        basis, free_bits = _pascal_basis(n), sum(e << j for j, e in enumerate(seed))
-    packed = sum(e << i for i, e in enumerate(built.cells()))
-    if built.orientation is Orientation.STEINHAUS:
-        assert packed_steinhaus(seed, n) == packed
-    assert reduce(xor, (v for k, v in enumerate(basis) if free_bits >> k & 1), 0) == packed
+    planes = census.cells(next(islice(_free_planes(k), block, None)))
+    assert [plane >> lane & 1 for plane in planes] == list(built.cells())
 
 
 @given(data=st.data())
