@@ -6,13 +6,15 @@ is one int whose bit t is that cell in triangle t, derived from the free-bit
 planes by the local rule, one XOR each, and added into a bit-sliced counter,
 planes whose bit t, read down the list, is the one-count of triangle t.
 CENSUS_KINDS holds what differs per kind: size bound, free-bit count, cell
-planes and closed-form maximum.
+planes and closed-form maximum.  The lane planes (_lane_planes) and the
+counter (bit_sliced_sum) also count the balance plane of symmetry, one lane
+per kernel coordinate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Orientation
 from .errors import TooLarge
@@ -30,6 +32,19 @@ def _lane_planes(lanes: int) -> list[int]:
         width = 1 << j
         planes = [*(plane | plane << width for plane in planes), ((1 << width) - 1) << width]
     return planes
+
+
+def bit_sliced_sum(cells: Iterable[int]) -> list[int]:
+    """Counter planes whose bit t, read down the list (plane i weighing 2^i),
+    is how many of the cells have bit t set: each cell rippled in as a carry
+    (Warren, Hacker's Delight, ch. 5)."""
+    counter: list[int] = []
+    for carry in cells:
+        for i, plane in enumerate(counter):
+            counter[i], carry = plane ^ carry, plane & carry
+        if carry:
+            counter.append(carry)
+    return counter
 
 
 def _free_planes(k: int) -> Iterator[list[int]]:
@@ -112,12 +127,7 @@ def _census(n: int, kind: Orientation) -> tuple[int, int]:
     census = CENSUS_KINDS[kind]
     total = best = 0
     for free in _free_planes(census.free_bits(n)):
-        counter: list[int] = []
-        for carry in census.cells(free):
-            for i, plane in enumerate(counter):
-                counter[i], carry = plane ^ carry, plane & carry
-            if carry:
-                counter.append(carry)
+        counter = bit_sliced_sum(census.cells(free))
         total += sum(plane.bit_count() << i for i, plane in enumerate(counter))
         alive, ones = -1, 0  # from the top plane down: the lanes with the most ones, and that count
         for i in reversed(range(len(counter))):

@@ -26,6 +26,7 @@ from .modm import (
 )
 from .orbits import (
     build_period_grid,
+    check_kernel_dimension,
     check_period,
     gf2_kernel_basis,  # unused here; perfbench/workloads.py traces it by this name
     kernel_generator,
@@ -162,8 +163,11 @@ def _cmd_classes(args) -> int:
         ]
         _emit_table(["p", "representative", "orbit_size"], rows, args)
     else:
+        periods = range(1, args.p_max + 1)
+        for p in periods:  # before the first row is partitioned
+            check_kernel_dimension(p)
         rows = []
-        for p in range(1, args.p_max + 1):
+        for p in periods:
             classes = partition_classes(p)
             rows.append([p, sum(c.size for c in classes), len(classes)])
         _emit_table(["p", "tuple_count", "class_count"], rows, args)
@@ -178,9 +182,10 @@ def _cmd_balanced_classes(args) -> int:
         ]
         _emit_table(["index", "representative", "orbit_size"], rows, args)
     else:
-        rows = []
-        for p in range(4, args.p_max + 1, 4):
-            rows.append([p, len(balanced_period_classes(p))])
+        periods = range(4, args.p_max + 1, 4)
+        for p in periods:  # before the first row is walked
+            check_kernel_dimension(p)
+        rows = [[p, len(balanced_period_classes(p))] for p in periods]
         _emit_table(["p", "balanced_class_count"], rows, args)
     return 0
 

@@ -23,7 +23,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .core import MultiplicityTable, Orientation, ResidueTuple, check_triangle_size
 from .errors import EmptyTuple, NotPeriodic, TooLarge
 
-# kernel dimension d above which the span and the partition's 2^d visited array are refused
+# kernel dimension d above which the span, the partition's 2^d visited array and the
+# 2^d-lane balance plane are refused (check_kernel_dimension)
 KERNEL_ENUM_LIMIT = 20
 # cells that detect_preperiod may derive and keep, a row counting at least 16: about 0.5 s
 PREPERIOD_WORK_LIMIT = 1 << 20
@@ -238,6 +239,15 @@ def kernel_generator(p: int) -> tuple[int, int]:
     return g.bit_length() - 1, _gf2_divmod(modulus, g)[0]
 
 
+def check_kernel_dimension(p: int) -> int:
+    """The kernel dimension d of p, refused above KERNEL_ENUM_LIMIT before
+    anything of size 2^d (span, visited array, lane plane) is built."""
+    d = kernel_generator(p)[0]
+    if d > KERNEL_ENUM_LIMIT:
+        raise TooLarge(f"kernel dimension {d} exceeds {KERNEL_ENUM_LIMIT}")
+    return d
+
+
 def systematic_basis(p: int) -> list[int]:
     """The kernel basis read off h: vector k is t^j + (t^j mod h) for
     j = p-d+k, a multiple of h whose only set bit among the top d is bit j.
@@ -261,9 +271,7 @@ def periodic_tuple_bits(p: int) -> tuple[int, ...]:
     Entry c is the tuple whose kernel coordinates are c: the XOR of the
     systematic_basis vectors k with bit k set in c.
     """
-    d = kernel_generator(p)[0]
-    if d > KERNEL_ENUM_LIMIT:
-        raise TooLarge(f"kernel dimension {d} exceeds {KERNEL_ENUM_LIMIT}")
+    check_kernel_dimension(p)
     return tuple(xor_span(systematic_basis(p)))
 
 

@@ -1,5 +1,9 @@
 """Search for infinite families of balanced triangles inside periodic orbits.
 
+The search reads only the classes whose p-by-p period is balanced, walked
+by symmetry.balanced_classes, which never walks an unbalanced class; the
+balance filter counts each one's true-period grid again as a cross-check.
+
 A triangle family anchored at position (i0, j0) with remainder r consists of
 the triangles of size kp + r for k = 0, 1, 2, ...  Such a family is balanced
 for every k exactly when three blocks are balanced: the corner triangle of
@@ -42,7 +46,11 @@ from .core import (
 )
 from .errors import PeriodNotDivisibleBy4, TooLarge, UnbalancedPeriod
 from .orbits import AnchorFields, PeriodGrid, build_period_grid, true_period
-from .symmetry import OrbitClass, partition_classes
+from .symmetry import (
+    OrbitClass,
+    balanced_classes,
+    partition_classes,  # unused here; perfbench/workloads.py traces it as search.partition_classes
+)
 
 # bound on q^3, the packed remainder scan's work at true period q: q <= 256, ~0.5 s and ~45 MB
 REMAINDER_WORK_LIMIT = 1 << 24
@@ -403,14 +411,24 @@ def _true_period_grid(x: ResidueTuple) -> PeriodGrid:
 
 
 def _balanced_grids(p: int) -> list[tuple[OrbitClass, PeriodGrid]]:
-    """Each balanced-period class of period p with its true-period grid."""
+    """Each balanced-period class of period p with its true-period grid.
+    The classes are those of the balanced walk (symmetry.balanced_classes),
+    which reads balance off a bit-sliced plane over the kernel coordinates;
+    each grid's ones are counted again as a cross-check of that plane."""
     _check_period(p)
-    grids = ((cls, _true_period_grid(cls.representative)) for cls in partition_classes(p))
-    return [(cls, grid) for cls, grid in grids if 2 * grid.ones == grid.p * grid.p]
+    found = []
+    for cls in balanced_classes(p):
+        grid = _true_period_grid(cls.representative)
+        if 2 * grid.ones != grid.p * grid.p:
+            raise AssertionError(f"balance plane admitted the unbalanced class {cls.representative}")
+        found.append((cls, grid))
+    return found
 
 
 def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
-    """Orbit classes whose p-by-p period has equally many zeroes and ones."""
+    """Orbit classes whose p-by-p period has equally many zeroes and ones,
+    sorted by representative as partition_classes(p) is; only their orbits
+    are walked."""
     return tuple(cls for cls, _ in _balanced_grids(p))
 
 

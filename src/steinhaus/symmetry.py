@@ -11,6 +11,12 @@ r, read backward under i.  Every element has the unique normal form
 t(u,v) r^alpha i^beta with the translation applied first; juxtaposition
 throughout this module means "left factor acts first", matching the
 rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
+
+partition_classes walks the classes from every kernel coordinate.
+balanced_classes walks only those whose p-by-p period is balanced: a
+bit-sliced plane (_balance_plane), one lane per kernel coordinate, decides
+balance for all 2^d coordinates at once, and every coordinate it leaves
+unset starts out visited.
 """
 
 from __future__ import annotations
@@ -19,10 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 
+from .census import _lane_planes, bit_sliced_sum
 from .core import ResidueTuple
-from .errors import TooLarge
 from .orbits import (
-    KERNEL_ENUM_LIMIT,
     Gf2Matrix,
     _bit_rows,
     _derive_bits,
@@ -30,6 +35,7 @@ from .orbits import (
     _reverse_bits,
     _rotate,
     build_period_grid,
+    check_kernel_dimension,
     gf2_kernel_basis,
     kernel_generator,
     periodic_tuple_bits,  # unused here; perfbench/workloads.py traces it by this name
@@ -265,26 +271,76 @@ def group_orbit(x: ResidueTuple) -> OrbitClass:
     return OrbitClass(members[0], len(members))
 
 
-@lru_cache(maxsize=None)
-def partition_classes(p: int) -> tuple[OrbitClass, ...]:
-    """Partition of the p-periodic generators into group orbits.
-
-    One kernel-coordinate walk per class over a visited array of the 2^d
-    coordinates keeps the class's smallest lex key and size, and lists none
-    of the 2^d tuples.  Classes are sorted by representative, the key in p binary digits.
-    """
-    space = _KernelCoordinates(p)
-    if space.d > KERNEL_ENUM_LIMIT:  # before ``step`` builds its 2^(d/2)-entry tables
-        raise TooLarge(f"kernel dimension {space.d} exceeds {KERNEL_ENUM_LIMIT}")
-    visited = bytearray(1 << space.d)
+def _walk(space: _KernelCoordinates, visited: bytearray) -> tuple[OrbitClass, ...]:
+    """One kernel-coordinate walk per class from each coordinate not yet in
+    ``visited``, keeping the class's smallest lex key and size and listing
+    none of the 2^d tuples.  Classes are sorted by representative, the key
+    in p binary digits."""
     found = []
-    start = 0
+    start = visited.find(0)
     while start >= 0:
         orbit, key = space.orbit(start, visited)
         found.append((key, len(orbit)))
         start = visited.find(0, start + 1)
     found.sort()
-    return tuple(OrbitClass(ResidueTuple.from_string(format(k, f"0{p}b")), n) for k, n in found)
+    return tuple(OrbitClass(ResidueTuple.from_string(format(k, f"0{space.p}b")), n) for k, n in found)
+
+
+@lru_cache(maxsize=None)
+def partition_classes(p: int) -> tuple[OrbitClass, ...]:
+    """Partition of the p-periodic generators into group orbits: the walk
+    from every one of the 2^d kernel coordinates."""
+    d = check_kernel_dimension(p)  # before ``step`` builds its 2^(d/2)-entry tables
+    return _walk(_KernelCoordinates(p), bytearray(1 << d))
+
+
+def _balance_plane(p: int, d: int) -> int:
+    """Bit c set when the tuple of kernel coordinates c has a balanced
+    p-by-p period, for all 2^d coordinates at once: lane c of every plane.
+
+    It counts at q0, the least divisor of p whose kernel has the same
+    dimension d.  Since q0 divides p, a q0-periodic orbit is p-periodic, so
+    every q0-kernel tuple repeated p/q0 times lies in the p-kernel.
+    Repetition is linear and one-to-one, so these d-dimensional repeats
+    are the whole d-dimensional p-kernel.  A tuple's coordinates are its
+    top d bits, which lie in its last q0 entries (d <= q0), so a p-tuple and
+    the q0-tuple it repeats have the same coordinates.  Its p-by-p period
+    holds (p/q0)^2 copies of the q0-by-q0 one, so it is balanced exactly
+    when the q0 one is.  Row 0 of the q0-grid has plane j the XOR of the
+    lane planes k whose systematic_basis(q0) vector k has bit j; row i+1
+    takes row[j-1] ^ row[j]; the q0^2 cells go into one bit-sliced counter,
+    and lane c is balanced when 2 count = q0^2.  That never holds for odd
+    q0, so the zero tuple of d = 0 (q0 = 1) is never balanced.
+    """
+    q0 = next(q for q in range(1, p + 1) if p % q == 0 and kernel_generator(q)[0] == d)
+    row = [0] * q0
+    for lane, vector in zip(_lane_planes(d), systematic_basis(q0)):
+        for j in range(q0):
+            if vector >> j & 1:
+                row[j] ^= lane
+
+    def cells(row):
+        for _ in range(q0):
+            yield from row
+            row = [row[j - 1] ^ row[j] for j in range(q0)]
+
+    counter = bit_sliced_sum(cells(row))
+    half, odd = divmod(q0 * q0, 2)
+    plane = 0 if odd or half >> len(counter) else (1 << (1 << d)) - 1
+    for i, level in enumerate(counter):
+        plane &= level if half >> i & 1 else ~level
+    return plane
+
+
+@lru_cache(maxsize=None)
+def balanced_classes(p: int) -> tuple[OrbitClass, ...]:
+    """The classes of partition_classes(p) whose p-by-p period is balanced:
+    the walk from the coordinates the balance plane sets, every other one
+    marked visited up front.  Balance is invariant under the group, so no
+    walk leaves the balanced coordinates."""
+    d = check_kernel_dimension(p)  # before any 2^d-lane plane
+    plane = format(_balance_plane(p, d), f"0{1 << d}b")[::-1].encode()
+    return _walk(_KernelCoordinates(p), bytearray(plane.translate(bytes.maketrans(b"01", b"\1\0"))))
 
 
 def burnside_class_count(p: int) -> int:

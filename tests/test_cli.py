@@ -12,6 +12,7 @@ import pytest
 
 from steinhaus import Orientation, census, full_search
 from steinhaus.cli import WITNESS_WORK_LIMIT, main
+from steinhaus.symmetry import balanced_classes, partition_classes
 
 CLI = [sys.executable, "-m", "steinhaus.cli"]
 
@@ -267,6 +268,16 @@ def test_census_over_bound_is_refused_before_counting(capsys):
     assert main(["census", "--kind", "pascal", "--n-max", "11"]) == 1
     assert capsys.readouterr().err == "error: census of size 11 exceeds the bound 10\n"
     assert census._census.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", ["classes", "balanced-classes"])
+def test_class_table_over_bound_is_refused_before_the_first_row(command, capsys):
+    partition_classes.cache_clear()
+    balanced_classes.cache_clear()
+    assert main([command, "--p-max", "28"]) == 1
+    assert capsys.readouterr() == ("", "error: kernel dimension 24 exceeds 20\n")
+    assert partition_classes.cache_info().currsize == 0
+    assert balanced_classes.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

@@ -306,7 +306,8 @@ def test_search_builds_only_true_period_grids(monkeypatch):
 
 def test_full_search_finds_each_true_period_once(monkeypatch):
     """The scans read the grids the balance filter built: one true period
-    per class of the partition, 92 at p = 24."""
+    per balanced class, 17 at p = 24; the 75 unbalanced classes of the
+    partition are never walked."""
     calls = []
 
     def counting(x):
@@ -315,7 +316,16 @@ def test_full_search_finds_each_true_period_once(monkeypatch):
 
     monkeypatch.setattr(search, "true_period", counting)
     full_search(24)
-    assert len(calls) == len(partition_classes(24)) == 92
+    assert len(calls) == len(balanced_period_classes(24)) == 17
+
+
+def test_balance_filter_refuses_a_plane_disagreement(monkeypatch):
+    """The grid check behind the balance filter raises, never filters, when
+    the balanced walk hands it an unbalanced class."""
+    unbalanced = next(cls for cls in partition_classes(24) if cls not in balanced_period_classes(24))
+    monkeypatch.setattr(search, "balanced_classes", lambda p: (unbalanced,))
+    with pytest.raises(AssertionError, match="balance plane admitted"):
+        full_search(24)
 
 
 def test_remainder_scan_bound_reads_the_true_period(monkeypatch):

@@ -199,20 +199,68 @@ def test_partition_lists_no_span(p, monkeypatch):
 
 
 def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
-    """partition_classes refuses on d alone: the d kernel basis vectors and
-    their generator matrices are built only by what reads them."""
+    """partition_classes and the balanced walk refuse on d alone: the d
+    kernel basis vectors, their generator matrices and the 2^d-lane planes
+    are built only by what reads them."""
 
     def refuse(*args):
-        raise AssertionError(f"kernel basis or generator images were built: {args}")
+        raise AssertionError(f"kernel basis, generator images or lane planes were built: {args}")
 
     monkeypatch.setattr(symmetry, "_generator_images", refuse)
     monkeypatch.setattr(symmetry, "systematic_basis", refuse)
+    monkeypatch.setattr(symmetry, "_lane_planes", refuse)
     partition_classes.cache_clear()
+    symmetry.balanced_classes.cache_clear()
     try:
         with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
             partition_classes(2044)
+        with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
+            balanced_period_classes(2044)
     finally:
         partition_classes.cache_clear()
+        symmetry.balanced_classes.cache_clear()
+
+
+def _filtered_partition(p):
+    """The balance filter over the whole partition: every class whose
+    p-grid holds 2 ones = p^2."""
+    return tuple(cls for cls in partition_classes(p)
+                 if 2 * build_period_grid(cls.representative).ones == p * p)
+
+
+@pytest.mark.parametrize("p", [*range(4, 25, 4), 36, 72])
+def test_balanced_walk_matches_filtered_partition(p):
+    assert balanced_period_classes(p) == _filtered_partition(p)
+
+
+@pytest.mark.parametrize("p", [4, 8, 2048])
+def test_balanced_walk_is_empty_at_q0_one(p):
+    """At these periods the only periodic tuple is zero (d = 0, q0 = 1): its
+    one cell is 0 and 2 * 0 != 1, so the zero tuple is not balanced."""
+    assert orbits.kernel_generator(p)[0] == 0
+    assert symmetry._balance_plane(p, 0) == 0
+    assert balanced_period_classes(p) == ()
+
+
+@pytest.mark.parametrize("p, samples", [(12, 256), (24, 300), (72, 300)])
+def test_balance_plane_bits_match_direct_grids(p, samples):
+    """Bit c of the plane against 2 ones = p^2 on the p-grid of the tuple
+    with kernel coordinates c, built from systematic_basis(p): every
+    coordinate at p = 12 (d = 8), a seeded sample at p = 24 and 72."""
+    d = orbits.kernel_generator(p)[0]
+    plane = symmetry._balance_plane(p, d)
+    basis = orbits.systematic_basis(p)
+    seen = set()
+    for c in random.Random(p).sample(range(1 << d), samples):
+        bits = 0
+        for k, vector in enumerate(basis):
+            if c >> k & 1:
+                bits ^= vector
+        assert bits >> (p - d) == c
+        balanced = 2 * build_period_grid(ResidueTuple.from_bits(bits, p)).ones == p * p
+        assert plane >> c & 1 == balanced, c
+        seen.add(balanced)
+    assert seen == {False, True}
 
 
 def test_burnside_count_matches_class_counts():
