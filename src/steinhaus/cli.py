@@ -105,6 +105,8 @@ def _emit_json(payload, args) -> None:
 
 
 def _cmd_triangle(args) -> int:
+    if args.seed_tuple is not None and (args.left is not None or args.right is not None):
+        raise SteinhausError("supply --seed-tuple or both --left and --right, not both")
     if args.seed_tuple is not None:
         seed = ResidueTuple.from_string(args.seed_tuple, args.modulus)
         if not seed.entries:
@@ -315,14 +317,22 @@ def _cmd_census(args) -> int:
 def _cmd_modm(args) -> int:
     rows = []
     if args.scan == "ap":
-        spec = ApFamilySpec(args.modulus, args.difference, args.start)
+        if args.kind != "steinhaus":
+            raise SteinhausError("--scan ap scans Steinhaus triangles only; --kind applies to --scan interlaced")
+        spec = ApFamilySpec(
+            args.modulus,
+            1 if args.difference is None else args.difference,
+            0 if args.start is None else args.start,
+        )
         n_max = args.periods * spec.period if args.n_max is None else args.n_max
         for entry in ap_balanced_scan(spec, n_max):
             rows.append(
-                [args.modulus, str(args.difference), entry.n,
+                [args.modulus, str(spec.common_difference), entry.n,
                  "yes" if entry.balanced else "no", entry.spread]
             )
     else:
+        if args.difference is not None or args.start is not None:
+            raise SteinhausError("--difference and --start apply to --scan ap only")
         n_max = args.periods * 6 * args.modulus if args.n_max is None else args.n_max
         kind = Orientation(args.kind)
         witnesses = interlaced_scan(args.modulus, n_max, kind)
@@ -380,6 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
+    def add_periods(p, p_help=None, p_max_help=None):
+        # a str default is converted only when absent, so an explicit --p-max 24 still conflicts
+        periods = p.add_mutually_exclusive_group()
+        periods.add_argument("--p", type=positive_int, help=p_help)
+        periods.add_argument("--p-max", type=positive_int, default="24", help=p_max_help)
+
     p_tri = sub.add_parser("triangle", help="build a triangle and report balance")
     p_tri.add_argument("--seed-tuple", help="top row of a Steinhaus triangle")
     p_tri.add_argument("--left", help="left side of a Pascal triangle")
@@ -389,20 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.set_defaults(func=_cmd_triangle)
 
     p_ker = sub.add_parser("kernel", help="kernel dimensions of the binomial circulant")
-    p_ker.add_argument("--p-max", type=positive_int, default=24)
-    p_ker.add_argument("--p", type=positive_int)
+    add_periods(p_ker)
     add_common(p_ker)
     p_ker.set_defaults(func=_cmd_kernel)
 
     p_cls = sub.add_parser("classes", help="symmetry classes of periodic generators")
-    p_cls.add_argument("--p", type=positive_int, help="list classes for one period")
-    p_cls.add_argument("--p-max", type=positive_int, default=24, help="count classes up to this period")
+    add_periods(p_cls, "list classes for one period", "count classes up to this period")
     add_common(p_cls)
     p_cls.set_defaults(func=_cmd_classes)
 
     p_bal = sub.add_parser("balanced-classes", help="classes with a balanced period")
-    p_bal.add_argument("--p", type=positive_int)
-    p_bal.add_argument("--p-max", type=positive_int, default=24)
+    add_periods(p_bal)
     add_common(p_bal)
     p_bal.set_defaults(func=_cmd_balanced_classes)
 
@@ -426,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod = sub.add_parser("modm", help="balance scans modulo m")
     p_mod.add_argument("--scan", choices=("ap", "interlaced"), required=True)
     p_mod.add_argument("--modulus", type=int, required=True)
-    p_mod.add_argument("--difference", type=int, default=1)
-    p_mod.add_argument("--start", type=int, default=0)
+    p_mod.add_argument("--difference", type=int)
+    p_mod.add_argument("--start", type=int)
     p_mod.add_argument("--n-max", type=positive_int)
     p_mod.add_argument("--periods", type=positive_int, default=3)
     p_mod.add_argument("--kind", choices=("steinhaus", "pascal"), default="steinhaus")

@@ -25,6 +25,7 @@ from .core import (
     Triangle,
     Orientation,
     check_modulus,
+    check_triangle_size,
     is_balanced,
 )
 from .errors import InvalidSpec, TooLarge
@@ -155,7 +156,8 @@ def _interlaced_orbit_rows(m: int) -> list[tuple[int, ...]]:
 
 def interlaced_sequence_check(m: int, n: int, i0: int = 0, j0: int = 0):
     """Balance of the size-n triangle at orbit position (i0, j0) of the
-    interlaced sequence mod m."""
+    interlaced sequence mod m, built cell by cell within the size bound."""
+    check_triangle_size(n)
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
     q = 6 * m

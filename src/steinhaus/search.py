@@ -1,8 +1,11 @@
 """Search for infinite families of balanced triangles inside periodic orbits.
 
 The search reads only the classes whose p-by-p period is balanced, walked
-by symmetry.balanced_classes, which never walks an unbalanced class; the
-balance filter counts each one's true-period grid again as a cross-check.
+by symmetry.balanced_classes, which never walks an unbalanced class.
+full_search takes one path: the balance filter (balanced_period_classes),
+which counts each class's true-period grid again as a cross-check, then
+remainder_set for each class and kind; all three read one cached
+true-period grid per class (_true_period_grid).
 
 A triangle family anchored at position (i0, j0) with remainder r consists of
 the triangles of size kp + r for k = 0, 1, 2, ...  Such a family is balanced
@@ -388,13 +391,10 @@ def remainder_set(
     exactly when every size kq + r' is.  (i0, j0) accepts exactly when
     (i0 mod q, j0 mod q) does, which comes no later.  A balanced q is even
     (ones_p = (p/q)^2 ones_q), and for q = 2 (mod 4) every band is odd."""
-    _check_period(len(x))
-    return _lifted_remainder_set(x, _true_period_grid(x), kind)
-
-
-def _lifted_remainder_set(x: ResidueTuple, grid: PeriodGrid, kind: Orientation) -> RemainderSet:
-    """remainder_set of x, given the grid of x[:q] (_true_period_grid)."""
-    p, q = len(x), grid.p
+    p = len(x)
+    _check_period(p)
+    grid = _true_period_grid(x)
+    q = grid.p
     if 2 * grid.ones != q * q:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
     if q ** 3 > REMAINDER_WORK_LIMIT:
@@ -405,31 +405,26 @@ def _lifted_remainder_set(x: ResidueTuple, grid: PeriodGrid, kind: Orientation) 
     return RemainderSet(x, kind, p, witnesses)
 
 
+@lru_cache(maxsize=512)  # as build_period_grid: the filter and both scans share one per class
 def _true_period_grid(x: ResidueTuple) -> PeriodGrid:
     """The grid of x[:q], q = true_period(x), balanced exactly when x's grid is."""
     return build_period_grid(ResidueTuple(2, x.entries[:true_period(x)]))
 
 
-def _balanced_grids(p: int) -> list[tuple[OrbitClass, PeriodGrid]]:
-    """Each balanced-period class of period p with its true-period grid.
-    The classes are those of the balanced walk (symmetry.balanced_classes),
-    which reads balance off a bit-sliced plane over the kernel coordinates;
-    each grid's ones are counted again as a cross-check of that plane."""
-    _check_period(p)
-    found = []
-    for cls in balanced_classes(p):
-        grid = _true_period_grid(cls.representative)
-        if 2 * grid.ones != grid.p * grid.p:
-            raise AssertionError(f"balance plane admitted the unbalanced class {cls.representative}")
-        found.append((cls, grid))
-    return found
-
-
 def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:
     """Orbit classes whose p-by-p period has equally many zeroes and ones,
     sorted by representative as partition_classes(p) is; only their orbits
-    are walked."""
-    return tuple(cls for cls, _ in _balanced_grids(p))
+    are walked.  The classes are those of the balanced walk
+    (symmetry.balanced_classes), which reads balance off a bit-sliced plane
+    over the kernel coordinates; each one's true-period grid counts its
+    ones again as a cross-check of that plane."""
+    _check_period(p)
+    classes = balanced_classes(p)
+    for cls in classes:
+        grid = _true_period_grid(cls.representative)
+        if 2 * grid.ones != grid.p * grid.p:
+            raise AssertionError(f"balance plane admitted the unbalanced class {cls.representative}")
+    return classes
 
 
 @dataclass(frozen=True)
@@ -456,13 +451,14 @@ class SearchReport:
 
 
 def full_search(p: int) -> SearchReport:
-    """Remainder sets (both kinds) for every balanced-period class of period p,
-    lifted from the grid the balance filter read: one true period per class."""
+    """Remainder sets (both kinds) for every balanced-period class of period p:
+    the balance filter (balanced_period_classes), then remainder_set per class
+    and kind, all reading one cached true-period grid per class."""
     return SearchReport(p, tuple(
         ClassFamilySearch(k + 1, cls.representative, *(
-            _lifted_remainder_set(cls.representative, grid, kind) for kind in Orientation
+            remainder_set(cls.representative, kind) for kind in Orientation
         ))
-        for k, (cls, grid) in enumerate(_balanced_grids(p))
+        for k, cls in enumerate(balanced_period_classes(p))
     ))
 
 

@@ -305,6 +305,54 @@ def test_non_positive_arguments_are_usage_errors(args, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kernel", "--p", "6", "--p-max", "24"),
+        ("classes", "--p-max", "8", "--p", "6"),
+        ("balanced-classes", "--p", "24", "--p-max", "24"),
+    ],
+    ids=" ".join,
+)
+def test_period_and_period_range_are_exclusive(args, capsys):
+    """--p-max would be dropped beside --p, so both together are a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(args))
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+IGNORED_OPTIONS = [
+    (("triangle", "--seed-tuple", "0110", "--left", "01", "--right", "01"),
+     "supply --seed-tuple or both --left and --right, not both"),
+    (("triangle", "--seed-tuple", "0110", "--right", "01"),
+     "supply --seed-tuple or both --left and --right, not both"),
+    (("modm", "--scan", "ap", "--modulus", "5", "--kind", "pascal"),
+     "--scan ap scans Steinhaus triangles only; --kind applies to --scan interlaced"),
+    (("modm", "--scan", "interlaced", "--modulus", "3", "--difference", "2", "--start", "1"),
+     "--difference and --start apply to --scan ap only"),
+    (("modm", "--scan", "interlaced", "--modulus", "3", "--start", "0"),
+     "--difference and --start apply to --scan ap only"),
+]
+
+
+@pytest.mark.parametrize("args,message", IGNORED_OPTIONS, ids=[" ".join(a) for a, _ in IGNORED_OPTIONS])
+def test_options_the_command_ignores_are_refused(args, message, capsys):
+    """An option that the chosen command would drop is a validation failure,
+    with nothing on stdout."""
+    assert main(list(args)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_ap_scan_defaults_match_explicit_options(capsys):
+    """--difference 1 --start 0 --kind steinhaus are the ap scan's defaults."""
+    assert main(["modm", "--scan", "ap", "--modulus", "5"]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["modm", "--scan", "ap", "--modulus", "5", "--difference", "1",
+                 "--start", "0", "--kind", "steinhaus"]) == 0
+    assert capsys.readouterr().out == implicit
+
+
 def test_k_verify_zero_is_accepted(capsys):
     assert main(["search", "--p", "12", "--k-verify", "0"]) == 0
     assert "verified" not in capsys.readouterr().out

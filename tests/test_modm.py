@@ -154,6 +154,12 @@ def test_interlaced_scan_validation():
         interlaced_sequence_check(6, 5)
 
 
+def test_interlaced_check_is_bounded():
+    """The cell-by-cell check builds no triangle past the size bound."""
+    with pytest.raises(TooLarge, match="triangle of size 2049 exceeds the bound 2048"):
+        interlaced_sequence_check(3, 2049)
+
+
 def test_modulus_and_progression_bounds():
     assert len(ResidueTuple(MODULUS_LIMIT, (MODULUS_LIMIT - 1,))) == 1
     with pytest.raises(TooLarge):

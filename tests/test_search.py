@@ -297,9 +297,11 @@ def test_search_builds_only_true_period_grids(monkeypatch):
         return build(x)
 
     monkeypatch.setattr(search, "build_period_grid", recording)
+    search._true_period_grid.cache_clear()
     classes = balanced_period_classes(1944)
     assert lengths and max(lengths) <= 24
     lengths.clear()
+    search._true_period_grid.cache_clear()
     assert len(full_search(1944).classes) == len(classes)
     assert lengths and max(lengths) <= 24
 
@@ -315,8 +317,30 @@ def test_full_search_finds_each_true_period_once(monkeypatch):
         return true_period(x)
 
     monkeypatch.setattr(search, "true_period", counting)
+    search._true_period_grid.cache_clear()
     full_search(24)
     assert len(calls) == len(balanced_period_classes(24)) == 17
+
+
+def test_full_search_takes_the_one_public_path(monkeypatch):
+    """full_search reaches the scan only through the module's public entry
+    points: the balance filter once, then remainder_set per class and kind."""
+    calls = {"balanced_period_classes": 0, "remainder_set": 0}
+
+    def counting(name):
+        inner = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    report = full_search(24)
+    assert calls == {"balanced_period_classes": 1, "remainder_set": 34}
+    assert len(report.classes) == 17
 
 
 def test_balance_filter_refuses_a_plane_disagreement(monkeypatch):
