@@ -156,11 +156,14 @@ def _interlaced_orbit_rows(m: int) -> list[tuple[int, ...]]:
 
 def interlaced_sequence_check(m: int, n: int, i0: int = 0, j0: int = 0):
     """Balance of the size-n triangle at orbit position (i0, j0) of the
-    interlaced sequence mod m, built cell by cell within the size bound."""
+    interlaced sequence mod m, built cell by cell from the 6m-by-6m orbit
+    within the size and work bounds."""
     check_triangle_size(n)
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
     q = 6 * m
+    if q * q > INTERLACED_WORK_LIMIT:
+        raise TooLarge(f"interlaced orbit of modulus {m} exceeds the work bound {INTERLACED_WORK_LIMIT}")
     orbit = _interlaced_orbit_rows(m)
     kind = Orientation.STEINHAUS
     rows = tuple(

@@ -291,6 +291,7 @@ def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation)
     for Pascal and columns for Steinhaus."""
     if n < 0:
         raise ValueError("size must be non-negative")
+    check_triangle_size(n)
     return sum(_line_counts(grid, i0, j0, n, kind))
 
 

@@ -13,16 +13,17 @@ throughout this module means "left factor acts first", matching the
 rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 
 partition_classes walks the classes from every kernel coordinate.
-balanced_classes walks only those whose p-by-p period is balanced: a
-bit-sliced plane (_balance_plane), one lane per kernel coordinate, decides
-balance for all 2^d coordinates at once, and every coordinate it leaves
-unset starts out visited.
+balanced_classes walks only those whose period is balanced: a bit-sliced
+plane (_balance_plane), one lane per kernel coordinate, decides balance for
+all 2^d coordinates at once, and every coordinate it leaves unset starts out
+visited.  Both work at the kernel period q0 of p (_kernel_space) and repeat
+each representative p/q0 times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 
 from .census import _lane_planes, bit_sliced_sum
@@ -177,35 +178,24 @@ class _KernelCoordinates:
     The coordinates of a tuple are its top d bits, bits >> (p - d), by
     construction: basis vector k of systematic_basis has bit p-d+k as its
     only set bit among the top d, so bit k of the coordinates of a kernel
-    member says whether vector k is in its sum.  Only d is read up front;
-    the basis is built on first use, so a refused d builds nothing.
-    The four generators act linearly; ``matrices`` holds their d-by-d
-    matrices as columns, each column the coordinates of a basis vector's
-    image.  ``step`` packs them into one map; both are built on first use.
-    Field g (d bits each) of step(c) is the image of c under generator g,
-    and the bits above 4d are the lex key of c, its tuple's bits reversed,
-    which orders tuples as their entries do.
+    member says whether vector k is in its sum.  The four generators act
+    linearly; ``matrices`` holds their d-by-d matrices as columns, each
+    column the coordinates of a basis vector's image.  ``step`` packs them
+    into one map, with 2^(d/2)-entry tables, so callers refuse a large d
+    first (check_kernel_dimension).  Field g (d bits each) of step(c) is the
+    image of c under generator g, and the bits above 4d are the lex key of
+    c, its tuple's bits reversed, which orders tuples as their entries do.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.d = kernel_generator(p)[0]
-
-    @cached_property
-    def basis(self) -> list[int]:
-        return systematic_basis(self.p)
-
-    @cached_property
-    def matrices(self) -> tuple[list[int], ...]:
-        images = [_generator_images(b, self.p) for b in self.basis]
-        return tuple([self.coordinates(image[g]) for image in images] for g in range(4))
-
-    @cached_property
-    def step(self) -> _Gf2Map:
-        keys = [_reverse_bits(b, self.p) for b in self.basis]
-        return _Gf2Map([
+        self.basis = systematic_basis(p)
+        images = [_generator_images(b, p) for b in self.basis]
+        self.matrices = tuple([self.coordinates(image[g]) for image in images] for g in range(4))
+        self.step = _Gf2Map([
             sum(column << (g * self.d) for g, column in enumerate(columns))
-            for columns in zip(*self.matrices, keys)
+            for columns in zip(*self.matrices, (_reverse_bits(b, p) for b in self.basis))
         ])
 
     def coordinates(self, bits: int) -> int:
@@ -215,10 +205,10 @@ class _KernelCoordinates:
         packed, mask = self.step(c), (1 << self.d) - 1
         return tuple((packed >> (g * self.d)) & mask for g in range(4))
 
-    def orbit(self, start: int, visited: bytearray) -> tuple[list[int], int]:
-        """Breadth-first closure of ``start`` under the four generators:
-        the members' coordinates, each marked in ``visited``, and the
-        smallest lex key among them."""
+    def orbit(self, start: int, visited: bytearray) -> tuple[int, int]:
+        """Breadth-first closure of ``start`` under the four generators,
+        each member marked in ``visited``: the smallest lex key among the
+        members and their number."""
         d, mask, key_shift = self.d, (1 << self.d) - 1, 4 * self.d
         step = self.step
         low, high, half, low_mask = step.low, step.high, step.half, step.low_mask
@@ -234,7 +224,7 @@ class _KernelCoordinates:
                 if not visited[x]:
                     visited[x] = 1
                     queue.append(x)
-        return queue, best
+        return best, len(queue)
 
 
 def _orbit(x: ResidueTuple) -> tuple[ResidueTuple, ...]:
@@ -271,61 +261,72 @@ def group_orbit(x: ResidueTuple) -> OrbitClass:
     return OrbitClass(members[0], len(members))
 
 
-def _walk(space: _KernelCoordinates, visited: bytearray) -> tuple[OrbitClass, ...]:
+def _kernel_space(p: int) -> _KernelCoordinates:
+    """The p-periodic generators in coordinates at their kernel period q0,
+    the least divisor of p with the same kernel dimension d, refused above
+    KERNEL_ENUM_LIMIT before anything is built.
+
+    A q0-periodic orbit is p-periodic, so each q0-kernel tuple repeated p/q0
+    times is in the p-kernel; repetition is linear and one-to-one, so the
+    repeats are all d dimensions of it.  Coordinates are the top d bits,
+    which lie in the last q0 entries (d <= q0), so they agree at q0 and p.
+    Repetition commutes with derivation, shift, r (the orbit rows repeat, so
+    column p-1 reads column q0-1) and i, so each class at p repeats a class
+    at q0, of the same size, and its lex-smallest member repeats theirs.  The
+    p-by-p period of a repeat holds (p/q0)^2 copies of the q0-by-q0 one, so
+    it is balanced exactly when that one is.
+    """
+    d = check_kernel_dimension(p)
+    q0 = next(q for q in range(1, p + 1) if p % q == 0 and kernel_generator(q)[0] == d)
+    return _KernelCoordinates(q0)
+
+
+def _walk(space: _KernelCoordinates, p: int, visited: bytearray) -> tuple[OrbitClass, ...]:
     """One kernel-coordinate walk per class from each coordinate not yet in
     ``visited``, keeping the class's smallest lex key and size and listing
     none of the 2^d tuples.  Classes are sorted by representative, the key
-    in p binary digits."""
+    in space.p binary digits repeated up to period p (_kernel_space)."""
     found = []
     start = visited.find(0)
     while start >= 0:
-        orbit, key = space.orbit(start, visited)
-        found.append((key, len(orbit)))
+        found.append(space.orbit(start, visited))
         start = visited.find(0, start + 1)
     found.sort()
-    return tuple(OrbitClass(ResidueTuple.from_string(format(k, f"0{space.p}b")), n) for k, n in found)
+    digits, repeats = f"0{space.p}b", p // space.p
+    return tuple(OrbitClass(ResidueTuple.from_string(format(k, digits) * repeats), n) for k, n in found)
 
 
 @lru_cache(maxsize=None)
 def partition_classes(p: int) -> tuple[OrbitClass, ...]:
     """Partition of the p-periodic generators into group orbits: the walk
-    from every one of the 2^d kernel coordinates."""
-    d = check_kernel_dimension(p)  # before ``step`` builds its 2^(d/2)-entry tables
-    return _walk(_KernelCoordinates(p), bytearray(1 << d))
+    from every one of the 2^d kernel coordinates at the kernel period."""
+    space = _kernel_space(p)
+    return _walk(space, p, bytearray(1 << space.d))
 
 
-def _balance_plane(p: int, d: int) -> int:
+def _balance_plane(space: _KernelCoordinates) -> int:
     """Bit c set when the tuple of kernel coordinates c has a balanced
-    p-by-p period, for all 2^d coordinates at once: lane c of every plane.
-
-    It counts at q0, the least divisor of p whose kernel has the same
-    dimension d.  Since q0 divides p, a q0-periodic orbit is p-periodic, so
-    every q0-kernel tuple repeated p/q0 times lies in the p-kernel.
-    Repetition is linear and one-to-one, so these d-dimensional repeats
-    are the whole d-dimensional p-kernel.  A tuple's coordinates are its
-    top d bits, which lie in its last q0 entries (d <= q0), so a p-tuple and
-    the q0-tuple it repeats have the same coordinates.  Its p-by-p period
-    holds (p/q0)^2 copies of the q0-by-q0 one, so it is balanced exactly
-    when the q0 one is.  Row 0 of the q0-grid has plane j the XOR of the
-    lane planes k whose systematic_basis(q0) vector k has bit j; row i+1
-    takes row[j-1] ^ row[j]; the q0^2 cells go into one bit-sliced counter,
-    and lane c is balanced when 2 count = q0^2.  That never holds for odd
-    q0, so the zero tuple of d = 0 (q0 = 1) is never balanced.
+    q-by-q period, q = space.p, for all 2^d coordinates at once: lane c of
+    every plane.  Row 0 of the q-grid has plane j the XOR of the lane planes
+    k whose basis vector k has bit j; row i+1 takes row[j-1] ^ row[j]; the
+    q^2 cells go into one bit-sliced counter, and lane c is balanced when
+    2 count = q^2.  That never holds for odd q, so the zero tuple of d = 0
+    (q = 1) is never balanced.
     """
-    q0 = next(q for q in range(1, p + 1) if p % q == 0 and kernel_generator(q)[0] == d)
-    row = [0] * q0
-    for lane, vector in zip(_lane_planes(d), systematic_basis(q0)):
-        for j in range(q0):
+    q, d = space.p, space.d
+    row = [0] * q
+    for lane, vector in zip(_lane_planes(d), space.basis):
+        for j in range(q):
             if vector >> j & 1:
                 row[j] ^= lane
 
     def cells(row):
-        for _ in range(q0):
+        for _ in range(q):
             yield from row
-            row = [row[j - 1] ^ row[j] for j in range(q0)]
+            row = [row[j - 1] ^ row[j] for j in range(q)]
 
     counter = bit_sliced_sum(cells(row))
-    half, odd = divmod(q0 * q0, 2)
+    half, odd = divmod(q * q, 2)
     plane = 0 if odd or half >> len(counter) else (1 << (1 << d)) - 1
     for i, level in enumerate(counter):
         plane &= level if half >> i & 1 else ~level
@@ -335,12 +336,12 @@ def _balance_plane(p: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def balanced_classes(p: int) -> tuple[OrbitClass, ...]:
     """The classes of partition_classes(p) whose p-by-p period is balanced:
-    the walk from the coordinates the balance plane sets, every other one
-    marked visited up front.  Balance is invariant under the group, so no
-    walk leaves the balanced coordinates."""
-    d = check_kernel_dimension(p)  # before any 2^d-lane plane
-    plane = format(_balance_plane(p, d), f"0{1 << d}b")[::-1].encode()
-    return _walk(_KernelCoordinates(p), bytearray(plane.translate(bytes.maketrans(b"01", b"\1\0"))))
+    the walk from the coordinates the balance plane of the kernel period
+    sets, every other one marked visited up front.  Balance is invariant
+    under the group, so no walk leaves the balanced coordinates."""
+    space = _kernel_space(p)
+    plane = format(_balance_plane(space), f"0{1 << space.d}b")[::-1].encode()
+    return _walk(space, p, bytearray(plane.translate(bytes.maketrans(b"01", b"\1\0"))))
 
 
 def burnside_class_count(p: int) -> int:
@@ -351,8 +352,8 @@ def burnside_class_count(p: int) -> int:
     coordinates.  The translations are the powers of derivation (t(-1,0))
     times the powers of the cyclic shift (t(0,1)).
     """
+    d = check_kernel_dimension(p)  # before the 2^(d/2)-entry tables of ``step``
     space = _KernelCoordinates(p)
-    d = space.d
     derive, shift, rotate, reflect = (_Gf2Map(m) for m in space.matrices)
     unit = [1 << k for k in range(d)]
     dihedral = []  # r^alpha i^beta, acting after the translation

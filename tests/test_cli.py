@@ -148,7 +148,9 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 # each class's own grid, without the lift to its true period.  The p = 1944
 # rows of search and balanced-classes were frozen while the balance filter
 # still counted every class's ones on its own p-by-p grid, and the p = 216 CSV
-# row while each generator field was still str of a generator_tuple
+# row while each generator field was still str of a generator_tuple.  The
+# classes rows of p = 1944 and 216, whose kernel period is 24, were frozen
+# while the partition still walked p-bit kernel coordinates
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 

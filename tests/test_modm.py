@@ -160,6 +160,17 @@ def test_interlaced_check_is_bounded():
         interlaced_sequence_check(3, 2049)
 
 
+def test_interlaced_check_refuses_an_orbit_past_the_work_bound(monkeypatch):
+    """(6m)^2 = 3174^2 cells exceed INTERLACED_WORK_LIMIT at m = 529: the
+    check is refused before the orbit is derived, whatever the size."""
+    def refuse(*args):
+        raise AssertionError("derived the interlaced orbit past the work bound")
+
+    monkeypatch.setattr("steinhaus.modm._interlaced_orbit_rows", refuse)
+    with pytest.raises(TooLarge, match="interlaced orbit of modulus 529 exceeds the work bound"):
+        interlaced_sequence_check(529, 5)
+
+
 def test_modulus_and_progression_bounds():
     assert len(ResidueTuple(MODULUS_LIMIT, (MODULUS_LIMIT - 1,))) == 1
     with pytest.raises(TooLarge):

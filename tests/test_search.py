@@ -607,3 +607,15 @@ def test_balanced_triangle_of_size_is_bounded(report24, monkeypatch):
     for kind in Orientation:
         with pytest.raises(TooLarge, match="triangle of size 2049 exceeds the bound"):
             balanced_triangle_of_size(report24, 2049, kind)
+
+
+def test_triangle_ones_is_bounded(monkeypatch):
+    """A size past the triangle bound is refused before any line is counted."""
+    def refuse(*args):
+        raise AssertionError("counted the lines of a triangle past the size bound")
+
+    grid = build_period_grid(R("0" * 24))
+    monkeypatch.setattr(search, "_line_counts", refuse)
+    for kind in Orientation:
+        with pytest.raises(TooLarge, match="triangle of size 2049 exceeds the bound"):
+            triangle_ones(grid, 0, 0, 2049, kind)

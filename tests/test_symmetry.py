@@ -199,9 +199,9 @@ def test_partition_lists_no_span(p, monkeypatch):
 
 
 def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
-    """partition_classes and the balanced walk refuse on d alone: the d
-    kernel basis vectors, their generator matrices and the 2^d-lane planes
-    are built only by what reads them."""
+    """partition_classes, the balanced walk and the Burnside count refuse
+    on d alone, before the d kernel basis vectors, their generator matrices
+    or the 2^d-lane planes are built."""
 
     def refuse(*args):
         raise AssertionError(f"kernel basis, generator images or lane planes were built: {args}")
@@ -216,6 +216,8 @@ def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
             partition_classes(2044)
         with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
             balanced_period_classes(2044)
+        with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
+            burnside_class_count(2044)
     finally:
         partition_classes.cache_clear()
         symmetry.balanced_classes.cache_clear()
@@ -238,7 +240,7 @@ def test_balanced_walk_is_empty_at_q0_one(p):
     """At these periods the only periodic tuple is zero (d = 0, q0 = 1): its
     one cell is 0 and 2 * 0 != 1, so the zero tuple is not balanced."""
     assert orbits.kernel_generator(p)[0] == 0
-    assert symmetry._balance_plane(p, 0) == 0
+    assert symmetry._balance_plane(symmetry._kernel_space(p)) == 0
     assert balanced_period_classes(p) == ()
 
 
@@ -248,7 +250,7 @@ def test_balance_plane_bits_match_direct_grids(p, samples):
     with kernel coordinates c, built from systematic_basis(p): every
     coordinate at p = 12 (d = 8), a seeded sample at p = 24 and 72."""
     d = orbits.kernel_generator(p)[0]
-    plane = symmetry._balance_plane(p, d)
+    plane = symmetry._balance_plane(symmetry._kernel_space(p))
     basis = orbits.systematic_basis(p)
     seen = set()
     for c in random.Random(p).sample(range(1 << d), samples):
@@ -265,6 +267,42 @@ def test_balance_plane_bits_match_direct_grids(p, samples):
 
 def test_burnside_count_matches_class_counts():
     assert [burnside_class_count(p) for p in range(1, 25)] == CLASS_COUNTS[:24]
+
+
+@pytest.mark.parametrize("p", [36, 72, 216])
+def test_partition_at_the_kernel_period_matches_a_direct_walk(p):
+    """The classes walked at q0 (12 for p = 36, 24 for 72 and 216) and
+    repeated up to p equal those of a walk of the p-bit coordinates."""
+    d = orbits.kernel_generator(p)[0]
+    direct = symmetry._walk(symmetry._KernelCoordinates(p), p, bytearray(1 << d))
+    assert partition_classes(p) == direct
+
+
+@pytest.mark.parametrize("p", [36, 72])
+def test_burnside_count_at_p_matches_the_kernel_period_partition(p):
+    assert burnside_class_count(p) == len(partition_classes(p))
+
+
+def test_walks_build_coordinates_only_at_the_kernel_period(monkeypatch):
+    """partition_classes(72) and balanced_classes(72) build the coordinates
+    of q0 = 24 and never those of 72."""
+    built = []
+
+    class Counting(symmetry._KernelCoordinates):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(symmetry, "_KernelCoordinates", Counting)
+    partition_classes.cache_clear()
+    symmetry.balanced_classes.cache_clear()
+    try:
+        partition_classes(72)
+        symmetry.balanced_classes(72)
+    finally:
+        partition_classes.cache_clear()
+        symmetry.balanced_classes.cache_clear()
+    assert built == [24, 24]
 
 
 def test_multiplicity_invariance_under_action():
