@@ -1,44 +1,26 @@
 """Search for infinite families of balanced triangles inside periodic orbits.
 
-The search reads only the classes whose p-by-p period is balanced, walked
-by symmetry.balanced_classes, which never walks an unbalanced class.
-full_search takes one path: the balance filter (balanced_period_classes),
-which counts each class's true-period grid again as a cross-check, then
-remainder_set for each class and kind; all three read one cached
-true-period grid per class (_true_period_grid).
-
-A triangle family anchored at position (i0, j0) with remainder r consists of
-the triangles of size kp + r for k = 0, 1, 2, ...  Such a family is balanced
-for every k exactly when three blocks are balanced: the corner triangle of
-size r, the band of cells added by one period step (an even block, so its
-two counts must be equal), and the p-by-p period itself.  This holds only
-when p is divisible by 4.  The module scans all (position, remainder) pairs
-per orbit class at once, each anchor of the class's true period a bit field
-of one packed int (orbits.AnchorFields; remainder_set lifts them to p), of
-one kind: the Pascal witnesses follow by duality (dual_position).  It
-collects the achievable remainders with witnesses, and emits certificates
-that an independent oracle re-verifies by counting each triangle straight
-from the grid with masked popcounts.  Certificates and the oracle count a
-triangle line by line (_line_counts): Pascal line t is grid row i0+t read
-from column j0, Steinhaus line t grid column j0+t read from row i0, each
-masked to its t+1 cells.  No line depends on the triangle's size, so the
-ones of every size up to n are the prefix sums of one stream of n popcounts
-(_ones_prefix): a certificate reads its corner and band from one prefix,
-the oracle every size kp + r from another of its own.  Both test the counts
-against one acceptance rule (_accepts); each grid counts its period's ones
-once.
+A family anchored at (i0, j0) with remainder r is the triangles of size
+kp + r, k = 0, 1, ...; it is balanced for every k exactly when three blocks
+are: the size-r corner, the band one period step adds (an even block, so
+its two counts must be equal) and the p-by-p period, which needs 4 | p.
+full_search reads only the balanced-period classes; one packed scan per
+class tests every anchor and remainder at once (_first_anchors), the
+Pascal witnesses read by duality (dual_position).  A certificate reads
+its corner and band off a cached plane of doubled grid lines
+(_period_plane); the oracle counts every size kp + r afresh from a stream
+of line popcounts (_line_counts).  One rule, _accepts, tests both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, cycle, islice
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
-    TRIANGLE_SIZE_LIMIT,
     MultiplicityTable,
     Orientation,
     ResidueTuple,
@@ -207,11 +189,10 @@ def _accepts(corner: int, band: int, p: int, r: int) -> bool:
 def check_family(
     x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation
 ) -> FamilyCertificate | None:
-    """Accept iff the size-r corner triangle of the given kind at (i0, j0) is
-    balanced and the band added by growing it to size p + r splits evenly
-    (the band is rows r..p+r-1 of the size p+r triangle, of either kind);
-    returns the certificate of the two counts on acceptance, None on
-    rejection, and raises UnbalancedPeriod on an unbalanced period."""
+    """The certificate of the size-r corner of the given kind at (i0, j0) and
+    of the band that growing it to size p + r adds if the corner is balanced
+    and the band splits evenly, else None; raises UnbalancedPeriod on an
+    unbalanced period."""
     p = len(x)
     _check_period(p)
     if not 0 <= r < p:
@@ -219,11 +200,40 @@ def check_family(
     grid = build_period_grid(x)
     if 2 * grid.ones != p * p:
         raise UnbalancedPeriod(f"period of {x} is not balanced")
-    ones = _ones_prefix(grid, i0, j0, p + r, kind)
-    corner, band = ones[r], ones[p + r] - ones[r]
+    i0, j0 = i0 % p, j0 % p
+    plane, w, stair, whole = _period_plane(grid, kind)
+    start, s = (j0, i0) if kind is Orientation.STEINHAUS else (i0, j0)
+    cells = (plane >> (start * w + s)) & stair
+    corner = (cells & ((1 << r * w) - 1)).bit_count()
+    band = cells.bit_count() + whole[start + r] - whole[start]
     if not _accepts(corner, band, p, r):
         return None
-    return FamilyCertificate(kind, x, (i0 % p, j0 % p), r, corner, band)
+    return FamilyCertificate(kind, x, (i0, j0), r, corner, band)
+
+
+@lru_cache(maxsize=2)  # both kinds of one period
+def _staircase(p: int) -> int:
+    """Bits 0..t of row t for t < p, at the stride of _period_plane."""
+    size = -(-p // 4)
+    return int.from_bytes(b"".join(((2 << t) - 1).to_bytes(size, "little") for t in range(p)), "little")
+
+
+@lru_cache(maxsize=4)  # one grid's certificates share it, both kinds in turn
+def _period_plane(grid: PeriodGrid, kind: Orientation) -> tuple[int, int, int, list[int]]:
+    """The p lines of the kind (rows for Pascal, columns for Steinhaus), each
+    doubled (line | line << p), stacked twice at stride w = 8 ceil(2p/8)
+    bits; w; _staircase(p); and the prefix sums of the stacked lines' ones.
+    Shifted down by start*w + s and masked, row t is line t of the triangle
+    at that anchor: the size-p triangle, its low r rows the size-r corner.
+    Line p+u of the size-(p+r) triangle is line u plus one whole period of
+    line start+u, so the band (sizes r+1..p+r) is the size-p triangle plus
+    r whole lines."""
+    p = grid.p
+    lines = grid.columns if kind is Orientation.STEINHAUS else grid.rows
+    size = -(-p // 4)
+    plane = b"".join((line | line << p).to_bytes(size, "little") for line in lines)
+    whole = list(accumulate(map(int.bit_count, lines * 2), initial=0))
+    return int.from_bytes(plane * 2, "little"), 8 * size, _staircase(p), whole
 
 
 def check_steinhaus_family(
@@ -245,18 +255,15 @@ def family_accepts(
 
 
 # _LINE_MASKS[t] = 2^(t+1) - 1 keeps the t+1 cells of line t: one table, grown
-# to the largest size counted so far up to TRIANGLE_SIZE_LIMIT, never one per size
+# to the largest size counted (check_triangle_size), never one per size
 _LINE_MASKS = [1]
 
 
-def _line_masks(n: int) -> Iterable[int]:
-    """At least n masks, of lines 0, 1, ...: the table, grown first to
-    min(n, TRIANGLE_SIZE_LIMIT) entries, then masks made on the fly."""
+def _line_masks(n: int) -> list[int]:
+    """The table, grown to at least n masks, of lines 0, 1, ..."""
     table = _LINE_MASKS
     if len(table) < n:
-        table.extend((2 << t) - 1 for t in range(len(table), min(n, TRIANGLE_SIZE_LIMIT)))
-        if len(table) < n:
-            return chain(table, ((2 << t) - 1 for t in range(len(table), n)))
+        table.extend((2 << t) - 1 for t in range(len(table), n))
     return table
 
 
@@ -349,9 +356,8 @@ def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
     from one Steinhaus scan of all p^2 anchors at once (orbits.AnchorFields).
     The period must be balanced: the Pascal anchors are read by dual_position.
 
-    Past size p, edge_{n+p} is edge_n plus the sum of its whole column, which
-    is edge_p moved n columns along; so the band of remainder r (sizes
-    r+1..p+r) is total_p plus edge_p moved 1..r columns along.  No count
+    The band of remainder r is total_p plus r whole lines (_period_plane):
+    edge_p, the whole column j0+p-1, moved 1..r columns along.  No count
     exceeds the cells of a band, which stay below 2p^2.
     """
     p = grid.p

@@ -150,7 +150,9 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 # still counted every class's ones on its own p-by-p grid, and the p = 216 CSV
 # row while each generator field was still str of a generator_tuple.  The
 # classes rows of p = 1944 and 216, whose kernel period is 24, were frozen
-# while the partition still walked p-bit kernel coordinates
+# while the partition still walked p-bit kernel coordinates, and the p = 216
+# JSON row, whose 5 886 certificates print corner and band counts, while
+# check_family still read them from the oracle's line-count stream
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 

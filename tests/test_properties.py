@@ -40,6 +40,7 @@ from steinhaus import (
 )
 from steinhaus.census import CENSUS_KINDS, LANE_BITS, _free_planes
 from steinhaus.core import TRIANGLE_SIZE_LIMIT
+from steinhaus.errors import UnbalancedPeriod
 from steinhaus.modm import (
     ApFamilySpec,
     SizeWitness,
@@ -62,6 +63,7 @@ from steinhaus.search import (
     _first_anchors,
     _ones_prefix,
     balanced_period_classes,
+    check_family,
     extract_block,
     remainder_set,
     triangle_ones,
@@ -483,6 +485,72 @@ def test_line_count_prefix_past_the_mask_table(rep9_grid, kind):
     n = TRIANGLE_SIZE_LIMIT + 30
     prefixes = _line_prefixes(rep9_grid.cells, kind, 1)
     assert _ones_prefix(rep9_grid, 7, -5, n, kind) == _profile(prefixes, kind, 7, -5, n)
+
+
+def _check_certificate_counts(x, grid, i0, j0, r, kind, extract):
+    """check_family at one anchor and remainder against the oracle's line
+    stream (_ones_prefix) and, when extract is set, against cells counted
+    from extract_block: the same acceptance, and on acceptance the same
+    corner and band ones.  Returns whether the family was accepted."""
+    p = grid.p
+    ones = _ones_prefix(grid, i0, j0, p + r, kind)
+    corner, band = ones[r], ones[p + r] - ones[r]
+    if extract:
+        assert corner == multiplicity(extract_block(grid, i0, j0, r, kind)).counts[1]
+        assert ones[p + r] == multiplicity(extract_block(grid, i0, j0, p + r, kind)).counts[1]
+    cert = check_family(x, i0, j0, r, kind)
+    assert (cert is not None) == _accepts(corner, band, p, r)
+    if cert is not None:
+        assert (cert.corner_ones, cert.band_ones, cert.position) == (corner, band, (i0 % p, j0 % p))
+    return cert is not None
+
+
+@pytest.mark.parametrize("p", [4, 8, 12, 24, 36, 72])
+def test_certificate_counts_match_the_line_stream(p):
+    """Every class, both kinds and every remainder: each scan witness moved
+    by whole periods (negative ones too) and two anchors drawn from
+    -3p..3p-1; an unbalanced period is refused (p = 4 and 8 have only those)."""
+    rng = random.Random(p)
+    checks = 0
+    for cls in partition_classes(p):
+        x = cls.representative
+        grid = build_period_grid(x)
+        if 2 * grid.ones != p * p:
+            with pytest.raises(UnbalancedPeriod):
+                check_family(x, 0, 0, 0, Orientation.STEINHAUS)
+            continue
+        for kind in Orientation:
+            witnesses = remainder_set(x, kind)
+            for r in range(p):
+                for i0, j0 in [(rng.randrange(-3 * p, 3 * p), rng.randrange(-3 * p, 3 * p)) for _ in range(2)]:
+                    _check_certificate_counts(x, grid, i0, j0, r, kind, checks % p == 0)
+                    checks += 1
+                if witnesses.witness(r) is not None:
+                    i0, j0 = witnesses.witness(r)
+                    i0, j0 = i0 + rng.randrange(-2, 3) * p, j0 + rng.randrange(-2, 3) * p
+                    assert _check_certificate_counts(x, grid, i0, j0, r, kind, checks % p == 0)
+                    checks += 1
+
+
+def test_certificate_counts_match_the_line_stream_at_p216():
+    """A sample at p = 216, whose lines outgrow one machine word many times
+    over: three classes, 24 remainders each, the witness and one far anchor."""
+    p, rng = 216, random.Random(216)
+    accepted = []
+    for cls in rng.sample(balanced_period_classes(p), 3):
+        x = cls.representative
+        grid = build_period_grid(x)
+        for kind in Orientation:
+            witnesses = remainder_set(x, kind)
+            for r in rng.sample(range(p), 24):
+                i0, j0 = rng.randrange(-5 * p, 5 * p), rng.randrange(-5 * p, 5 * p)
+                _check_certificate_counts(x, grid, i0, j0, r, kind, False)
+                if witnesses.witness(r) is not None:
+                    i0, j0 = witnesses.witness(r)
+                    accepted.append((x, grid, i0 - 3 * p, j0 + 2 * p, r, kind))
+                    assert _check_certificate_counts(*accepted[-1], False)
+    assert len(accepted) >= 24
+    assert _check_certificate_counts(*accepted[0], True)
 
 
 def _per_anchor_witnesses(grid, kind):

@@ -28,6 +28,15 @@ def test_search_p24_json_passes_the_checker(payload24):
     assert (result.returncode, result.stdout) == (0, "p=24: 654 witnesses checked, 0 failed\n")
 
 
+def test_search_p72_json_passes_the_checker(tmp_path, capsys):
+    """Certificates past the p = 24 goldens: every witness of p = 72, each
+    lifted from its class's true period."""
+    target = tmp_path / "search72.json"
+    assert main(["search", "--p", "72", "--format", "json", "--out", str(target)]) == 0
+    assert witness_checker.main([str(target)]) == 0
+    assert capsys.readouterr().out == "p=72: 1962 witnesses checked, 0 failed\n"
+
+
 def test_checker_reads_stdin(tmp_path):
     target = tmp_path / "search12.json"
     assert main(["search", "--p", "12", "--format", "json", "--out", str(target)]) == 0
