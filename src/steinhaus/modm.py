@@ -7,9 +7,13 @@ progression is q-periodic, and its scan reads every size off one orbit.
 A second family interlaces three arithmetic progressions; its orbit mod m
 has period 6m and *contains* balanced triangles of every size divisible by
 m and every size -1 mod 3m, though not necessarily anchored at the origin,
-so those claims are checked by scanning every position of the fundamental
-domain at once with orbits.AnchorFields, the packed counter the binary
-family scan uses too, run on one one-hot grid per nonzero residue.
+so those claims are checked by scanning every position at once with
+orbits.AnchorFields, the packed counter the binary family scan uses too,
+run on one one-hot grid per nonzero residue.  The orbit also repeats under
+(0, 3m) and (2m, m), both checked on the derived period, so the scan packs
+only the 6m^2 anchors of rows 0..2m-1 and columns 0..3m-1, a skewed torus
+whose row 2m is row 0 moved m columns on, and the first witness in the scan
+order of the whole 6m-by-6m period always lies among them.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from .core import (
 from .errors import InvalidSpec, TooLarge
 from .orbits import AnchorFields, is_periodic_tuple, orbit_rows
 
-# bound on (6m)^2 * n_max * m, positions x sizes x residues of interlaced_scan: under
-# a second at the bound, e.g. m = 3 to n_max = 10 288 (0.8 s), m = 7 to 809 (0.6 s)
+# bound on (6m)^2 * n_max * m, positions of the 6m-by-6m period x sizes x residues; the
+# scan packs 6m^2 of those positions, and at the bound m = 3 to n_max = 10 288 takes
+# 0.09 s, m = 7 to 809 0.05 s (in process, 2 vCPUs, Python 3.11; 0.4 and 0.23 s at 36m^2)
 INTERLACED_WORK_LIMIT = 10**7
 # bound on n_max(n_max + m): the n_max^2 orbit cells and m residue counts per size that
 # ap_balanced_scan reads; at the bound m = 7 to n_max = 1577 takes 0.4 s, 65535 to 38 0.7 s
@@ -183,10 +188,18 @@ def interlaced_scan(
     m: int, n_max: int, kind: Orientation = Orientation.STEINHAUS
 ) -> list[SizeWitness]:
     """For each size up to n_max, the first position (i0, then j0) in the
-    6m-by-6m fundamental domain of the interlaced orbit whose triangle has
-    the smallest spread.  Every position is a field of one packed count per
-    nonzero residue, grown one size at a time; residue 0 fills the cells
-    the other residues leave.
+    6m-by-6m period of the interlaced orbit whose triangle has the smallest
+    spread.
+
+    The orbit G repeats under (0, 3m), since the three progressions return
+    after 3m entries, and under (2m, m): G(i + 2m, j + m) = G(i, j).  Both
+    are checked cell by cell on the derived period, so the 6m^2 anchors of
+    rows 0..2m-1 and columns 0..3m-1, row 2m being row 0 moved m columns
+    on, hold every triangle of the 36m^2.  The first hit in scan order lies
+    among them: a hit (i, j) with i >= 2m is the hit (i - 2m, j - m) of an
+    earlier row, and one with j >= 3m the hit (i, j - 3m) of the same row.
+    Every anchor is a field of one packed count per nonzero residue, grown
+    one size at a time; residue 0 fills the cells the other residues leave.
     """
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
@@ -197,8 +210,17 @@ def interlaced_scan(
             f"work bound {INTERLACED_WORK_LIMIT}"
         )
     orbit = _interlaced_orbit_rows(m)
-    fields = AnchorFields(q, n_max * (n_max + 1) // 2)
-    grids = [[sum((v == x) << j for j, v in enumerate(row)) for row in orbit] for x in range(1, m)]
+    height, width = 2 * m, 3 * m
+    for i, row in enumerate(orbit):
+        if row[width:] != row[:width] or orbit[(i + height) % q] != row[-m:] + row[:-m]:
+            raise AssertionError(
+                f"interlaced orbit mod {m} does not repeat under (0, {width}) and ({height}, {m})"
+            )
+    fields = AnchorFields(height, n_max * (n_max + 1) // 2, width, m)
+    grids = [
+        [sum((v == x) << j for j, v in enumerate(row[:width])) for row in orbit[:height]]
+        for x in range(1, m)
+    ]
     residues = [fields.triangle_counts(rows, kind) for rows in grids]  # one-hot, residues 1..m-1
     witnesses = []
     for n in range(1, n_max + 1):
@@ -208,7 +230,7 @@ def interlaced_scan(
         for total in totals:
             high, low = fields.maximum(high, total), fields.minimum(low, total)
         spread, hits = _smallest_field(fields, high - low, cells)
-        position = divmod(fields.first(hits), q) if spread <= 1 else None
+        position = divmod(fields.first(hits), width) if spread <= 1 else None
         # a smallest spread above n_max + 1 is reported as n_max + 2
         witnesses.append(SizeWitness(n, spread <= 1, position, min(spread, n_max + 2)))
     return witnesses

@@ -10,7 +10,8 @@ is a PeriodGrid, whose line rotates a stored row, column or diagonal of it.
 Bit-level helpers pack modulus-2 tuples LSB-first into ints.
 AnchorFields counts the ones of the triangles at every anchor of a periodic
 orbit at once, one bit field per anchor of a packed int, on the grid rows
-(family scan) or on one one-hot grid per residue (mod-m scan).
+(family scan) or on one one-hot grid per residue (mod-m scan, whose anchors
+form a smaller, skewed torus).
 """
 
 from __future__ import annotations
@@ -375,25 +376,31 @@ def true_period(x: ResidueTuple) -> int:
 
 
 class AnchorFields:
-    """One count per anchor of a q-periodic orbit, all q^2 of them in one int.
+    """One count per anchor of a doubly periodic orbit, all of them in one int.
 
-    Anchor (i0, j0) owns the w-bit field i0*q + j0.  Every count the caller
-    stores is at most ``max_count`` < 2^(w-1), so no field carries into the
-    next and the top (guard) bit of each field is free for the comparisons,
-    which SWAR-test every field at once (Warren, Hacker's Delight, ch. 2).
+    The anchors are those of a rows-by-cols torus, by default the square
+    q-by-q period.  Anchor (i0, j0) owns the w-bit field i0*cols + j0.
+    Column cols is column 0, and row rows is row 0 moved skew columns on:
+    (i0 + rows, j0 + skew) is the anchor (i0, j0), so a skewed domain serves
+    an orbit that repeats under the lattice <(0, cols), (rows, skew)>.
+    Every count the caller stores is at most ``max_count`` < 2^(w-1), so no
+    field carries into the next and the top (guard) bit of each field is
+    free for the comparisons, which SWAR-test every field at once (Warren,
+    Hacker's Delight, ch. 2).
     """
 
-    def __init__(self, q: int, max_count: int):
-        self.q = q
+    def __init__(self, rows: int, max_count: int, cols: int | None = None, skew: int = 0):
+        cols = rows if cols is None else cols
+        self.rows, self.cols, self.skew = rows, cols, skew % cols
         self.w = w = max_count.bit_length() + 1
-        self.width, self.row_shift = q * q * w, q * w
+        self.row_shift = cols * w
+        self.width = rows * self.row_shift
         self.pad = "0" * (w - 1)
-        self.lsb = int(self.pad + self.pad.join("1" * (q * q)), 2)  # 1 in every field
-        self.guard = self.lsb << (w - 1)                           # top bit of every field
-        self.below_guard = self.guard - self.lsb                   # 2^(w-1) - 1 in every field
-        self.everything = (1 << self.width) - 1
-        self.last_column = int(("1" * w + "0" * (self.row_shift - w)) * q, 2)
-        self.other_columns = self.everything ^ self.last_column
+        self.lsb = int(self.pad + self.pad.join("1" * (rows * cols)), 2)  # 1 in every field
+        self.guard = self.lsb << (w - 1)                                 # top bit of every field
+        self.below_guard = self.guard - self.lsb                         # 2^(w-1) - 1 in every field
+        self.last_column = int(("1" * w + "0" * (self.row_shift - w)) * rows, 2)
+        self.other_columns = ((1 << self.width) - 1) ^ self.last_column
 
     def next_column(self, v: int) -> int:
         """Field (i0, j0) takes field (i0, j0+1)."""
@@ -401,8 +408,10 @@ class AnchorFields:
         return ((v >> w) & self.other_columns) | ((v << (self.row_shift - w)) & self.last_column)
 
     def next_row(self, v: int) -> int:
-        """Field (i0, j0) takes field (i0+1, j0)."""
-        return (v >> self.row_shift) | ((v << (self.width - self.row_shift)) & self.everything)
+        """Field (i0, j0) takes field (i0+1, j0): the last row takes row 0,
+        its fields rotated skew places up, since (rows, j0) is (0, j0 - skew)."""
+        top = self.width - self.row_shift
+        return (v >> self.row_shift) | _rotate(v, self.skew * self.w, self.row_shift) << top
 
     def equal(self, v: int, target: int) -> int:
         """The guard bit of each field of v holding target."""
@@ -412,28 +421,35 @@ class AnchorFields:
         """The guard bit of each field of v holding at most target."""
         return (((target * self.lsb) | self.guard) - v) & self.guard
 
+    def _excess(self, a: int, b: int) -> int:
+        """Fieldwise a - b where a >= b, and 0 where a < b."""
+        d = (a | self.guard) - b                # 2^(w-1) + a - b in every field, no borrows
+        ge = d & self.guard                     # guard bit of each field where a >= b
+        return d & (ge - (ge >> (self.w - 1)))  # the value bits of those fields
+
     def maximum(self, a: int, b: int) -> int:
         """Fieldwise maximum of a and b."""
-        ge = ((a | self.guard) - b) & self.guard  # guard bit of each field where a >= b
-        keep = ge - (ge >> (self.w - 1))          # the value bits of those fields
-        return (a & keep) | (b & ~keep)
+        return b + self._excess(a, b)
 
     def minimum(self, a: int, b: int) -> int:
-        """Fieldwise minimum of a and b: each field of a + b stays below 2^w."""
-        return a + b - self.maximum(a, b)
+        """Fieldwise minimum of a and b."""
+        return a - self._excess(a, b)
 
     def first(self, hits: int, di: int = 0, dj: int = 0) -> int:
-        """Index i0*q + j0 of the lowest field whose guard bit is set in hits
-        once every field (i0, j0) has moved to (i0+di, j0+dj) mod q: the rows
-        rotate as one int, then only the lowest non-empty row by dj."""
-        q, row_shift = self.q, self.row_shift
-        if di % q:
-            hits = _rotate(hits, di % q * row_shift, self.width)
+        """Index i0*cols + j0 of the lowest field whose guard bit is set in
+        hits once every field (i0, j0) has moved to (i0+di, j0+dj) of the
+        unskewed torus: the rows rotate as one int, then only the lowest
+        non-empty row by dj.  A skewed domain moves no hits (ValueError)."""
+        if self.skew and (di or dj):
+            raise ValueError("hits on a skewed domain cannot be moved")
+        rows, cols, row_shift = self.rows, self.cols, self.row_shift
+        if di % rows:
+            hits = _rotate(hits, di % rows * row_shift, self.width)
         k = ((hits & -hits).bit_length() - 1) // self.w
-        if dj % q:
-            i = k // q
-            row = _rotate(hits >> i * row_shift, dj % q * self.w, row_shift)
-            k = i * q + ((row & -row).bit_length() - 1) // self.w
+        if dj % cols:
+            i = k // cols
+            row = _rotate(hits >> i * row_shift, dj % cols * self.w, row_shift)
+            k = i * cols + ((row & -row).bit_length() - 1) // self.w
         return k
 
     def triangle_counts(self, rows: Sequence[int], kind: Orientation) -> Iterator[tuple[int, int]]:
@@ -447,7 +463,7 @@ class AnchorFields:
         the diagonal, and total_n = total_{n-1} + edge_n.
         """
         along = self.next_column if kind is Orientation.STEINHAUS else self.next_row
-        bits = "".join(format(row, f"0{self.q}b") for row in reversed(rows))
+        bits = "".join(format(row, f"0{self.cols}b") for row in reversed(rows))
         diagonal = edge = total = int(self.pad + self.pad.join(bits), 2)
         while True:
             yield total, edge

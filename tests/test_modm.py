@@ -17,7 +17,7 @@ from steinhaus import (
     orbit_period_check_mod_m,
 )
 from steinhaus.core import MODULUS_LIMIT
-from steinhaus.modm import interlaced_claimed_sizes, interlaced_entry
+from steinhaus.modm import _interlaced_orbit_rows, interlaced_claimed_sizes, interlaced_entry
 
 
 def test_multiplicative_order():
@@ -145,6 +145,37 @@ def test_interlaced_offset_witnesses_shift_with_the_sequence():
             multiplicity(direct).balanced,
             multiplicity(direct).spread,
         )
+
+
+@pytest.mark.parametrize("m", range(3, 32, 2))
+def test_interlaced_orbit_repeats_under_the_skew_lattice(m):
+    """G(i, j + 3m) = G(i, j) and G(i + 2m, j + m) = G(i, j), cell by cell on
+    the 6m-by-6m period: the scan reads only the 2m-by-3m domain they leave."""
+    orbit = _interlaced_orbit_rows(m)
+    q = 6 * m
+    for i in range(q):
+        for j in range(q):
+            assert orbit[i][(j + 3 * m) % q] == orbit[i][j], (m, i, j)
+            assert orbit[(i + 2 * m) % q][(j + m) % q] == orbit[i][j], (m, i, j)
+
+
+def _only_row_zero(m):
+    """6m-periodic both ways and 3m-periodic along each row, but row 2m is
+    not row 0 moved m columns on."""
+    q = 6 * m
+    return [(1,) * q] + [(0,) * q] * (q - 1)
+
+
+def _one_cell_changed(m):
+    rows = _interlaced_orbit_rows(m)
+    return [((rows[0][0] + 1) % m,) + rows[0][1:]] + rows[1:]
+
+
+@pytest.mark.parametrize("grid", [_only_row_zero, _one_cell_changed])
+def test_interlaced_scan_refuses_an_orbit_off_the_skew_lattice(monkeypatch, grid):
+    monkeypatch.setattr("steinhaus.modm._interlaced_orbit_rows", grid)
+    with pytest.raises(AssertionError, match="does not repeat under"):
+        interlaced_scan(3, 9)
 
 
 def test_interlaced_scan_validation():

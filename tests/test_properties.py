@@ -317,10 +317,17 @@ def _field(fields, v, index):
     return (v >> (index * fields.w)) & ((1 << fields.w) - 1)
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 5], ids=["grid24", "interlaced3", "interlaced5"])
+@pytest.mark.parametrize(
+    "modulus,skewed",
+    [(2, False), (3, False), (5, False), (3, True), (5, True)],
+    ids=["grid24", "interlaced3", "interlaced5", "skewed3", "skewed5"],
+)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_anchor_fields_triangle_counts_match_extraction(modulus, data):
+def test_anchor_fields_triangle_counts_match_extraction(modulus, skewed, data):
+    """Counts at any anchor of Z^2, reduced into the packed domain: the whole
+    q-by-q period, or the interlaced orbit's 2m-by-3m domain, whose row 2m
+    is row 0 moved m columns on."""
     rows = _counted_orbit(modulus)
     q = len(rows)
     kind = data.draw(st.sampled_from(list(Orientation)))
@@ -328,9 +335,15 @@ def test_anchor_fields_triangle_counts_match_extraction(modulus, data):
     n_max = data.draw(st.integers(1, 2 * q + 5))  # beyond q the edges wrap
     n = data.draw(st.integers(1, n_max))
     residue = data.draw(st.integers(0, modulus - 1))
-    fields = AnchorFields(q, n_max * (n_max + 1) // 2)
-    anchor = (i0 % q) * q + j0 % q
-    sizes = list(itertools.islice(fields.triangle_counts(_one_hot(rows, residue), kind), n_max))
+    if skewed:
+        height, width, skew = 2 * modulus, 3 * modulus, modulus
+        fields = AnchorFields(height, n_max * (n_max + 1) // 2, width, skew)
+        grid = [row[:width] for row in rows[:height]]
+        turns, i = divmod(i0, height)  # (i0, j0) is (i0 - turns*height, j0 - turns*skew)
+        anchor = i * width + (j0 - turns * skew) % width
+    else:
+        fields, grid, anchor = AnchorFields(q, n_max * (n_max + 1) // 2), rows, (i0 % q) * q + j0 % q
+    sizes = list(itertools.islice(fields.triangle_counts(_one_hot(grid, residue), kind), n_max))
     totals = [0] + [_field(fields, total, anchor) for total, _ in sizes]
     edges = [_field(fields, edge, anchor) for _, edge in sizes]
     assert edges == [totals[k + 1] - totals[k] for k in range(n_max)]
@@ -342,12 +355,13 @@ def test_anchor_fields_triangle_counts_match_extraction(modulus, data):
 @settings(max_examples=100, deadline=None)
 def test_anchor_fields_comparisons_match_field_loop(data):
     """The SWAR comparisons against one Python comparison per field, on
-    values that include both ends of a field, 0 and 2^(w-1) - 1."""
-    q = data.draw(st.integers(1, 6))
-    fields = AnchorFields(q, data.draw(st.integers(1, 5000)))
+    values that include both ends of a field, 0 and 2^(w-1) - 1, on a
+    rows-by-cols torus."""
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    fields = AnchorFields(rows, data.draw(st.integers(1, 5000)), cols)
     top = (1 << (fields.w - 1)) - 1
     value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
-    a, b = (data.draw(st.lists(value, min_size=q * q, max_size=q * q)) for _ in range(2))
+    a, b = (data.draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)) for _ in range(2))
     target = data.draw(value)
 
     def pack(values):
@@ -363,10 +377,43 @@ def test_anchor_fields_comparisons_match_field_loop(data):
     hits = fields.at_most(pack(a), target)
     if hits:
         assert fields.first(hits) == min(k for k, x in enumerate(a) if x <= target)
-        # every field (i0, j0) moved to (i0+di, j0+dj) mod q, field by field
-        di, dj = data.draw(st.integers(-2 * q, 2 * q)), data.draw(st.integers(-2 * q, 2 * q))
-        moved = [((k // q + di) % q) * q + (k % q + dj) % q for k, x in enumerate(a) if x <= target]
+        # every field (i0, j0) moved to (i0+di, j0+dj) of the torus, field by field
+        di, dj = data.draw(st.integers(-2 * rows, 2 * rows)), data.draw(st.integers(-2 * cols, 2 * cols))
+        moved = [
+            ((k // cols + di) % rows) * cols + (k % cols + dj) % cols
+            for k, x in enumerate(a)
+            if x <= target
+        ]
         assert fields.first(hits, di, dj) == min(moved)
+
+
+def test_anchor_fields_moves_no_hits_on_a_skewed_domain():
+    fields = AnchorFields(6, 100, 9, 3)
+    hits = fields.guard
+    assert fields.first(hits) == 0
+    for di, dj in ((1, 0), (0, 1), (6, 3)):
+        with pytest.raises(ValueError):
+            fields.first(hits, di, dj)
+
+
+def test_anchor_fields_next_row_turns_the_wrapped_row_by_the_skew():
+    """Field (i0, j0) takes (i0 + 1, j0); from the last row that is
+    (0, j0 - skew), and next_column takes (i0, j0 + 1) with no skew."""
+    height, width, skew = 4, 5, 2
+    fields = AnchorFields(height, height * width, width, skew)
+    v = sum(k << (k * fields.w) for k in range(height * width))  # field k holds k
+
+    def read(v):
+        return [_field(fields, v, k) for k in range(height * width)]
+
+    below = [
+        (i + 1) * width + j if i + 1 < height else (j - skew) % width
+        for i in range(height)
+        for j in range(width)
+    ]
+    right = [i * width + (j + 1) % width for i in range(height) for j in range(width)]
+    assert read(fields.next_row(v)) == below
+    assert read(fields.next_column(v)) == right
 
 
 @lru_cache(maxsize=None)
