@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import sys
+from contextlib import nullcontext
 
 from .core import (
     Orientation,
@@ -17,7 +18,7 @@ from .core import (
 )
 from .census import CENSUS_KINDS, average_census, check_census_size, extremal_ones_scan, triangle_count
 from .errors import EmptyTuple, SteinhausError, TooLarge
-from .jsonout import indented
+from .jsonout import generator_fields as _generator_fields, indented, search_pieces
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
@@ -25,7 +26,6 @@ from .modm import (
     interlaced_scan,
 )
 from .orbits import (
-    build_period_grid,
     check_kernel_dimension,
     check_period,
     gf2_kernel_basis,  # unused here; perfbench/workloads.py traces it by this name
@@ -46,7 +46,7 @@ from .search import (
 from .symmetry import partition_classes
 
 # bound on witnesses x p, the per-witness work behind CSV, JSON and --k-verify: p = 264 reaches
-# 91% of it (CSV 2.0 s, 40 MB; JSON 3.5 s, 61 MB; --k-verify 6 --format json 7.6 s)
+# 91% of it (2 vCPUs: CSV 0.4 s, 37 MB; JSON 0.6 s, 26 MB; --k-verify 6 --format json 6.3 s)
 WITNESS_WORK_LIMIT = 1 << 21
 
 
@@ -64,18 +64,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _write_output(text_or_bytes, out_path: str | None) -> None:
-    data = (
-        text_or_bytes
-        if isinstance(text_or_bytes, bytes)
-        else text_or_bytes.encode("utf-8")
-    )
-    if out_path:
-        with open(out_path, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+def _write_output(pieces, out_path: str | None) -> None:
+    """Write the output, a str, bytes or an iterable of str pieces, to out_path or else stdout."""
+    if isinstance(pieces, (str, bytes)):
+        pieces = (pieces,)
+    with open(out_path, "wb") if out_path else nullcontext(sys.stdout.buffer) as handle:
+        for piece in pieces:
+            handle.write(piece if isinstance(piece, bytes) else piece.encode("utf-8"))
+        handle.flush()
 
 
 def _emit_table(headers: list[str], rows: list[list], args) -> None:
@@ -198,21 +194,6 @@ def _search_kinds(args) -> list[Orientation]:
     return [Orientation(args.kind)]
 
 
-def _generator_fields(kind: Orientation, x: ResidueTuple, i0: int, j0: int) -> dict:
-    """The tuples generating a witness's triangles, as the digits str prints
-    for generator_tuple (the row z, Steinhaus) and pascal_generator_tuples
-    (the sides z_left and z_right, Pascal): the packed grid lines they
-    unpack, formatted LSB first."""
-    grid = build_period_grid(x)
-    fmt = f"0{grid.p}b"
-    if kind is Orientation.STEINHAUS:
-        return {"z": format(grid.line(i0, j0, 0, 1), fmt)[::-1]}
-    return {
-        "z_left": format(grid.line(i0, j0, 1, 0), fmt)[::-1],
-        "z_right": format(grid.line(i0, j0, 1, 1), fmt)[::-1],
-    }
-
-
 def _certificates(report, kinds: list[Orientation], k_verify: int) -> dict:
     """One certificate per witness, keyed by (class index, kind, remainder): a
     witness must have one, and with k_verify > 0 it must pass the oracle too."""
@@ -242,27 +223,7 @@ def _cmd_search(args) -> int:
     if args.k_verify or args.format == "json":
         certs = _certificates(report, kinds, args.k_verify)
     if args.format == "json":
-        payload = {"p": report.p, "classes": []}
-        for entry in report.classes:
-            representative = str(entry.class_rep)
-            item = {"index": entry.index, "representative": representative}
-            for kind in kinds:
-                rset = entry.remainders(kind)
-                witnesses = []
-                for r, i0, j0 in rset.witnesses:
-                    record = certs[entry.index, kind, r].to_json_dict(representative)
-                    record.update(_generator_fields(kind, entry.class_rep, i0, j0))
-                    witnesses.append(record)
-                item[kind.value] = {
-                    "remainder_count": len(rset),
-                    "remainders": list(rset.remainders),
-                    "witnesses": witnesses,
-                }
-            payload["classes"].append(item)
-        if args.k_verify:
-            payload["verified_certificates"] = len(certs)
-            payload["k_verify"] = args.k_verify
-        _emit_json(payload, args)
+        _write_output(search_pieces(report, kinds, certs, args.k_verify), args.out)
         return 0
     if args.format == "csv":
         rows = []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from steinhaus import Orientation, census, full_search
+from steinhaus import Orientation, census, cli, full_search
 from steinhaus.cli import WITNESS_WORK_LIMIT, main
 from steinhaus.symmetry import balanced_classes, partition_classes
 
@@ -154,7 +154,10 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 # classes rows of p = 1944 and 216, whose kernel period is 24, were frozen
 # while the partition still walked p-bit kernel coordinates, and the p = 216
 # JSON row, whose 5 886 certificates print corner and band counts, while
-# check_family still read them from the oracle's line-count stream
+# check_family still read them from the oracle's line-count stream.  The JSON
+# rows of p = 72 with one kind, of p = 8 (no classes) and of p = 264 were
+# frozen while the search still built its payload as one tree of dicts and
+# wrote it with jsonout.indented
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 
@@ -454,6 +457,34 @@ def test_witness_bound_accepts_p264_in_every_format(tmp_path):
     assert len(out.read_text().splitlines()) == 7194 + 1
     assert main(["search", "--p", "264", "--format", "json", "--k-verify", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["verified_certificates"] == 7194
+
+
+def test_a_failed_certificate_writes_nothing(tmp_path, capsys, monkeypatch):
+    """Every certificate is checked before the first byte goes out: with the
+    oracle rejecting the last witness, the search exits 1, prints nothing
+    on stdout and creates no --out file."""
+    report = full_search(24)
+    witnesses = [(entry.index, w) for entry in report.classes for kind in Orientation
+                 for w in entry.remainders(kind).witnesses]
+    calls = []
+    verify = cli.oracle_verify_family
+
+    def rejecting_the_last(cert, k):
+        calls.append(cert)
+        return len(calls) % len(witnesses) != 0 and verify(cert, k)
+
+    monkeypatch.setattr(cli, "oracle_verify_family", rejecting_the_last)
+    index, (r, i0, j0) = witnesses[-1]
+    message = f"witness ({i0},{j0},{r}) of class {index} failed oracle verification at K=1"
+    command = ["search", "--p", "24", "--k-verify", "1", "--format", "json"]
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    out = tmp_path / "out.json"
+    assert main(command + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert len(calls) == 2 * len(witnesses)
 
 
 def test_kernel_table_within_bounds(capsys):

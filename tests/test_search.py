@@ -242,6 +242,52 @@ def test_certificate_rejects_unbalanced_counts(rep9, field, delta):
         dataclasses.replace(cert, **{field: getattr(cert, field) + delta})
 
 
+def _witness_certificates(report):
+    """check_family of every witness of the report, both kinds."""
+    return [
+        check_family(entry.class_rep, i0, j0, r, kind)
+        for entry in report.classes
+        for kind in Orientation
+        for r, i0, j0 in entry.remainders(kind).witnesses
+    ]
+
+
+def test_check_family_builds_the_certificate_the_constructor_builds(report24):
+    """The checked path skips __post_init__, yet each of the 654 certificates
+    equals, hashes and prints as the one the public constructor builds."""
+    certs = _witness_certificates(report24)
+    assert len(certs) == 654
+    for cert in certs:
+        public = search.FamilyCertificate(
+            cert.kind, cert.generator, cert.position, cert.remainder, cert.corner_ones, cert.band_ones
+        )
+        assert cert == public and hash(cert) == hash(public) and repr(cert) == repr(public)
+
+
+def test_check_family_tests_each_certificate_once(report24, monkeypatch):
+    """The acceptance rule's targets are computed once per accepted
+    certificate: check_family does not have the constructor check again."""
+    calls = []
+    targets = search._family_targets
+    monkeypatch.setattr(search, "_family_targets", lambda p, r: calls.append(r) or targets(p, r))
+    certs = _witness_certificates(report24)
+    assert None not in certs
+    assert len(calls) == len(certs) == 654
+
+
+@pytest.mark.parametrize("fields,error", [
+    ({"remainder": 24}, "remainder must lie in 0..p-1"),
+    ({"remainder": -1}, "remainder must lie in 0..p-1"),
+    ({"corner_ones": 0}, "certificate blocks are not balanced"),
+    ({"band_ones": 0}, "certificate blocks are not balanced"),
+    ({"generator": R("0110" * 5 + "01")}, "not divisible by 4"),
+], ids=str)
+def test_the_public_constructor_keeps_its_checks(rep9, fields, error):
+    cert = check_steinhaus_family(rep9, 6, 9, 6)
+    with pytest.raises(ValueError, match=error):
+        dataclasses.replace(cert, **fields)
+
+
 def test_search_and_certificates_never_recount_the_period(rep9, monkeypatch):
     """The period's ones come from PeriodGrid.ones; no table is built for it."""
     def refuse(self):
