@@ -3,8 +3,9 @@
 Both count every triangle of a size (2^n Steinhaus, 2^(2n-1) Pascal), so they
 are capped.  They are bit-sliced over blocks of 2^LANE_BITS triangles: a cell
 is one int whose bit t is that cell in triangle t, derived from the free-bit
-planes by the local rule, one XOR each, and added into a bit-sliced counter,
-planes whose bit t, read down the list, is the one-count of triangle t.
+planes by the local rule, one XOR each, and streamed into a carry-save
+counter of full adders, planes whose bit t, read down the list, is the
+one-count of triangle t.
 CENSUS_KINDS holds what differs per kind: size bound, free-bit count, cell
 planes and closed-form maximum.  The lane planes (_lane_planes) and the
 counter (bit_sliced_sum) also count the balance plane of symmetry, one lane
@@ -36,14 +37,32 @@ def _lane_planes(lanes: int) -> list[int]:
 
 def bit_sliced_sum(cells: Iterable[int]) -> list[int]:
     """Counter planes whose bit t, read down the list (plane i weighing 2^i),
-    is how many of the cells have bit t set: each cell rippled in as a carry
-    (Warren, Hacker's Delight, ch. 5)."""
-    counter: list[int] = []
-    for carry in cells:
-        for i, plane in enumerate(counter):
-            counter[i], carry = plane ^ carry, plane & carry
-        if carry:
-            counter.append(carry)
+    is how many of the cells have bit t set, the top plane nonzero.  Carry-save
+    (Harley-Seal; Warren, Hacker's Delight, ch. 5): level i holds a sum and at
+    most one waiting plane; a third goes through a full adder whose carry moves
+    up, so a cell costs about one adder (5 operations), not 2 per level."""
+    sums: list[int] = []
+    waiting: list[int] = []  # 0 when the level has no plane waiting
+    for plane in cells:
+        for i, held in enumerate(waiting):
+            if not held:
+                waiting[i] = plane
+                break
+            total = sums[i]
+            partial = total ^ held
+            sums[i], waiting[i] = partial ^ plane, 0
+            plane = (total & held) | (plane & partial)
+        else:
+            sums.append(plane)
+            waiting.append(0)
+    counter, carry = [], 0  # each level's two planes and the carry from below
+    for total, held in zip(sums, waiting):
+        partial = total ^ held
+        counter.append(partial ^ carry)
+        carry = (total & held) | (carry & partial)
+    counter.append(carry)
+    while counter and not counter[-1]:
+        counter.pop()
     return counter
 
 

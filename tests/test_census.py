@@ -1,4 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steinhaus import (
     Orientation,
@@ -13,7 +18,7 @@ from steinhaus import (
     steinhaus_max_ones,
 )
 from steinhaus import census
-from steinhaus.census import triangle_count
+from steinhaus.census import bit_sliced_sum, triangle_count
 
 
 def test_average_small_steinhaus():
@@ -107,3 +112,55 @@ def test_census_split_into_blocks_matches_direct_enumeration(kind, n_max, monkey
             assert (average_census(n, kind), extremal_ones_scan(n, kind)) == expected
     finally:
         census._census.cache_clear()
+
+
+def _ripple_sum(cells):
+    """Reference counter: each cell rippled in as a carry through every level."""
+    counter = []
+    for carry in cells:
+        for i, plane in enumerate(counter):
+            counter[i], carry = plane ^ carry, plane & carry
+        if carry:
+            counter.append(carry)
+    return counter
+
+
+def _planes(width):
+    ones = (1 << width) - 1
+    plane = st.one_of(st.just(0), st.just(ones), st.integers(0, ones))
+    return st.tuples(st.just(width), st.lists(plane, max_size=300))
+
+
+@given(st.integers(1, 300).flatmap(_planes))
+@example((1, []))
+@example((7, [0, 0, 0]))
+@example((300, [(1 << 300) - 1]))
+@settings(max_examples=150, deadline=None)
+def test_bit_sliced_sum_matches_ripple_reference(drawn):
+    """The carry-save counter equals the ripple counter plane for plane, reads
+    each lane's count in binary down the list, and ends on a nonzero plane,
+    for empty input (no planes), one plane, all-zero and all-one planes alike."""
+    width, cells = drawn
+    counter = bit_sliced_sum(iter(cells))
+    assert counter == _ripple_sum(cells)
+    assert not counter or counter[-1]
+    for t in range(width):
+        read = sum((level >> t & 1) << i for i, level in enumerate(counter))
+        assert read == sum(cell >> t & 1 for cell in cells)
+
+
+def test_bit_sliced_sum_streams_its_cells():
+    """2 000 planes of 2^16 lanes (16 MB if listed) sum under 1 MB of traced
+    peak: the counter keeps two planes a level, never its input."""
+    def planes():
+        rng = random.Random(1)
+        return (rng.getrandbits(1 << 16) for _ in range(2000))
+
+    tracemalloc.start()
+    try:
+        counter = bit_sliced_sum(planes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert counter == _ripple_sum(planes())
