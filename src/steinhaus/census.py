@@ -7,9 +7,8 @@ planes by the local rule, one XOR each, and streamed into a carry-save
 counter of full adders, planes whose bit t, read down the list, is the
 one-count of triangle t.
 CENSUS_KINDS holds what differs per kind: size bound, free-bit count, cell
-planes and closed-form maximum.  The lane planes (_lane_planes) and the
-counter (bit_sliced_sum) also count the balance plane of symmetry, one lane
-per kernel coordinate.
+planes and closed-form maximum.  The blocks (_free_planes) and the counter
+(bit_sliced_sum) also count symmetry's balance plane, a lane per coordinate.
 """
 
 from __future__ import annotations
@@ -23,16 +22,6 @@ from .errors import TooLarge
 STEINHAUS_CENSUS_LIMIT = 16
 PASCAL_CENSUS_LIMIT = 10
 LANE_BITS = 16  # a block counts 2^16 triangles, one per bit of each plane
-
-
-def _lane_planes(lanes: int) -> list[int]:
-    """Plane j of 2^lanes lanes has bit t set when bit j of t is, built by
-    doubling.  Cheap next to a census, so none is kept after it."""
-    planes: list[int] = []
-    for j in range(lanes):
-        width = 1 << j
-        planes = [*(plane | plane << width for plane in planes), ((1 << width) - 1) << width]
-    return planes
 
 
 def bit_sliced_sum(cells: Iterable[int]) -> list[int]:
@@ -68,9 +57,13 @@ def bit_sliced_sum(cells: Iterable[int]) -> list[int]:
 
 def _free_planes(k: int) -> Iterator[list[int]]:
     """The k free-bit planes of each block in turn: lane t of block b is the
-    triangle whose free bits are the bits of b * 2^LANE_BITS + t."""
-    lanes = min(k, LANE_BITS)
-    low, ones = _lane_planes(lanes), (1 << (1 << lanes)) - 1
+    triangle whose free bits are the bits of b * 2^LANE_BITS + t.  Low plane
+    j, built by doubling, has bit t set when bit j of t is."""
+    lanes, low = min(k, LANE_BITS), []
+    for j in range(lanes):
+        width = 1 << j
+        low = [*(plane | plane << width for plane in low), ((1 << width) - 1) << width]
+    ones = (1 << (1 << lanes)) - 1
     for block in range(1 << (k - lanes)):
         yield [*low, *(ones if block >> j & 1 else 0 for j in range(k - lanes))]
 

@@ -24,8 +24,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .core import MultiplicityTable, Orientation, ResidueTuple, check_triangle_size
 from .errors import EmptyTuple, NotPeriodic, TooLarge
 
-# kernel dimension d above which the span, the partition's 2^d visited array and the
-# 2^d-lane balance plane are refused (check_kernel_dimension)
+# kernel dimension d above which the span and the walks' 2^d-byte visited array are
+# refused (check_kernel_dimension)
 KERNEL_ENUM_LIMIT = 20
 # cells that detect_preperiod may derive and keep, a row counting at least 16: about 0.5 s
 PREPERIOD_WORK_LIMIT = 1 << 20
@@ -242,7 +242,7 @@ def kernel_generator(p: int) -> tuple[int, int]:
 
 def check_kernel_dimension(p: int) -> int:
     """The kernel dimension d of p, refused above KERNEL_ENUM_LIMIT before
-    anything of size 2^d (span, visited array, lane plane) is built."""
+    anything of size 2^d (span, visited array) is built."""
     d = kernel_generator(p)[0]
     if d > KERNEL_ENUM_LIMIT:
         raise TooLarge(f"kernel dimension {d} exceeds {KERNEL_ENUM_LIMIT}")

@@ -13,11 +13,10 @@ throughout this module means "left factor acts first", matching the
 rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 
 partition_classes walks the classes from every kernel coordinate.
-balanced_classes walks only those whose period is balanced: a bit-sliced
-plane (_balance_plane), one lane per kernel coordinate, decides balance for
-all 2^d coordinates at once, and every coordinate it leaves unset starts out
-visited.  Both work at the kernel period q0 of p (_kernel_space) and repeat
-each representative p/q0 times.
+balanced_classes walks only those whose period is balanced: the balance plane
+(_balance_plane), bit-sliced per census block of lanes, marks every other
+coordinate visited up front.  Both work at the kernel period q0 of p
+(_kernel_space) and repeat each representative p/q0 times.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .census import _lane_planes, bit_sliced_sum
+from . import census
 from .core import ResidueTuple
+from .errors import TooLarge
 from .orbits import (
     Gf2Matrix,
     _bit_rows,
@@ -42,6 +42,8 @@ from .orbits import (
     periodic_tuple_bits,  # unused here; perfbench/workloads.py traces it by this name
     systematic_basis,
 )
+
+BURNSIDE_PERIOD_LIMIT = 100  # 6p^2 d-by-d ranks: 1.9 s at p = 73 (d = 18)
 
 
 @dataclass(frozen=True)
@@ -304,44 +306,39 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
     return _walk(space, p, bytearray(1 << space.d))
 
 
-def _balance_plane(space: _KernelCoordinates) -> int:
-    """Bit c set when the tuple of kernel coordinates c has a balanced
-    q-by-q period, q = space.p, for all 2^d coordinates at once: lane c of
-    every plane.  Row 0 of the q-grid has plane j the XOR of the lane planes
-    k whose basis vector k has bit j; row i+1 takes row[j-1] ^ row[j]; the
-    q^2 cells go into one bit-sliced counter, and lane c is balanced when
-    2 count = q^2.  That never holds for odd q, so the zero tuple of d = 0
-    (q = 1) is never balanced.
-    """
+def _balance_plane(space: _KernelCoordinates) -> bytearray:
+    """The walk's visited array: byte c is 0 when coordinates c have a
+    balanced q-by-q period (2 ones = q^2, q = space.p), counted one census
+    block of lanes c at a time; never for odd q (the zero tuple of d = 0)."""
     q, d = space.p, space.d
-    row = [0] * q
-    for lane, vector in zip(_lane_planes(d), space.basis):
-        for j in range(q):
-            if vector >> j & 1:
-                row[j] ^= lane
+    half, odd = divmod(q * q, 2)
+    digits, unset = f"0{1 << min(d, census.LANE_BITS)}b", bytes.maketrans(b"01", b"\1\0")
 
-    def cells(row):
+    def cells(free):  # holds row 0 only until row 1 is derived
+        row = [0] * q
+        for plane, vector in zip(free, space.basis):
+            row = [cell ^ plane if vector >> j & 1 else cell for j, cell in enumerate(row)]
         for _ in range(q):
             yield from row
             row = [row[j - 1] ^ row[j] for j in range(q)]
 
-    counter = bit_sliced_sum(cells(row))
-    half, odd = divmod(q * q, 2)
-    plane = 0 if odd or half >> len(counter) else (1 << (1 << d)) - 1
-    for i, level in enumerate(counter):
-        plane &= level if half >> i & 1 else ~level
-    return plane
+    visited = bytearray()
+    for free in census._free_planes(d):
+        counter = census.bit_sliced_sum(cells(free))
+        balanced = 0 if odd or half >> len(counter) else -1  # half > 0 clears the sign
+        for i, level in enumerate(counter):
+            balanced &= level if half >> i & 1 else ~level
+        visited += format(balanced, digits)[::-1].encode().translate(unset)
+    return visited
 
 
 @lru_cache(maxsize=None)
 def balanced_classes(p: int) -> tuple[OrbitClass, ...]:
     """The classes of partition_classes(p) whose p-by-p period is balanced:
     the walk from the coordinates the balance plane of the kernel period
-    sets, every other one marked visited up front.  Balance is invariant
-    under the group, so no walk leaves the balanced coordinates."""
+    leaves unmarked; balance is group-invariant, so no walk leaves them."""
     space = _kernel_space(p)
-    plane = format(_balance_plane(space), f"0{1 << space.d}b")[::-1].encode()
-    return _walk(space, p, bytearray(plane.translate(bytes.maketrans(b"01", b"\1\0"))))
+    return _walk(space, p, _balance_plane(space))
 
 
 def burnside_class_count(p: int) -> int:
@@ -353,6 +350,8 @@ def burnside_class_count(p: int) -> int:
     times the powers of the cyclic shift (t(0,1)).
     """
     d = check_kernel_dimension(p)  # before the 2^(d/2)-entry tables of ``step``
+    if p > BURNSIDE_PERIOD_LIMIT:
+        raise TooLarge(f"Burnside count at period {p} exceeds {BURNSIDE_PERIOD_LIMIT}")
     space = _KernelCoordinates(p)
     derive, shift, rotate, reflect = (_Gf2Map(m) for m in space.matrices)
     unit = [1 << k for k in range(d)]

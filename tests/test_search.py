@@ -398,6 +398,57 @@ def test_balance_filter_refuses_a_plane_disagreement(monkeypatch):
         full_search(24)
 
 
+def _moved(plane, di, dj, p):
+    """The plane whose row i, bit j is cell (i + di, j + dj) of ``plane``,
+    both indices mod p: each packed row rotated dj places down."""
+    mask, dj = (1 << p) - 1, dj % p
+    return [(row >> dj | row << (p - dj)) & mask for row in (plane[(i + di) % p] for i in range(p))]
+
+
+def _triangle_parities(rows, kind, n_max):
+    """Entry n, for n = 0 .. n_max, packs the parity of T_n at every anchor:
+    row i0, bit j0 is the ones mod 2 of the size-n triangle at (i0, j0) in
+    the orbit whose period has packed rows ``rows``.  T_n gains the edge
+    ending at (i0+n-1, j0+n-1): the column above it (Steinhaus), a prefix
+    of the column at j0+n-1, or the row left of it (Pascal), a prefix of
+    row i0+n-1."""
+    p = len(rows)
+    prefix, total, parities = [0] * p, [0] * p, [[0] * p]
+    for n in range(1, n_max + 1):
+        if kind is Orientation.STEINHAUS:
+            prefix = [a ^ b for a, b in zip(prefix, _moved(rows, n - 1, 0, p))]
+            edge = _moved(prefix, 0, n - 1, p)
+        else:
+            prefix = [a ^ b for a, b in zip(prefix, _moved(rows, 0, n - 1, p))]
+            edge = _moved(prefix, n - 1, 0, p)
+        total = [a ^ b for a, b in zip(total, edge)]
+        parities.append(total)
+    return parities
+
+
+@pytest.mark.parametrize("kind", list(Orientation))
+def test_every_band_of_the_kernel_generator_is_even(kind):
+    """At every p <= 64 with d > 0, the orbit of the kernel generator h has
+    an even number of ones in every band T_{p+r} - T_r, r = 0 .. p-1, at
+    every anchor: the band-parity theorem, which leaves a family only to
+    true periods divisible by 8.  The parities are not vacuous: at each p
+    some whole triangle T_n, n >= 2, is odd, and sampled parities equal a
+    direct recount of the triangle's cells."""
+    periods = [p for p in range(1, 65) if orbits.kernel_generator(p)[0] > 0]
+    assert len(periods) == 29
+    for p in periods:
+        grid = build_period_grid(ResidueTuple.from_bits(orbits.kernel_generator(p)[1], p))
+        parities = _triangle_parities(grid.rows, kind, 2 * p - 1)
+        for r in range(p):
+            assert parities[p + r] == parities[r], (p, r)
+        assert any(any(plane) for plane in parities[2:]), p
+        for n, i0, j0 in [(5, 3, 1), (p, 1, 2), (p + min(3, p - 1), 0, p - 1)]:
+            steinhaus = kind is Orientation.STEINHAUS
+            shape = [(a, b) for a in range(n) for b in range(n) if (a <= b if steinhaus else b <= a)]
+            ones = sum(grid.cell(i0 + a, j0 + b) for a, b in shape)
+            assert parities[n][i0 % p] >> (j0 % p) & 1 == ones % 2, (p, n)
+
+
 def test_remainder_scan_bound_reads_the_true_period(monkeypatch):
     """A p = 72 class of true period 24 is bounded by 24^3, not 72^3."""
     x = full_search(72).classes[8].class_rep

@@ -1,10 +1,12 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from expected_values import CLASS_COUNTS
 
-from steinhaus import orbits, symmetry
+from steinhaus import census, orbits, symmetry
 from steinhaus import (
     GroupElement,
     build_steinhaus,
@@ -201,14 +203,14 @@ def test_partition_lists_no_span(p, monkeypatch):
 def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):
     """partition_classes, the balanced walk and the Burnside count refuse
     on d alone, before the d kernel basis vectors, their generator matrices
-    or the 2^d-lane planes are built."""
+    or any block of lane planes are built."""
 
     def refuse(*args):
         raise AssertionError(f"kernel basis, generator images or lane planes were built: {args}")
 
     monkeypatch.setattr(symmetry, "_generator_images", refuse)
     monkeypatch.setattr(symmetry, "systematic_basis", refuse)
-    monkeypatch.setattr(symmetry, "_lane_planes", refuse)
+    monkeypatch.setattr(census, "_free_planes", refuse)
     partition_classes.cache_clear()
     symmetry.balanced_classes.cache_clear()
     try:
@@ -238,19 +240,21 @@ def test_balanced_walk_matches_filtered_partition(p):
 @pytest.mark.parametrize("p", [4, 8, 2048])
 def test_balanced_walk_is_empty_at_q0_one(p):
     """At these periods the only periodic tuple is zero (d = 0, q0 = 1): its
-    one cell is 0 and 2 * 0 != 1, so the zero tuple is not balanced."""
+    one cell is 0 and 2 * 0 != 1, so the zero tuple is not balanced and the
+    plane's one byte marks it visited."""
     assert orbits.kernel_generator(p)[0] == 0
-    assert symmetry._balance_plane(symmetry._kernel_space(p)) == 0
+    assert symmetry._balance_plane(symmetry._kernel_space(p)) == b"\1"
     assert balanced_period_classes(p) == ()
 
 
 @pytest.mark.parametrize("p, samples", [(12, 256), (24, 300), (72, 300)])
 def test_balance_plane_bits_match_direct_grids(p, samples):
-    """Bit c of the plane against 2 ones = p^2 on the p-grid of the tuple
-    with kernel coordinates c, built from systematic_basis(p): every
-    coordinate at p = 12 (d = 8), a seeded sample at p = 24 and 72."""
+    """Byte c of the plane is 0 exactly when 2 ones = p^2 on the p-grid of
+    the tuple with kernel coordinates c, built from systematic_basis(p):
+    every coordinate at p = 12 (d = 8), a seeded sample at p = 24 and 72."""
     d = orbits.kernel_generator(p)[0]
     plane = symmetry._balance_plane(symmetry._kernel_space(p))
+    assert len(plane) == 1 << d and set(plane) <= {0, 1}
     basis = orbits.systematic_basis(p)
     seen = set()
     for c in random.Random(p).sample(range(1 << d), samples):
@@ -260,9 +264,42 @@ def test_balance_plane_bits_match_direct_grids(p, samples):
                 bits ^= vector
         assert bits >> (p - d) == c
         balanced = 2 * build_period_grid(ResidueTuple.from_bits(bits, p)).ones == p * p
-        assert plane >> c & 1 == balanced, c
+        assert (plane[c] == 0) == balanced, c
         seen.add(balanced)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("p, lane_bits", [(12, 2), (24, 12)])
+def test_blocked_balance_plane_matches_one_block(p, lane_bits, monkeypatch):
+    """Split into 2^(d - lane_bits) census blocks (64 at p = 12, d = 8; 16 at
+    p = 24, d = 16), the plane and the balanced walk equal their one-block
+    results."""
+    space = symmetry._kernel_space(p)
+    assert space.d > lane_bits
+    symmetry.balanced_classes.cache_clear()
+    try:
+        whole, classes = symmetry._balance_plane(space), symmetry.balanced_classes(p)
+        monkeypatch.setattr(census, "LANE_BITS", lane_bits)
+        symmetry.balanced_classes.cache_clear()
+        assert symmetry._balance_plane(space) == whole
+        assert symmetry.balanced_classes(p) == classes
+    finally:
+        symmetry.balanced_classes.cache_clear()
+
+
+def test_balance_plane_holds_one_block_of_lanes(monkeypatch):
+    """With 2^10-lane blocks, the plane of p = 24 (d = 16) peaks under its
+    2^16-byte visited array plus 64 KB: no int spans all 2^16 lanes."""
+    space = symmetry._kernel_space(24)
+    monkeypatch.setattr(census, "LANE_BITS", 10)
+    tracemalloc.start()
+    try:
+        plane = symmetry._balance_plane(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plane) == 1 << 16
+    assert peak < (1 << 16) + (64 << 10)
 
 
 def test_burnside_count_matches_class_counts():
@@ -278,9 +315,25 @@ def test_partition_at_the_kernel_period_matches_a_direct_walk(p):
     assert partition_classes(p) == direct
 
 
-@pytest.mark.parametrize("p", [36, 72])
+@pytest.mark.parametrize("p", [36, 72, symmetry.BURNSIDE_PERIOD_LIMIT])
 def test_burnside_count_at_p_matches_the_kernel_period_partition(p):
     assert burnside_class_count(p) == len(partition_classes(p))
+
+
+@pytest.mark.parametrize("p", [216, 2048])
+def test_burnside_count_refuses_periods_past_its_bound(p, monkeypatch):
+    """p = 216 (d = 16) and 2048 (d = 0) are refused on p alone, before the
+    coordinates or any GF(2) map is built."""
+
+    def refuse(*args):
+        raise AssertionError(f"coordinates or a GF(2) map were built: {args}")
+
+    monkeypatch.setattr(symmetry, "_KernelCoordinates", refuse)
+    monkeypatch.setattr(symmetry, "_Gf2Map", refuse)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"Burnside count at period {p} exceeds 100"):
+        burnside_class_count(p)
+    assert time.perf_counter() - start < 1
 
 
 def test_walks_build_coordinates_only_at_the_kernel_period(monkeypatch):
