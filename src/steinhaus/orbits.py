@@ -386,7 +386,8 @@ class AnchorFields:
     Every count the caller stores is at most ``max_count`` < 2^(w-1), so no
     field carries into the next and the top (guard) bit of each field is
     free for the comparisons, which SWAR-test every field at once (Warren,
-    Hacker's Delight, ch. 2).
+    Hacker's Delight, ch. 2).  The masks depend on the layout alone, so one
+    instance serves every orbit of that layout.
     """
 
     def __init__(self, rows: int, max_count: int, cols: int | None = None, skew: int = 0):
@@ -401,6 +402,7 @@ class AnchorFields:
         self.below_guard = self.guard - self.lsb                         # 2^(w-1) - 1 in every field
         self.last_column = int(("1" * w + "0" * (self.row_shift - w)) * rows, 2)
         self.other_columns = ((1 << self.width) - 1) ^ self.last_column
+        self.row_mask = (1 << self.row_shift) - 1                        # the fields of row 0
 
     def next_column(self, v: int) -> int:
         """Field (i0, j0) takes field (i0, j0+1)."""
@@ -410,12 +412,30 @@ class AnchorFields:
     def next_row(self, v: int) -> int:
         """Field (i0, j0) takes field (i0+1, j0): the last row takes row 0,
         its fields rotated skew places up, since (rows, j0) is (0, j0 - skew)."""
-        top = self.width - self.row_shift
-        return (v >> self.row_shift) | _rotate(v, self.skew * self.w, self.row_shift) << top
+        row_shift = self.row_shift
+        turned = _rotate(v & self.row_mask, self.skew * self.w, row_shift)
+        return (v >> row_shift) | turned << (self.width - row_shift)
 
     def equal(self, v: int, target: int) -> int:
         """The guard bit of each field of v holding target."""
         return self.guard & ~((v ^ target * self.lsb) + self.below_guard)
+
+    def within(self, *counts: tuple[int, range]) -> int:
+        """The guard bit of each field where every v of the (v, targets) pairs
+        lies in targets, a run of 2^k counts up to max_count: one zero test
+        of the OR of the misses, v ^ start, or v - start mod 2^(w-1) with its
+        low k bits cleared (below the run it is 2^(w-1) - start >= 2^k or more)."""
+        lsb, guard, below_guard = self.lsb, self.guard, self.below_guard
+        misses = 0
+        for v, targets in counts:
+            size = len(targets)
+            if size == 1:
+                misses |= v ^ targets.start * lsb
+            elif size and not size & (size - 1) and targets.step == 1:
+                misses |= ((v | guard) - targets.start * lsb) & below_guard - (size - 1) * lsb
+            else:
+                raise ValueError(f"targets {targets} are not 2^k consecutive counts")
+        return guard & ~(misses + below_guard)
 
     def at_most(self, v: int, target: int) -> int:
         """The guard bit of each field of v holding at most target."""
@@ -438,19 +458,23 @@ class AnchorFields:
     def first(self, hits: int, di: int = 0, dj: int = 0) -> int:
         """Index i0*cols + j0 of the lowest field whose guard bit is set in
         hits once every field (i0, j0) has moved to (i0+di, j0+dj) of the
-        unskewed torus: the rows rotate as one int, then only the lowest
-        non-empty row by dj.  A skewed domain moves no hits (ValueError)."""
+        unskewed torus.  The rows from cut = rows - (di mod rows) on wrap
+        round to row 0, so the first moved row is the lowest hit row among
+        them, else among the rest, and only that row turns by dj.  A skewed
+        domain moves no hits (ValueError)."""
         if self.skew and (di or dj):
             raise ValueError("hits on a skewed domain cannot be moved")
-        rows, cols, row_shift = self.rows, self.cols, self.row_shift
-        if di % rows:
-            hits = _rotate(hits, di % rows * row_shift, self.width)
-        k = ((hits & -hits).bit_length() - 1) // self.w
+        rows, cols, row_shift, w = self.rows, self.cols, self.row_shift, self.w
+        cut = rows - di % rows
+        moved = hits >> cut * row_shift
+        offset = 0 if moved else (rows - cut) * cols
+        moved = moved or hits
+        k = ((moved & -moved).bit_length() - 1) // w
         if dj % cols:
             i = k // cols
-            row = _rotate(hits >> i * row_shift, dj % cols * self.w, row_shift)
-            k = i * cols + ((row & -row).bit_length() - 1) // self.w
-        return k
+            row = _rotate(moved >> i * row_shift & self.row_mask, dj % cols * w, row_shift)
+            k = i * cols + ((row & -row).bit_length() - 1) // w
+        return offset + k
 
     def triangle_counts(self, rows: Sequence[int], kind: Orientation) -> Iterator[tuple[int, int]]:
         """Packed (total_n, edge_n) for n = 1, 2, ...: at every anchor, the
@@ -460,14 +484,23 @@ class AnchorFields:
         at the diagonal cell (i0+n-1, j0+n-1): it is the column above it
         (Steinhaus) or the row left of it (Pascal).  So edge_n is edge_{n-1}
         moved one step along that line plus the grid moved n-1 steps down
-        the diagonal, and total_n = total_{n-1} + edge_n.
+        the diagonal, and total_n = total_{n-1} + edge_n.  Field (i0, j0) of
+        the diagonal takes field (i0+1)*cols + j0+1, or i0*cols + j0+1 in the
+        last column; the last row takes row 0 turned skew-1 places up.
         """
         along = self.next_column if kind is Orientation.STEINHAUS else self.next_row
         bits = "".join(format(row, f"0{self.cols}b") for row in reversed(rows))
         diagonal = edge = total = int(self.pad + self.pad.join(bits), 2)
+        w, row_shift, row_mask = self.w, self.row_shift, self.row_mask
+        other_columns, last_column = self.other_columns, self.last_column
+        step, top, turn = row_shift + w, self.width - row_shift, (self.skew - 1) % self.cols * w
         while True:
             yield total, edge
-            diagonal = self.next_row(self.next_column(diagonal))
+            diagonal = (
+                (diagonal >> step & other_columns)
+                | (diagonal >> w & last_column)
+                | _rotate(diagonal & row_mask, turn, row_shift) << top
+            )
             edge = along(edge) + diagonal
             total += edge
 

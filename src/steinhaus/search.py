@@ -360,18 +360,27 @@ class RemainderSet:
         return len(self.witnesses)
 
 
+@lru_cache(maxsize=4)  # the few true periods of one search
+def _anchor_fields(q: int) -> AnchorFields:
+    """The packed layout of the q-by-q scan: no count exceeds the cells of a
+    band, which stay below 2q^2."""
+    return AnchorFields(q, 2 * q * q)
+
+
 @lru_cache(maxsize=2)  # the callers ask for both kinds of one tuple in turn
 def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
     """First accepting anchor i0*p + j0 per achievable remainder of each kind,
-    from one Steinhaus scan of all p^2 anchors at once (orbits.AnchorFields).
-    The period must be balanced: the Pascal anchors are read by dual_position.
+    from one Steinhaus scan of all p^2 anchors at once (orbits.AnchorFields,
+    one layout per period).  The period must be balanced: the Pascal anchors
+    are read by dual_position.
 
     The band of remainder r is total_p plus r whole lines (_period_plane):
-    edge_p, the whole column j0+p-1, moved 1..r columns along.  No count
-    exceeds the cells of a band, which stay below 2p^2.
+    edge_p, the whole column j0+p-1, moved 1..r columns along.  Each
+    remainder asks the fields one question, whether its corner and its band
+    both hold counts _family_targets accepts.
     """
     p = grid.p
-    fields = AnchorFields(p, 2 * p * p)
+    fields = _anchor_fields(p)
     totals = [0]
     for total, edge in islice(fields.triangle_counts(grid.rows, Orientation.STEINHAUS), p):
         totals.append(total)
@@ -384,9 +393,7 @@ def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
         corner_ones, band_half = _family_targets(p, r)
         if band_half is None:
             continue
-        # distinct targets hit disjoint fields, so the sum is the union
-        corner = sum(fields.equal(totals[r], ones) for ones in corner_ones)
-        hits = fields.equal(band, band_half) & corner
+        hits = fields.within((totals[r], corner_ones), (band, range(band_half, band_half + 1)))
         if hits:
             steinhaus[r] = fields.first(hits)
             di, dj, s = dual_position(0, 0, r, p)
@@ -406,8 +413,24 @@ def remainder_set(
     kq + r' is a polynomial of degree <= 2 in k.  Bounded in {-1, 0, 1} on
     the sizes kp + r = (kp/q + m)q + r', it is constant: they are balanced
     exactly when every size kq + r' is.  (i0, j0) accepts exactly when
-    (i0 mod q, j0 mod q) does, which comes no later.  A balanced q is even
-    (ones_p = (p/q)^2 ones_q), and for q = 2 (mod 4) every band is odd."""
+    (i0 mod q, j0 mod q) does, which comes no later.
+
+    No family exists unless 8 divides q, so no other q is scanned.  Proof
+    (band parity): in R = GF(2)[t]/(t^q + 1) cell (i, j) of the orbit is the
+    coefficient of t^j in (1+t)^i y, so the ones of a shape at (i0, j0)
+    have the parity of the coefficient of t^j0 in (1+t)^i0 S y, S the sum of
+    t^-b (1+t)^a over its cells (a, b).  y is a multiple of h, where
+    g h = t^q + 1 and g = gcd((1+t)^q + 1, t^q + 1); so a shape is even
+    everywhere when g | S.  Mod g, t^q = (1+t)^q = 1, and t, 1+t are units
+    (g(1) = 1), so any q consecutive powers of u = 1 + t^-1, t^-1 or 1 + t
+    sum to 0, u - 1 being a unit too.  The Steinhaus band (cells a <= b,
+    r <= b < q + r) has S = sum of u^m for u = 1 + t^-1 and u = t^-1,
+    m = r+1..q+r; the Pascal band (b <= a, r <= a < q + r) has
+    S = t/(1+t) (t^-1 sum of (1 + t^-1)^a + sum of (1+t)^a), a = r..q+r-1.
+    Both are 0 mod g, so every band holds an even number of ones, while a
+    family's band holds half of its q r + q(q+1)/2 cells: a count of cells
+    that is odd for q = 2 (mod 4) and 2 (mod 4) for q = 4 (mod 8), so its
+    half is never even.  A balanced q is even (ones_p = (p/q)^2 ones_q)."""
     p = len(x)
     _check_period(p)
     grid = _true_period_grid(x)
@@ -417,6 +440,8 @@ def remainder_set(
     if q ** 3 > REMAINDER_WORK_LIMIT:
         raise TooLarge(f"remainder scan of true period {q} exceeds the work bound "
                        f"{REMAINDER_WORK_LIMIT} on q^3")
+    if q % 8:
+        return RemainderSet(x, kind, p, ())
     first = _first_anchors(grid)[kind]
     witnesses = tuple((r, *divmod(first[r % q], q)) for r in range(p) if r % q in first)
     return RemainderSet(x, kind, p, witnesses)

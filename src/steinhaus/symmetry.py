@@ -309,26 +309,35 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
 def _balance_plane(space: _KernelCoordinates) -> bytearray:
     """The walk's visited array: byte c is 0 when coordinates c have a
     balanced q-by-q period (2 ones = q^2, q = space.p), counted one census
-    block of lanes c at a time; never for odd q (the zero tuple of d = 0)."""
+    block of lanes c at a time and written at the block's offset of the
+    array, allocated whole; never for odd q (the zero tuple of d = 0)."""
     q, d = space.p, space.d
     half, odd = divmod(q * q, 2)
-    digits, unset = f"0{1 << min(d, census.LANE_BITS)}b", bytes.maketrans(b"01", b"\1\0")
+    lanes = min(d, census.LANE_BITS)
+    digits, unset = f"0{1 << lanes}b", bytes.maketrans(b"01", b"\1\0")
 
-    def cells(free):  # holds row 0 only until row 1 is derived
+    def cells(free):  # one row alive at a time, each derived in place
         row = [0] * q
         for plane, vector in zip(free, space.basis):
-            row = [cell ^ plane if vector >> j & 1 else cell for j, cell in enumerate(row)]
+            for j in range(q):
+                if vector >> j & 1:
+                    row[j] ^= plane
         for _ in range(q):
             yield from row
-            row = [row[j - 1] ^ row[j] for j in range(q)]
+            last = row[-1]
+            for j in range(q - 1, 0, -1):
+                row[j] ^= row[j - 1]
+            row[0] ^= last
 
-    visited = bytearray()
-    for free in census._free_planes(d):
+    visited = bytearray(1 << d)
+    for block, free in enumerate(census._free_planes(d)):
         counter = census.bit_sliced_sum(cells(free))
         balanced = 0 if odd or half >> len(counter) else -1  # half > 0 clears the sign
         for i, level in enumerate(counter):
             balanced &= level if half >> i & 1 else ~level
-        visited += format(balanced, digits)[::-1].encode().translate(unset)
+        visited[block << lanes:(block + 1) << lanes] = (
+            format(balanced, digits)[::-1].encode().translate(unset)
+        )
     return visited
 
 
@@ -352,6 +361,8 @@ def burnside_class_count(p: int) -> int:
     d = check_kernel_dimension(p)  # before the 2^(d/2)-entry tables of ``step``
     if p > BURNSIDE_PERIOD_LIMIT:
         raise TooLarge(f"Burnside count at period {p} exceeds {BURNSIDE_PERIOD_LIMIT}")
+    if not d:
+        return 1  # the zero tuple alone
     space = _KernelCoordinates(p)
     derive, shift, rotate, reflect = (_Gf2Map(m) for m in space.matrices)
     unit = [1 << k for k in range(d)]

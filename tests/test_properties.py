@@ -355,12 +355,13 @@ def test_anchor_fields_triangle_counts_match_extraction(modulus, skewed, data):
 @settings(max_examples=100, deadline=None)
 def test_anchor_fields_comparisons_match_field_loop(data):
     """The SWAR comparisons against one Python comparison per field, on
-    values that include both ends of a field, 0 and 2^(w-1) - 1, on a
-    rows-by-cols torus."""
+    values that include both ends of a field, 0 and 2^(w-1) - 1, and
+    max_count, on a rows-by-cols torus."""
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    fields = AnchorFields(rows, data.draw(st.integers(1, 5000)), cols)
+    max_count = data.draw(st.integers(1, 5000))
+    fields = AnchorFields(rows, max_count, cols)
     top = (1 << (fields.w - 1)) - 1
-    value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    value = st.one_of(st.just(0), st.just(top), st.just(max_count), st.integers(0, top))
     a, b = (data.draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)) for _ in range(2))
     target = data.draw(value)
 
@@ -374,6 +375,21 @@ def test_anchor_fields_comparisons_match_field_loop(data):
     assert fields.at_most(pack(a), target) == guards(x <= target for x in a)
     assert fields.maximum(pack(a), pack(b)) == pack(map(max, a, b))
     assert fields.minimum(pack(a), pack(b)) == pack(map(min, a, b))
+    # within: up to three counts, each tested against 1, 2 or 4 consecutive
+    # targets from 0 up to max_count, its fields drawn at and next to both ends
+    bounds = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        size = data.draw(st.sampled_from([s for s in (1, 2, 4) if s <= max_count + 1]))
+        last = max_count + 1 - size
+        start = data.draw(st.one_of(st.just(0), st.just(last), st.integers(0, last)))
+        near = [v for v in (start - 1, start, start + size - 1, start + size) if 0 <= v <= top]
+        counts = data.draw(st.lists(
+            st.one_of(st.sampled_from(near), value), min_size=rows * cols, max_size=rows * cols
+        ))
+        bounds.append((counts, range(start, start + size)))
+    assert fields.within(*((pack(counts), targets) for counts, targets in bounds)) == guards(
+        all(counts[k] in targets for counts, targets in bounds) for k in range(rows * cols)
+    )
     hits = fields.at_most(pack(a), target)
     if hits:
         assert fields.first(hits) == min(k for k, x in enumerate(a) if x <= target)
@@ -394,6 +410,13 @@ def test_anchor_fields_moves_no_hits_on_a_skewed_domain():
     for di, dj in ((1, 0), (0, 1), (6, 3)):
         with pytest.raises(ValueError):
             fields.first(hits, di, dj)
+
+
+@pytest.mark.parametrize("targets", [range(0), range(3), range(1, 5, 2), range(2, 0, -1)], ids=repr)
+def test_anchor_fields_within_takes_only_runs_of_2k_counts(targets):
+    fields = AnchorFields(2, 10, 3)
+    with pytest.raises(ValueError, match="are not 2\\^k consecutive counts"):
+        fields.within((fields.lsb, range(1, 2)), (fields.lsb, targets))
 
 
 def test_anchor_fields_next_row_turns_the_wrapped_row_by_the_skew():
@@ -660,15 +683,19 @@ def test_packed_remainder_scan_matches_per_anchor_scan_p24(data):
         assert rset.witnesses == _per_anchor_witnesses(build_period_grid(x), kind)
 
 
-@pytest.mark.parametrize("p", [12, 36])
+@pytest.mark.parametrize("p", [12, 24, 36])
 def test_packed_remainder_scan_matches_per_anchor_scan(p):
-    classes = balanced_period_classes(p)
-    assert len(classes) == 2
+    """The balanced classes whose true period 8 does not divide: two at
+    each p, with q = 12 and q = 6 (all of p = 12 and 36).  remainder_set
+    answers them by band parity, with no scan; the reference scans every
+    anchor of the p-by-p grid and finds no family either."""
+    classes = [cls for cls in balanced_period_classes(p) if true_period(cls.representative) % 8]
+    assert sorted(true_period(cls.representative) for cls in classes) == [6, 12]
     for cls in classes:
         grid = build_period_grid(cls.representative)
         for kind in Orientation:
             expected = _per_anchor_witnesses(grid, kind)
-            assert remainder_set(cls.representative, kind).witnesses == expected
+            assert remainder_set(cls.representative, kind).witnesses == expected == ()
 
 
 @given(data=st.data())

@@ -289,7 +289,9 @@ def test_blocked_balance_plane_matches_one_block(p, lane_bits, monkeypatch):
 
 def test_balance_plane_holds_one_block_of_lanes(monkeypatch):
     """With 2^10-lane blocks, the plane of p = 24 (d = 16) peaks under its
-    2^16-byte visited array plus 64 KB: no int spans all 2^16 lanes."""
+    2^16-byte visited array plus 15 KB: no int spans all 2^16 lanes, the
+    array is allocated once, not grown, and one row of 24 cell planes of
+    2^10 lanes is alive at a time."""
     space = symmetry._kernel_space(24)
     monkeypatch.setattr(census, "LANE_BITS", 10)
     tracemalloc.start()
@@ -299,7 +301,7 @@ def test_balance_plane_holds_one_block_of_lanes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(plane) == 1 << 16
-    assert peak < (1 << 16) + (64 << 10)
+    assert peak < (1 << 16) + (15 << 10)
 
 
 def test_burnside_count_matches_class_counts():
@@ -334,6 +336,18 @@ def test_burnside_count_refuses_periods_past_its_bound(p, monkeypatch):
     with pytest.raises(TooLarge, match=f"Burnside count at period {p} exceeds 100"):
         burnside_class_count(p)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p", [64, 100])
+def test_burnside_count_is_one_at_kernel_dimension_zero(p, monkeypatch):
+    """The zero tuple is the only class, counted without coordinates."""
+
+    def refuse(*args):
+        raise AssertionError(f"coordinates were built: {args}")
+
+    monkeypatch.setattr(symmetry, "_KernelCoordinates", refuse)
+    assert orbits.kernel_generator(p)[0] == 0
+    assert burnside_class_count(p) == 1
 
 
 def test_walks_build_coordinates_only_at_the_kernel_period(monkeypatch):
