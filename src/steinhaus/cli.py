@@ -18,7 +18,7 @@ from .core import (
 )
 from .census import CENSUS_KINDS, average_census, check_census_size, extremal_ones_scan, triangle_count
 from .errors import EmptyTuple, SteinhausError, TooLarge
-from .jsonout import generator_fields as _generator_fields, indented, search_pieces
+from .jsonout import GENERATOR_KEYS, generator_lines, indented, search_pieces
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
@@ -26,6 +26,7 @@ from .modm import (
     interlaced_scan,
 )
 from .orbits import (
+    build_period_grid,
     check_kernel_dimension,
     check_period,
     gf2_kernel_basis,  # unused here; perfbench/workloads.py traces it by this name
@@ -226,21 +227,16 @@ def _cmd_search(args) -> int:
         _write_output(search_pieces(report, kinds, certs, args.k_verify), args.out)
         return 0
     if args.format == "csv":
+        keys = [key for kind in Orientation for key in GENERATOR_KEYS[kind]]
         rows = []
         for entry in report.classes:
-            representative = str(entry.class_rep)
+            representative, grid = str(entry.class_rep), build_period_grid(entry.class_rep)
             for kind in kinds:
                 for r, i0, j0 in entry.remainders(kind).witnesses:
-                    fields = _generator_fields(kind, entry.class_rep, i0, j0)
-                    rows.append(
-                        [entry.index, representative, kind.value, r, i0, j0]
-                        + [fields.get(key, "") for key in ("z", "z_left", "z_right")]
-                    )
-        _emit_table(
-            ["class_index", "representative", "kind", "remainder", "i0", "j0", "z", "z_left", "z_right"],
-            rows,
-            args,
-        )
+                    fields = dict(zip(GENERATOR_KEYS[kind], generator_lines(kind, grid, i0, j0)))
+                    rows.append([entry.index, representative, kind.value, r, i0, j0]
+                                + [fields.get(key, "") for key in keys])
+        _emit_table(["class_index", "representative", "kind", "remainder", "i0", "j0", *keys], rows, args)
         return 0
     lines = [f"balanced-period classes at p={report.p}: {len(report.classes)}"]
     for entry in report.classes:

@@ -10,7 +10,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
-from .core import Orientation, ResidueTuple
+from .core import Orientation
 from .orbits import PeriodGrid, build_period_grid
 
 
@@ -52,23 +52,16 @@ def indented(value, newline: str = "\n") -> str:
 
 
 # the keys of each kind's generator fields, and the grid steps of their lines
-_GENERATOR_KEYS = {Orientation.STEINHAUS: ("z",), Orientation.PASCAL: ("z_left", "z_right")}
+GENERATOR_KEYS = {Orientation.STEINHAUS: ("z",), Orientation.PASCAL: ("z_left", "z_right")}
 _GENERATOR_STEPS = {Orientation.STEINHAUS: ((0, 1),), Orientation.PASCAL: ((1, 0), (1, 1))}
 
 
 def generator_lines(kind: Orientation, grid: PeriodGrid, i0: int, j0: int) -> list[str]:
-    """The values of the witness's generator fields (_GENERATOR_KEYS[kind]):
-    the packed grid lines through (i0, j0), formatted LSB first."""
+    """The values of the witness's generator fields (GENERATOR_KEYS[kind]),
+    the str of generator_tuple or of pascal_generator_tuples: the packed grid
+    lines through (i0, j0), formatted LSB first."""
     fmt = f"0{grid.p}b"
     return [format(grid.line(i0, j0, di, dj), fmt)[::-1] for di, dj in _GENERATOR_STEPS[kind]]
-
-
-def generator_fields(kind: Orientation, x: ResidueTuple, i0: int, j0: int) -> dict:
-    """The tuples generating a witness's triangles, as the digits str prints
-    for generator_tuple (the row z, Steinhaus) and pascal_generator_tuples
-    (the sides z_left and z_right, Pascal): the packed grid lines they
-    unpack, formatted LSB first."""
-    return dict(zip(_GENERATOR_KEYS[kind], generator_lines(kind, build_period_grid(x), i0, j0)))
 
 
 # the line break of the search payload's "witnesses" lists, and of the records in them
@@ -85,7 +78,7 @@ _INTS = ["%d", "%d"]
 _RECORD_TEMPLATES = {
     kind: indented({"kind": kind.value, "generator": "%s", "position": _INTS, "remainder": "%d",
                     "corner_counts": _INTS, "band_counts": _INTS, "period_counts": _INTS,
-                    **dict.fromkeys(_GENERATOR_KEYS[kind], "%s")}, RECORD_NEWLINE).replace('"%d"', "%d")
+                    **dict.fromkeys(GENERATOR_KEYS[kind], "%s")}, RECORD_NEWLINE).replace('"%d"', "%d")
     for kind in Orientation
 }
 

@@ -238,14 +238,16 @@ def interlaced_scan(
 
 def _smallest_field(fields: AnchorFields, v: int, most: int) -> tuple[int, int]:
     """The smallest field of v (none exceeds most), by a gallop up from 0 and
-    a bisection, with the guard bits of the fields that hold it."""
+    a bisection, with the guard bits of the fields that hold it: those at
+    most t, as none is at most t - 1."""
     below, t = -1, 0  # no field is at most below; the gallop stops once one is at most t
-    while not fields.at_most(v, t):
+    while not (hits := fields.at_most(v, t)):
         below, t = t, min(2 * t + 1, most)
     while t - below > 1:
         mid = (below + t) // 2
-        below, t = (below, mid) if fields.at_most(v, mid) else (mid, t)
-    return t, fields.equal(v, t)
+        at_mid = fields.at_most(v, mid)
+        below, t, hits = (below, mid, at_mid) if at_mid else (mid, t, hits)
+    return t, hits
 
 
 def interlaced_claimed_sizes(

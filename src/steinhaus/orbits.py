@@ -32,6 +32,10 @@ PREPERIOD_WORK_LIMIT = 1 << 20
 # largest period accepted: its p rows of p bits are derived into a period grid,
 # and every generator of a period fits one triangle (core.TRIANGLE_SIZE_LIMIT)
 PERIOD_LIMIT = 2048
+# p^2 cells derived by is_periodic_tuple, at least render.MAX_PIXELS
+PERIODICITY_CELL_LIMIT = 1 << 24
+# 2^d * p bits of the listed span: p = 72 (d = 16) passes, every d = 20 is refused
+SPAN_BITS_LIMIT = 1 << 24
 
 
 def check_period(p: int) -> None:
@@ -98,6 +102,8 @@ def is_periodic_tuple(x: ResidueTuple) -> bool:
     p = len(x)
     if p == 0:
         raise EmptyTuple("periodicity is undefined for an empty tuple")
+    if p * p > PERIODICITY_CELL_LIMIT:
+        raise TooLarge(f"periodicity of a length-{p} tuple exceeds {PERIODICITY_CELL_LIMIT} cells")
     return next(islice(orbit_rows(x), p, None)) == x
 
 
@@ -272,7 +278,9 @@ def periodic_tuple_bits(p: int) -> tuple[int, ...]:
     Entry c is the tuple whose kernel coordinates are c: the XOR of the
     systematic_basis vectors k with bit k set in c.
     """
-    check_kernel_dimension(p)
+    d = check_kernel_dimension(p)
+    if p << d > SPAN_BITS_LIMIT:
+        raise TooLarge(f"span of period {p} exceeds {SPAN_BITS_LIMIT} bits")
     return tuple(xor_span(systematic_basis(p)))
 
 
@@ -415,10 +423,6 @@ class AnchorFields:
         row_shift = self.row_shift
         turned = _rotate(v & self.row_mask, self.skew * self.w, row_shift)
         return (v >> row_shift) | turned << (self.width - row_shift)
-
-    def equal(self, v: int, target: int) -> int:
-        """The guard bit of each field of v holding target."""
-        return self.guard & ~((v ^ target * self.lsb) + self.below_guard)
 
     def within(self, *counts: tuple[int, range]) -> int:
         """The guard bit of each field where every v of the (v, targets) pairs

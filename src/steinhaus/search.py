@@ -258,12 +258,6 @@ def check_pascal_family(
     return check_family(x, i0, j0, r, Orientation.PASCAL)
 
 
-def family_accepts(
-    x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation = Orientation.STEINHAUS
-) -> bool:
-    return check_family(x, i0, j0, r, kind) is not None
-
-
 # _LINE_MASKS[t] = 2^(t+1) - 1 keeps the t+1 cells of line t: one table, grown
 # to the largest size counted (check_triangle_size), never one per size
 _LINE_MASKS = [1]

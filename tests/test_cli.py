@@ -9,6 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from expected_values import CLASS9_REP
 
 from steinhaus import Orientation, census, cli, full_search
 from steinhaus.cli import WITNESS_WORK_LIMIT, main
@@ -502,3 +506,59 @@ def test_out_into_missing_directory_exits_one(tmp_path: Path):
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+# each command's options, each with values that run, and values that the command
+# refuses: zero, negative, non-numeric, past a bound, or malformed
+BAD = ["0", "-3", "x", "", "1.5"]
+COMMAND_OPTIONS = {
+    "triangle": {"--seed-tuple": ["0110100", "012", "1" * 2049, ""], "--left": ["0110", "0"],
+                 "--right": ["0101", "1101"], "--modulus": ["2", "3", "7", "1"]},
+    "kernel": {"--p": ["24", "2048", "2049"], "--p-max": ["24", "2048", "2049"]},
+    "classes": {"--p": ["12", "24", "28", "1944", "3000"], "--p-max": ["12", "28", "3000"]},
+    "balanced-classes": {"--p": ["24", "36", "28", "1944", "2044"], "--p-max": ["24", "28", "3000"]},
+    "search": {"--p": ["8", "24", "36", "72", "28", "2044", "3000"], "--kind": ["pascal", "both"],
+               "--k-verify": ["1", "4", "100", "-1"], "--jobs": ["1", "2"]},
+    "census": {"--kind": ["pascal", "steinhaus"], "--n-max": ["5", "10", "17", "1000000"]},
+    "modm": {"--scan": ["ap", "interlaced"], "--modulus": ["3", "5", "7", "4", "1000001"],
+             "--difference": ["1", "2"], "--start": ["0", "1"], "--n-max": ["20", "1000000"],
+             "--periods": ["1", "3", "1000000"], "--kind": ["pascal", "steinhaus"]},
+    "render": {"target": ["orbit", "family"], "--seed-tuple": ["010100", CLASS9_REP, "1" * 5000, "12"],
+               "--modulus": ["2", "3"], "--window": ["0:8,0:8", "5000:5001,0:10", "3:1,0:4", "0:9"],
+               "--cell-size": ["1", "3", "1000000"], "--i0": ["0", "-5"], "--j0": ["2"], "--r": ["0", "5"],
+               "--k": ["1", "1000000"], "--kind": ["pascal", "steinhaus"]},
+}
+
+REQUIRED = {"search": ("--p",), "modm": ("--scan", "--modulus"), "render": ("target", "--seed-tuple")}
+
+
+@st.composite
+def cli_arguments(draw):
+    """A command, a draw of its options (each required one present, any other
+    present or not; a value that runs or one that is refused), a --format
+    and, at times, an unknown option; the order of the options is drawn too."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS) + ["nope"]))
+    pairs = []
+    for name, values in COMMAND_OPTIONS.get(command, {}).items():
+        if name in REQUIRED.get(command, ()) or draw(st.booleans()):
+            value = draw(st.sampled_from(values) if draw(st.integers(0, 7)) else st.sampled_from(BAD))
+            pairs.append([value] if name == "target" else [name, value])
+    if command != "render":
+        pairs.append(["--format", draw(st.sampled_from(["text", "csv", "json"] * 3 + ["xml"]))])
+    if draw(st.integers(0, 9)) == 0:
+        pairs.append([draw(st.sampled_from(["--bogus", "--p", "-q"]))])
+    return [command] + [arg for pair in draw(st.permutations(pairs)) for arg in pair]
+
+
+@given(cli_arguments())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_argument_list_keeps_the_exit_code_contract(tmp_path, argv):
+    """cli.main returns 0 or 1, or argparse exits with 2, on any argument list:
+    no other exception escapes, whatever the values."""
+    out = tmp_path / "out"
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1), argv

@@ -19,10 +19,12 @@ from steinhaus import (
     orbit_cell,
     wendt_matrix,
 )
-from steinhaus import orbits
+from steinhaus import orbits, render
 from steinhaus.core import TRIANGLE_SIZE_LIMIT
 from steinhaus.orbits import (
     PERIOD_LIMIT,
+    PERIODICITY_CELL_LIMIT,
+    SPAN_BITS_LIMIT,
     PeriodGrid,
     binomial_row_mod,
     kernel_generator,
@@ -295,3 +297,42 @@ def test_binomial_row_refuses_past_the_triangle_size_bound():
         binomial_row_mod(TRIANGLE_SIZE_LIMIT + 1, 2)
     with pytest.raises(TooLarge, match="triangle of size 4000000"):
         orbit_cell(R("1000000"), 4 * 10 ** 6, 0)
+
+
+def test_periodicity_test_refuses_past_its_cell_bound(monkeypatch):
+    """is_periodic_tuple, and orbit_cell on a row past the period, refuse a
+    tuple whose p^2 cells exceed the bound before a row is derived.  The
+    bound admits every tuple of the render's periodic shortcut
+    (p^2 <= MAX_PIXELS)."""
+    assert render.MAX_PIXELS <= PERIODICITY_CELL_LIMIT
+
+    def refuse(x):
+        raise AssertionError("derived a row past the periodicity bound")
+
+    monkeypatch.setattr(orbits, "derive_tuple", refuse)
+    rng = random.Random(5)
+    x = ResidueTuple(2, tuple(rng.randrange(2) for _ in range(10 ** 5)))
+    message = f"length-{10 ** 5} tuple exceeds {PERIODICITY_CELL_LIMIT} cells"
+    with pytest.raises(TooLarge, match=message):
+        is_periodic_tuple(x)
+    with pytest.raises(TooLarge, match=message):
+        orbit_cell(x, 10 ** 5, 0)
+
+
+def test_span_refuses_past_its_bit_bound(monkeypatch):
+    """The span is refused on its 2^d * p bits before a vector is listed:
+    p = 1995 passes the kernel-dimension bound (d = 20) but not this one,
+    and a larger d keeps the kernel-dimension message.  p = 72 (d = 16) is
+    the largest span the tests list; every d = 20 has p >= 20, so p * 2^20
+    exceeds the bound."""
+    assert 72 << kernel_generator(72)[0] <= SPAN_BITS_LIMIT < 20 << 20
+
+    def refuse(vectors):
+        raise AssertionError("the span was listed")
+
+    monkeypatch.setattr(orbits, "xor_span", refuse)
+    assert kernel_generator(1995)[0] == 20
+    with pytest.raises(TooLarge, match=f"span of period 1995 exceeds {SPAN_BITS_LIMIT} bits"):
+        enumerate_periodic_tuples(1995)
+    with pytest.raises(TooLarge, match="kernel dimension 2040 exceeds 20"):
+        periodic_tuple_bits(2044)

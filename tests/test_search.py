@@ -42,7 +42,7 @@ from steinhaus import (
 from steinhaus import orbits, search
 from steinhaus.errors import EmptyTuple, NotPeriodic, TooLarge
 from steinhaus.orbits import true_period
-from steinhaus.search import REMAINDER_WORK_LIMIT, family_accepts, triangle_ones
+from steinhaus.search import REMAINDER_WORK_LIMIT, triangle_ones
 
 R = ResidueTuple.from_string
 
@@ -526,7 +526,7 @@ def test_fast_predicate_matches_direct_checks():
             band = multiplicity(extract(grid, i0, j0, 24 + r)) - corner
             direct = corner.spread <= 1 and band.spread == 0
             cert = check_family(x, i0, j0, r, kind)
-            assert (cert is not None) == direct == family_accepts(x, i0, j0, r, kind)
+            assert (cert is not None) == direct
             if cert is not None:
                 assert (cert.corner, cert.band) == (corner, band)
                 accepted += 1
@@ -613,9 +613,9 @@ def test_duality_random_triples():
     for _ in range(1000):
         x = rng.choice(classes).representative
         i0, j0, r = rng.randrange(24), rng.randrange(24), rng.randrange(24)
-        st = family_accepts(x, i0, j0, r, Orientation.STEINHAUS)
+        st = check_family(x, i0, j0, r, Orientation.STEINHAUS) is not None
         di, dj, dr = dual_position(i0, j0, r, 24)
-        pa = family_accepts(x, di, dj, dr, Orientation.PASCAL)
+        pa = check_family(x, di, dj, dr, Orientation.PASCAL) is not None
         assert st == pa
 
 
@@ -633,7 +633,7 @@ def test_remainder_set_first_witness_order(rep9):
     found = None
     for i0 in range(24):
         for j0 in range(24):
-            if family_accepts(rep9, i0, j0, 0):
+            if check_family(rep9, i0, j0, 0, Orientation.STEINHAUS) is not None:
                 found = (i0, j0)
                 break
         if found:

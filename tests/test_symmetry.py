@@ -11,6 +11,7 @@ from steinhaus import (
     GroupElement,
     build_steinhaus,
     NotPeriodic,
+    OrbitClass,
     ResidueTuple,
     TooLarge,
     apply,
@@ -198,6 +199,19 @@ def test_partition_lists_no_span(p, monkeypatch):
         partition_classes.cache_clear()
     assert len(classes) == CLASS_COUNTS[p - 1]
     assert len(members) == last.size
+
+
+def test_orbit_walk_refuses_past_its_work_bound():
+    """group_orbit and OrbitClass.members refuse once the members walked
+    times p^2 pass ORBIT_WORK_LIMIT: at p = 2044 after about 64 members.
+    The 14 400-member classes of p = 120 stay within it."""
+    assert 14_400 * 120 ** 2 <= symmetry.ORBIT_WORK_LIMIT
+    x = ResidueTuple.from_bits(orbits.systematic_basis(2044)[0], 2044)
+    message = f"orbit of a length-2044 tuple exceeds {symmetry.ORBIT_WORK_LIMIT} member cells"
+    with pytest.raises(TooLarge, match=message):
+        group_orbit(x)
+    with pytest.raises(TooLarge, match=message):
+        OrbitClass(x, 1).members
 
 
 def test_kernel_dimension_refusal_builds_no_generator_images(monkeypatch):

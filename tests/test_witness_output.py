@@ -14,22 +14,30 @@ from steinhaus.core import build_steinhaus
 from steinhaus.search import generator_tuple, pascal_generator_tuples
 
 
+def generator_fields(kind, x, i0, j0):
+    """A witness's generator fields as the reference writes them: the str of
+    generator_tuple (Steinhaus) or of each side of pascal_generator_tuples
+    (Pascal)."""
+    if kind is Orientation.STEINHAUS:
+        return {"z": str(generator_tuple(x, i0, j0))}
+    left, right = pascal_generator_tuples(x, i0, j0)
+    return {"z_left": str(left), "z_right": str(right)}
+
+
 @pytest.mark.parametrize("p", [24, 72])
 def test_generator_fields_match_the_generator_tuples(p):
-    """On every witness of both kinds, the formatted fields are the str of
-    generator_tuple and of each side of pascal_generator_tuples."""
+    """On every witness of both kinds, the formatted lines under the keys
+    GENERATOR_KEYS names are the str of generator_tuple and of each side of
+    pascal_generator_tuples."""
     report = full_search(p)
     witnesses = 0
     for entry in report.classes:
-        x = entry.class_rep
-        for _, i0, j0 in entry.steinhaus.witnesses:
-            fields = cli._generator_fields(Orientation.STEINHAUS, x, i0, j0)
-            assert fields == {"z": str(generator_tuple(x, i0, j0))}
-        for _, i0, j0 in entry.pascal.witnesses:
-            left, right = pascal_generator_tuples(x, i0, j0)
-            fields = cli._generator_fields(Orientation.PASCAL, x, i0, j0)
-            assert fields == {"z_left": str(left), "z_right": str(right)}
-        witnesses += len(entry.steinhaus) + len(entry.pascal)
+        x, grid = entry.class_rep, build_period_grid(entry.class_rep)
+        for kind in Orientation:
+            for _, i0, j0 in entry.remainders(kind).witnesses:
+                lines = jsonout.generator_lines(kind, grid, i0, j0)
+                assert dict(zip(jsonout.GENERATOR_KEYS[kind], lines)) == generator_fields(kind, x, i0, j0)
+                witnesses += 1
     assert witnesses == {24: 654, 72: 1962}[p]
 
 
@@ -64,7 +72,7 @@ def search_payload(report, kinds, certs, k_verify):
             witnesses = []
             for r, i0, j0 in rset.witnesses:
                 record = certs[entry.index, kind, r].to_json_dict()
-                record.update(cli._generator_fields(kind, entry.class_rep, i0, j0))
+                record.update(generator_fields(kind, entry.class_rep, i0, j0))
                 witnesses.append(record)
             item[kind.value] = {
                 "remainder_count": len(rset),
@@ -163,7 +171,7 @@ def test_witness_record_equals_indented(p, kind, data):
     i0 += p * data.draw(st.integers(-3, 3))
     j0 += p * data.draw(st.integers(-3, 3))
     cert = check_family(x, i0, j0, r, kind)
-    record = {**cert.to_json_dict(), **cli._generator_fields(kind, x, i0, j0)}
+    record = {**cert.to_json_dict(), **generator_fields(kind, x, i0, j0)}
     lines = jsonout.generator_lines(kind, build_period_grid(x), i0, j0)
     assert jsonout.witness_record(cert, str(x), lines) == jsonout.indented(record, jsonout.RECORD_NEWLINE)
 
