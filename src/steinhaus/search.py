@@ -8,17 +8,15 @@ full_search reads only the balanced-period classes; one packed scan per
 class tests every anchor and remainder at once (_first_anchors), the
 Pascal witnesses read by duality (dual_position).  A certificate reads
 its corner and band off a cached plane of doubled grid lines
-(_period_plane); the oracle counts every size kp + r afresh from a stream
-of line popcounts (_line_counts).  One rule, _accepts, tests both.
+(_period_plane); the oracle counts every size kp + r afresh, one popcount
+per period of lines (_block_ones).  One rule, _accepts, tests both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, cycle, islice
-from operator import and_
-from typing import Iterator
+from itertools import accumulate, islice
 
 from .core import (
     MultiplicityTable,
@@ -258,52 +256,53 @@ def check_pascal_family(
     return check_family(x, i0, j0, r, Orientation.PASCAL)
 
 
-# _LINE_MASKS[t] = 2^(t+1) - 1 keeps the t+1 cells of line t: one table, grown
-# to the largest size counted (check_triangle_size), never one per size
-_LINE_MASKS = [1]
-
-
-def _line_masks(n: int) -> list[int]:
-    """The table, grown to at least n masks, of lines 0, 1, ..."""
-    table = _LINE_MASKS
-    if len(table) < n:
-        table.extend((2 << t) - 1 for t in range(len(table), n))
-    return table
-
-
-def _line_counts(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> Iterator[int]:
-    """Ones of lines 0..n-1 of the triangles of the given kind anchored at
-    orbit position (i0, j0); line t holds the t+1 cells that growing the
-    size-t triangle to size t+1 adds, and none depends on the size: for
-    Pascal it is orbit row i0+t read from column j0 on, for Steinhaus orbit
-    column j0+t read from row i0 on (the Pascal line of the transposed grid
-    with the anchor swapped).  Each line is popcounted straight from the
-    grid: rotated to the anchor, repeated out to n bits, masked."""
+@lru_cache(maxsize=2)  # one grid's witnesses of one kind come in a row
+def _line_plane(grid: PeriodGrid, kind: Orientation, m: int) -> tuple[int, ...]:
+    """The p lines of the kind (rows for Pascal, columns for Steinhaus), each
+    repeated m times, stacked twice at stride w = 8 ceil(mp/8) bits; w; and
+    masks of p rows: R, bit 0 of each; D, bit u+1 of row u; D - R; R(2^p - 1)."""
     p = grid.p
-    if kind is Orientation.STEINHAUS:
-        lines, start, s = grid.columns, j0 % p, i0 % p
-    else:
-        lines, start, s = grid.rows, i0 % p, j0 % p
-    # enough copies of a line side by side to read bits s..s+n-1 of it at once
-    copies = sum(1 << (k * p) for k in range(-(-(s + n) // p)))
-    rotated = [(line * copies) >> s for line in (lines[start:] + lines[:start])[:n]]
-    return map(int.bit_count, map(and_, islice(cycle(rotated), n), _line_masks(n)))
+    lines = grid.columns if kind is Orientation.STEINHAUS else grid.rows
+    size = -(-m * p // 8)
+    copies = ((1 << m * p) - 1) // ((1 << p) - 1)
+
+    def stack(rows):
+        return int.from_bytes(b"".join(row.to_bytes(size, "little") for row in rows), "little")
+
+    R, D = stack([1] * p), stack([2 << u for u in range(p)])
+    return stack([line * copies for line in lines] * 2), 8 * size, R, D, D - R, (R << p) - R
 
 
-def _ones_prefix(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> list[int]:
-    """Entry m is the ones of the size-m triangle of the given kind anchored
-    at (i0, j0), for m = 0..n: the prefix sums of one line-count stream."""
-    return list(accumulate(_line_counts(grid, i0, j0, n, kind), initial=0))
+def _block_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> list[int]:
+    """Entry k is the ones of the size-(r + kp) triangle of the given kind at
+    orbit position (i0, j0), r = n mod p.  Line t of a triangle, the t+1
+    cells that growing it from size t adds, is orbit row i0+t from column j0
+    for Pascal, column j0+t from row i0 for Steinhaus.  Lines c..c+p-1,
+    c = r + kp, are the plane's rows at rotation start + r shifted to the
+    anchor, row u kept to c+u+1 cells by (D << c) - R, the last mask moved up
+    p cells; lines 0..r-1 are the first block's top r rows, cut by D - R."""
+    p = grid.p
+    start, s = (j0 % p, i0 % p) if kind is Orientation.STEINHAUS else (i0 % p, j0 % p)
+    # n//p + 2 copies of a line hold the n cells after any offset s < p
+    plane, w, R, D, stair, low = _line_plane(grid, kind, n // p + 2)
+    r = n % p
+    band = plane >> ((start + r) % p * w + s)
+    mask = (D << r) - R
+    ones = [((band & mask) >> (p - r) * w & stair).bit_count()]
+    for k in range(n // p):
+        if k:
+            mask = mask << p | low
+        ones.append(ones[-1] + (band & mask).bit_count())
+    return ones
 
 
 def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> int:
     """Ones in the size-n triangle of the given kind anchored at orbit
-    position (i0, j0): the sum of its n line counts (_line_counts), rows
-    for Pascal and columns for Steinhaus."""
+    position (i0, j0): the last entry of _block_ones."""
     if n < 0:
         raise ValueError("size must be non-negative")
     check_triangle_size(n)
-    return sum(_line_counts(grid, i0, j0, n, kind))
+    return _block_ones(grid, i0, j0, n, kind)[-1]
 
 
 def check_oracle_size(p: int, max_multiplier: int) -> None:
@@ -314,19 +313,18 @@ def check_oracle_size(p: int, max_multiplier: int) -> None:
 
 def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
     """Independent check of a certificate: for every k up to max_multiplier,
-    require the triangle of size kp + r balanced, its ones read from one
-    prefix of line counts of length max_multiplier*p + r that this call
-    derives afresh from the grid (_ones_prefix).  Reads neither the
-    certificate's counts nor the packed counts of the remainder scan.
-    Refused by check_oracle_size before any count."""
+    require the triangle of size kp + r balanced, its ones counted afresh
+    from the grid (_block_ones).  Reads neither the certificate's counts nor
+    the packed counts of the remainder scan.  Refused by check_oracle_size
+    before any count."""
     if max_multiplier < 1:
         raise ValueError("need at least one multiplier")
     grid = build_period_grid(cert.generator)
     p, r = grid.p, cert.remainder
     check_oracle_size(p, max_multiplier)
     i0, j0 = cert.position
-    ones = _ones_prefix(grid, i0, j0, max_multiplier * p + r, cert.kind)
-    return all(abs(n * (n + 1) // 2 - 2 * ones[n]) <= 1 for n in range(r, len(ones), p))
+    ones = _block_ones(grid, i0, j0, max_multiplier * p + r, cert.kind)
+    return all(abs(n * (n + 1) // 2 - 2 * c) <= 1 for n, c in zip(range(r, len(ones) * p, p), ones))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expected_values import BALANCED_REPRESENTATIVES_24, CLASS9_REP
+from test_line_stream import _ones_prefix
 from test_orbits import window_multiplicity
 
 from steinhaus import (
@@ -60,8 +61,8 @@ from steinhaus.orbits import (
 )
 from steinhaus.search import (
     _accepts,
+    _block_ones,
     _first_anchors,
-    _ones_prefix,
     balanced_period_classes,
     check_family,
     extract_block,
@@ -549,15 +550,18 @@ def _profile(prefixes, kind, i0, j0, n_max):
 
 @pytest.mark.parametrize("kind", list(Orientation))
 def test_line_count_prefix_past_the_mask_table(rep9_grid, kind):
-    """Sizes past TRIANGLE_SIZE_LIMIT, where the line masks outgrow their
-    table, against the per-line prefix sums of the fundamental domain."""
+    """Sizes past TRIANGLE_SIZE_LIMIT, which triangle_ones refuses but the
+    counts themselves do not bound: the line stream at every size and the
+    block count at every size = n (mod p), against the per-line prefix sums
+    of the fundamental domain."""
     n = TRIANGLE_SIZE_LIMIT + 30
-    prefixes = _line_prefixes(rep9_grid.cells, kind, 1)
-    assert _ones_prefix(rep9_grid, 7, -5, n, kind) == _profile(prefixes, kind, 7, -5, n)
+    profile = _profile(_line_prefixes(rep9_grid.cells, kind, 1), kind, 7, -5, n)
+    assert _ones_prefix(rep9_grid, 7, -5, n, kind) == profile
+    assert _block_ones(rep9_grid, 7, -5, n, kind) == profile[n % rep9_grid.p::rep9_grid.p]
 
 
 def _check_certificate_counts(x, grid, i0, j0, r, kind, extract):
-    """check_family at one anchor and remainder against the oracle's line
+    """check_family at one anchor and remainder against the reference line
     stream (_ones_prefix) and, when extract is set, against cells counted
     from extract_block: the same acceptance, and on acceptance the same
     corner and band ones.  Returns whether the family was accepted."""

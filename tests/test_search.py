@@ -10,8 +10,10 @@ from expected_values import (
     REMAINDER_COUNTS_24,
     CLASS9_PASCAL_DUAL_WITNESSES,
     CLASS9_PASCAL_NATIVE_WITNESSES,
+    CLASS9_REP,
     CLASS9_STEINHAUS_WITNESSES,
 )
+from test_line_stream import _ones_prefix
 
 from steinhaus import (
     Orientation,
@@ -159,10 +161,15 @@ def test_block_multiplicities_of_main_witness(rep9):
     assert oracle_verify_family(cert, 4)
 
 
-def test_oracle_refuses_multipliers_past_the_triangle_bound(rep9):
+def test_oracle_refuses_multipliers_past_the_triangle_bound(rep9, monkeypatch):
     # K*p + p - 1 = 2039 at K = 84 and 2063 at K = 85, against the bound 2048
     cert = check_steinhaus_family(rep9, 6, 9, 6)
     assert oracle_verify_family(cert, 84)
+
+    def refuse(*args):
+        raise AssertionError("counted the blocks of a multiplier past the bound")
+
+    monkeypatch.setattr(search, "_block_ones", refuse)
     with pytest.raises(TooLarge, match="triangle of size 2063 exceeds the bound 2048"):
         oracle_verify_family(cert, 85)
 
@@ -188,27 +195,80 @@ def _reference_balance(cert, K):
     return [is_balanced(search.extract_block(grid, i0, j0, n, cert.kind)).balanced for n in sizes]
 
 
-def test_oracle_reads_every_size_of_its_prefix(rep9):
-    """oracle_verify_family(cert, K) for K = 1..4 against extraction, on the
-    real certificates of class 9 and on forged ones moved off their anchor;
-    some forged ones pass k = 0 and fail later, so a size read from the
-    wrong entry of the prefix shows."""
-    p = len(rep9)
-    late_rejections = 0
+def _stream_balance(cert, K):
+    """Triangle k = 0..K of the certificate's family balanced, by the
+    reference line stream."""
+    grid = build_period_grid(cert.generator)
+    i0, j0 = cert.position
+    ones = _ones_prefix(grid, i0, j0, K * cert.p + cert.remainder, cert.kind)
+    return [abs(n * (n + 1) // 2 - 2 * ones[n]) <= 1 for n in range(cert.remainder, len(ones), cert.p)]
+
+
+def _oracle_disagreements(x, remainders, K, reference):
+    """Count (oracle verdicts at K' = 1..K that differ from the reference,
+    candidates that pass k = 0 and fail later) over the real certificates
+    of x at the given remainders, both kinds, and forged ones moved off
+    their anchor, each checked to be real by the reference."""
+    p = len(x)
+    disagreements = late_rejections = 0
     for kind in Orientation:
-        for r, i0, j0 in remainder_set(rep9, kind).witnesses:
-            cert = check_family(rep9, i0, j0, r, kind)
+        witnesses = remainder_set(x, kind)
+        for r in remainders:
+            i0, j0 = witnesses.witness(r)
+            cert = check_family(x, i0, j0, r, kind)
+            assert all(reference(cert, K))
             forged = [
                 dataclasses.replace(cert, position=((i0 + di) % p, (j0 + dj) % p))
                 for di, dj in ((0, 1), (1, 0), (5, 11))
             ]
             for candidate in [cert, *forged]:
-                balanced = _reference_balance(candidate, 4)
+                balanced = reference(candidate, K)
                 late_rejections += balanced[0] and not all(balanced)
-                for K in range(1, 5):
-                    assert oracle_verify_family(candidate, K) == all(balanced[: K + 1])
-            assert all(_reference_balance(cert, 4))
-    assert late_rejections > 0
+                disagreements += sum(
+                    oracle_verify_family(candidate, k) != all(balanced[: k + 1]) for k in range(1, K + 1)
+                )
+    return disagreements, late_rejections
+
+
+CLASS9_AT_72 = R(CLASS9_REP * 3)
+REMAINDERS_AT_72 = (0, 1, 23, 24, 47, 70, 71)
+
+
+def test_oracle_reads_every_size_of_its_prefix(rep9):
+    """oracle_verify_family(cert, K) against a reference, on real
+    certificates and on forged ones moved off their anchor: class 9 at
+    p = 24 for K = 1..4 against extraction, and at p = 72 for K = 1..8,
+    r = 0 and r = p - 1 included, against the line stream.  Some forged
+    ones pass k = 0 and fail later, so a size read from the wrong entry of
+    the blocks shows."""
+    for x, remainders, K, reference in [
+        (rep9, range(len(rep9)), 4, _reference_balance),
+        (CLASS9_AT_72, REMAINDERS_AT_72, 8, _stream_balance),
+    ]:
+        disagreements, late_rejections = _oracle_disagreements(x, remainders, K, reference)
+        assert disagreements == 0 and late_rejections > 0
+
+
+def _short_block_ones(grid, i0, j0, n, kind):
+    """search._block_ones with each band row one cell short: the mask
+    (D << c >> 1) - R, that is (D << c - 1) - R with no negative shift at c = 0."""
+    p = grid.p
+    start, s = (j0 % p, i0 % p) if kind is Orientation.STEINHAUS else (i0 % p, j0 % p)
+    plane, w, R, D, stair, low = search._line_plane(grid, kind, n // p + 2)
+    r = n % p
+    band = plane >> ((start + r) % p * w + s)
+    ones = [((band & ((D << r) - R)) >> (p - r) * w & stair).bit_count()]
+    for c in range(r, n, p):
+        ones.append(ones[-1] + (band & ((D << c >> 1) - R)).bit_count())
+    return ones
+
+
+def test_the_oracle_test_rejects_a_band_mask_a_cell_short(monkeypatch):
+    """The mutant keeps the corner, so only the sizes past it go wrong; the
+    p = 72 check of test_oracle_reads_every_size_of_its_prefix sees it."""
+    monkeypatch.setattr(search, "_block_ones", _short_block_ones)
+    disagreements, _ = _oracle_disagreements(CLASS9_AT_72, REMAINDERS_AT_72, 8, _stream_balance)
+    assert disagreements > 0
 
 
 def test_rejections_on_doubled_class():
@@ -712,7 +772,7 @@ def test_triangle_ones_is_bounded(monkeypatch):
         raise AssertionError("counted the lines of a triangle past the size bound")
 
     grid = build_period_grid(R("0" * 24))
-    monkeypatch.setattr(search, "_line_counts", refuse)
+    monkeypatch.setattr(search, "_block_ones", refuse)
     for kind in Orientation:
         with pytest.raises(TooLarge, match="triangle of size 2049 exceeds the bound"):
             triangle_ones(grid, 0, 0, 2049, kind)
