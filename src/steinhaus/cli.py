@@ -47,7 +47,7 @@ from .search import (
 from .symmetry import partition_classes
 
 # bound on witnesses x p, the per-witness work behind CSV, JSON and --k-verify: p = 264 reaches
-# 91% of it (2 vCPUs: CSV 0.4 s, 36 MB; JSON 0.8 s, 24 MB; --k-verify 6 --format json 5.0 s)
+# 91% of it (2 vCPUs: CSV 0.2 s, 36 MB; JSON 0.4 s, 24 MB; --k-verify 6 --format json 3.5 s)
 WITNESS_WORK_LIMIT = 1 << 21
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import MismatchedSides, TooLarge
@@ -97,6 +98,15 @@ class ResidueTuple:
 
     def __str__(self) -> str:
         return ("" if self.modulus <= 10 else ",").join(map(str, self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass's own hash, computed once: a cache keyed on the tuple
+        rehashes none of its entries."""
+        return hash((self.modulus, self.entries))
 
 
 @dataclass(frozen=True)

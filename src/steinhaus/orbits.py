@@ -328,9 +328,10 @@ class PeriodGrid:
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """columns[j] packs orbit column j LSB-first, bit i the cell (i, j):
-        the transposed rows, read as strings (row p-1 first) and zipped."""
-        bits = [format(row, f"0{self.p}b") for row in reversed(self.rows)]
-        return tuple(int("".join(column), 2) for column in zip(*bits))[::-1]
+        every p-th digit of the rows written as one string, row p-1 first."""
+        p = self.p
+        text = "".join([format(row, f"0{p}b") for row in reversed(self.rows)])
+        return tuple(int(text[p - 1 - j::p], 2) for j in range(p))
 
     @cached_property
     def diagonals(self) -> tuple[int, ...]:
@@ -346,6 +347,15 @@ class PeriodGrid:
 
     def multiplicity(self) -> MultiplicityTable:
         return MultiplicityTable(2, (self.p * self.p - self.ones, self.ones))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass's own hash, computed once: a cache keyed on the grid
+        rehashes none of its rows."""
+        return hash((self.p, self.rows))
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "cells": [list(self.row_entries(i)) for i in range(self.p)]}

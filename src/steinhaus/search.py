@@ -7,9 +7,12 @@ its two counts must be equal) and the p-by-p period, which needs 4 | p.
 full_search reads only the balanced-period classes; one packed scan per
 class tests every anchor and remainder at once (_first_anchors), the
 Pascal witnesses read by duality (dual_position).  A certificate reads
-its corner and band off a cached plane of doubled grid lines
-(_period_plane); the oracle counts every size kp + r afresh, one popcount
-per period of lines (_block_ones).  One rule, _accepts, tests both.
+its corner and band off a plane of doubled grid lines, one cached lookup
+keyed on the tuple and kind (_period_plane) that also hands it the
+period's targets (_period_targets); the oracle counts every size kp + r
+afresh, one popcount per period of lines (_block_ones), off a plane of
+the grid's lines and masks cached per (p, m) (_line_masks).  One rule,
+_family_targets, sets what the scan, check_family and _accepts accept.
 """
 
 from __future__ import annotations
@@ -136,12 +139,16 @@ class FamilyCertificate:
             raise ValueError("certificate blocks are not balanced")
 
     @classmethod
-    def _checked(cls, *fields) -> FamilyCertificate:
-        """The certificate of fields (in field order) that check_family has
-        just checked, built without __post_init__ checking them again; it
-        equals, hashes and prints as the one the constructor builds."""
+    def _checked(cls, kind, generator, position, remainder, corner_ones, band_ones) -> FamilyCertificate:
+        """The certificate that check_family has just checked, built without
+        __post_init__ checking it again; it equals, hashes and prints as the
+        one the constructor builds.  Stored key by key in field order, its
+        __dict__ keeps the class's shared keys, where one update from a dict
+        of the six would give each certificate a key table of its own."""
         cert = object.__new__(cls)
-        vars(cert).update(zip(cls.__dataclass_fields__, fields))
+        fields = cert.__dict__
+        fields["kind"], fields["generator"], fields["position"] = kind, generator, position
+        fields["remainder"], fields["corner_ones"], fields["band_ones"] = remainder, corner_ones, band_ones
         return cert
 
     @property
@@ -188,6 +195,12 @@ def _family_targets(p: int, r: int) -> tuple[range, int | None]:
     return corner_ones, band_cells // 2 if band_cells % 2 == 0 else None
 
 
+@lru_cache(maxsize=2)  # the period of one search or scan
+def _period_targets(p: int) -> tuple[tuple[range, int | None], ...]:
+    """_family_targets(p, r) for every remainder r, built once per period."""
+    return tuple(_family_targets(p, r) for r in range(p))
+
+
 def _accepts(corner: int, band: int, p: int, r: int) -> bool:
     """The family predicate on the ones of the size-r corner and of its band."""
     corner_ones, band_half = _family_targets(p, r)
@@ -205,16 +218,14 @@ def check_family(
     _check_period(p)
     if not 0 <= r < p:
         raise ValueError("remainder must lie in 0..p-1")
-    grid = build_period_grid(x)
-    if 2 * grid.ones != p * p:
-        raise UnbalancedPeriod(f"period of {x} is not balanced")
+    plane, w, stair, whole, targets = _period_plane(x, kind)
     i0, j0 = i0 % p, j0 % p
-    plane, w, stair, whole = _period_plane(grid, kind)
     start, s = (j0, i0) if kind is Orientation.STEINHAUS else (i0, j0)
     cells = (plane >> (start * w + s)) & stair
     corner = (cells & ((1 << r * w) - 1)).bit_count()
     band = cells.bit_count() + whole[start + r] - whole[start]
-    if not _accepts(corner, band, p, r):
+    corner_ones, band_half = targets[r]  # the rule of _accepts
+    if band != band_half or corner not in corner_ones:
         return None
     return FamilyCertificate._checked(kind, x, (i0, j0), r, corner, band)
 
@@ -226,22 +237,26 @@ def _staircase(p: int) -> int:
     return int.from_bytes(b"".join(((2 << t) - 1).to_bytes(size, "little") for t in range(p)), "little")
 
 
-@lru_cache(maxsize=4)  # one grid's certificates share it, both kinds in turn
-def _period_plane(grid: PeriodGrid, kind: Orientation) -> tuple[int, int, int, list[int]]:
-    """The p lines of the kind (rows for Pascal, columns for Steinhaus), each
-    doubled (line | line << p), stacked twice at stride w = 8 ceil(2p/8)
-    bits; w; _staircase(p); and the prefix sums of the stacked lines' ones.
-    Shifted down by start*w + s and masked, row t is line t of the triangle
-    at that anchor: the size-p triangle, its low r rows the size-r corner.
-    Line p+u of the size-(p+r) triangle is line u plus one whole period of
-    line start+u, so the band (sizes r+1..p+r) is the size-p triangle plus
-    r whole lines."""
+@lru_cache(maxsize=4)  # one tuple's certificates share it, both kinds in turn
+def _period_plane(x: ResidueTuple, kind: Orientation) -> tuple[int, int, int, list[int], tuple]:
+    """The p lines of the kind (rows for Pascal, columns for Steinhaus) of
+    x's grid, each doubled (line | line << p), stacked twice at stride
+    w = 8 ceil(2p/8) bits; w; _staircase(p); the prefix sums of the stacked
+    lines' ones; and _period_targets(p).  Shifted down by start*w + s and
+    masked, row t is line t of the triangle at that anchor: the size-p
+    triangle, its low r rows the size-r corner.  Line p+u of the size-(p+r)
+    triangle is line u plus one whole period of line start+u, so the band
+    (sizes r+1..p+r) is the size-p triangle plus r whole lines.  Raises as
+    build_period_grid, then UnbalancedPeriod, and caches no refusal."""
+    grid = build_period_grid(x)
     p = grid.p
+    if 2 * grid.ones != p * p:
+        raise UnbalancedPeriod(f"period of {x} is not balanced")
     lines = grid.columns if kind is Orientation.STEINHAUS else grid.rows
     size = -(-p // 4)
     plane = b"".join((line | line << p).to_bytes(size, "little") for line in lines)
     whole = list(accumulate(map(int.bit_count, lines * 2), initial=0))
-    return int.from_bytes(plane * 2, "little"), 8 * size, _staircase(p), whole
+    return int.from_bytes(plane * 2, "little"), 8 * size, _staircase(p), whole, _period_targets(p)
 
 
 def check_steinhaus_family(
@@ -256,21 +271,28 @@ def check_pascal_family(
     return check_family(x, i0, j0, r, Orientation.PASCAL)
 
 
+@lru_cache(maxsize=2)  # one run's oracle asks for one multiplier
+def _line_masks(p: int, m: int) -> tuple[int, ...]:
+    """The stride w = 8 ceil(mp/8) of p lines repeated m times, and masks
+    of p rows at that stride: R, bit 0 of each; D, bit u+1 of row u; D - R;
+    R(2^p - 1).  They depend on no grid."""
+    size = -(-m * p // 8)
+    R = int.from_bytes((1).to_bytes(size, "little") * p, "little")
+    D = int.from_bytes(b"".join((2 << u).to_bytes(size, "little") for u in range(p)), "little")
+    return 8 * size, R, D, D - R, (R << p) - R
+
+
 @lru_cache(maxsize=2)  # one grid's witnesses of one kind come in a row
 def _line_plane(grid: PeriodGrid, kind: Orientation, m: int) -> tuple[int, ...]:
     """The p lines of the kind (rows for Pascal, columns for Steinhaus), each
-    repeated m times, stacked twice at stride w = 8 ceil(mp/8) bits; w; and
-    masks of p rows: R, bit 0 of each; D, bit u+1 of row u; D - R; R(2^p - 1)."""
+    repeated m times, stacked twice at stride w bits, then _line_masks(p, m)."""
     p = grid.p
     lines = grid.columns if kind is Orientation.STEINHAUS else grid.rows
-    size = -(-m * p // 8)
+    masks = _line_masks(p, m)
+    size = masks[0] // 8
     copies = ((1 << m * p) - 1) // ((1 << p) - 1)
-
-    def stack(rows):
-        return int.from_bytes(b"".join(row.to_bytes(size, "little") for row in rows), "little")
-
-    R, D = stack([1] * p), stack([2 << u for u in range(p)])
-    return stack([line * copies for line in lines] * 2), 8 * size, R, D, D - R, (R << p) - R
+    plane = b"".join((line * copies).to_bytes(size, "little") for line in lines)
+    return int.from_bytes(plane * 2, "little"), *masks
 
 
 def _block_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> list[int]:
@@ -323,8 +345,12 @@ def oracle_verify_family(cert: FamilyCertificate, max_multiplier: int) -> bool:
     p, r = grid.p, cert.remainder
     check_oracle_size(p, max_multiplier)
     i0, j0 = cert.position
-    ones = _block_ones(grid, i0, j0, max_multiplier * p + r, cert.kind)
-    return all(abs(n * (n + 1) // 2 - 2 * c) <= 1 for n, c in zip(range(r, len(ones) * p, p), ones))
+    n = r
+    for ones in _block_ones(grid, i0, j0, max_multiplier * p + r, cert.kind):
+        if abs(n * (n + 1) // 2 - 2 * ones) > 1:
+            return False
+        n += p
+    return True
 
 
 @dataclass(frozen=True)
@@ -378,11 +404,10 @@ def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
         totals.append(total)
     band, line = total, edge  # of size p
     steinhaus, pascal = {}, {}
-    for r in range(p):
+    for r, (corner_ones, band_half) in enumerate(_period_targets(p)):
         if r:
             line = fields.next_column(line)
             band += line
-        corner_ones, band_half = _family_targets(p, r)
         if band_half is None:
             continue
         hits = fields.within((totals[r], corner_ones), (band, range(band_half, band_half + 1)))

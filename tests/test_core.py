@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -203,3 +204,18 @@ def test_triangle_size_bound():
         build_steinhaus(side)
     with pytest.raises(TooLarge):
         build_pascal(side, side)
+
+
+def test_a_tuple_keeps_the_dataclass_hash():
+    """ResidueTuple hashes as its frozen dataclass would, (modulus, entries),
+    computed once and kept; equality, repr and frozenness are unchanged."""
+    x, y = R("0110101"), R("0110101")
+    assert x is not y and x == y and hash(x) == hash(y) == hash((2, x.entries))
+    assert vars(x)["_hash"] == hash(x)
+    assert x != R("0110100") and R("0,11,3", 13) == ResidueTuple(13, (0, 11, 3))
+    assert hash(R("0,11,3", 13)) == hash((13, (0, 11, 3)))
+    assert repr(x) == "ResidueTuple(modulus=2, entries=(0, 1, 1, 0, 1, 0, 1))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.entries = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.modulus = 3

@@ -1,12 +1,13 @@
 """The certificates and the oracle count triangles by two separate methods.
 The oracle counts one block of p lines per popcount (search._block_ones)
-off a cached plane of repeated grid lines (search._line_plane), and
-check_family reads its corner and band from the cached plane of doubled
-grid lines (search._period_plane).  Neither shares the other's counting
-code, and no count is memoized: each plane caches the grid's lines, masks
-and (for the certificates) whole-line ones, never a triangle's count, so no
-count passes from check_family to the oracle, and the oracle never reads
-the certificate's two counts.  Steinhaus lines are read from
+off a cached plane of repeated grid lines (search._line_plane) and masks
+cached per period and multiplier (search._line_masks), and check_family
+reads its corner and band from the cached plane of doubled grid lines
+(search._period_plane).  Neither shares the other's counting code, and no
+count is memoized: each plane caches the grid's lines, masks and (for the
+certificates) whole-line ones, never a triangle's count, so no count passes
+from check_family to the oracle, and the oracle never reads the
+certificate's two counts.  Steinhaus lines are read from
 PeriodGrid.columns, the transposed grid.
 
 The reference here is a stream of one popcount per triangle line
@@ -23,7 +24,7 @@ import pytest
 
 from steinhaus import Orientation, partition_classes
 from steinhaus.orbits import PeriodGrid, build_period_grid
-from steinhaus.search import _block_ones
+from steinhaus.search import _block_ones, _line_plane
 
 SEARCH = Path(__file__).resolve().parents[1] / "src" / "steinhaus" / "search.py"
 
@@ -75,12 +76,35 @@ def test_the_line_counts_are_not_memoized(name):
     assert not _decorator_names(_functions()[name]) & {"lru_cache", "cache", "cached_property"}
 
 
+def _attributes(function: ast.FunctionDef) -> set[str]:
+    return {getattr(node, "attr", None) for node in ast.walk(function)}
+
+
 def test_the_oracle_plane_holds_lines_and_masks():
     """The oracle's cached plane takes no anchor and pops no count, so it
     can hold no triangle's count."""
     plane = _functions()["_line_plane"]
     assert [arg.arg for arg in plane.args.args] == ["grid", "kind", "m"]
-    assert "bit_count" not in {getattr(node, "attr", None) for node in ast.walk(plane)}
+    assert "bit_count" not in _attributes(plane)
+
+
+def test_the_oracle_masks_read_no_grid():
+    """The oracle's masks depend on the period and the multiplier alone and
+    pop no count."""
+    masks = _functions()["_line_masks"]
+    assert [arg.arg for arg in masks.args.args] == ["p", "m"]
+    assert not masks.args.vararg and not masks.args.kwarg and not masks.args.kwonlyargs
+    assert "bit_count" not in _attributes(masks)
+    assert "_line_masks" in _names(_functions()["_line_plane"])
+
+
+def test_two_grids_of_one_period_share_the_oracle_masks():
+    rng = random.Random(24)
+    grids = [PeriodGrid(24, tuple(rng.getrandbits(24) for _ in range(24))) for _ in range(2)]
+    for kind in Orientation:
+        first, second = (_line_plane(grid, kind, 3) for grid in grids)
+        assert first[0] != second[0] and first[1] == second[1] == 72
+        assert all(a is b for a, b in zip(first[2:], second[2:])) and len(first) == len(second) == 6
 
 
 def test_the_oracle_never_reads_the_certificate_counts():
@@ -94,7 +118,7 @@ def _names(function: ast.FunctionDef) -> set[str]:
 
 
 CERTIFICATE_COUNTS = {"_period_plane", "_staircase"}
-ORACLE_COUNTS = {"_block_ones", "_line_plane", "triangle_ones"}
+ORACLE_COUNTS = {"_block_ones", "_line_plane", "_line_masks", "triangle_ones"}
 
 
 def test_the_certificate_and_the_oracle_count_independently():

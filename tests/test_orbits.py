@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -272,6 +273,37 @@ def test_diagonals_pack_the_cells_k_k_plus_c(p):
     for grid in _grids(p):
         for c in range(p):
             assert grid.diagonals[c] == sum(grid.cell(k, k + c) << k for k in range(p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 24, 264])
+def test_columns_and_diagonals_transpose_any_grid(p):
+    """Random grids that are no orbit, checked cell by cell: column j holds
+    cell (i, j) at bit i, diagonal c the cell (k, k + c) at bit k."""
+    rng = random.Random(p)
+    for _ in range(2):
+        grid = PeriodGrid(p, tuple(rng.getrandbits(p) for _ in range(p)))
+        assert len(grid.columns) == len(grid.diagonals) == p
+        for j in range(p):
+            column, diagonal = grid.columns[j], grid.diagonals[j]
+            assert column >> p == diagonal >> p == 0
+            for i in range(p):
+                assert column >> i & 1 == grid.cell(i, j)
+                assert diagonal >> i & 1 == grid.cell(i, i + j)
+
+
+def test_a_grid_keeps_the_dataclass_hash():
+    """PeriodGrid hashes as its frozen dataclass would, (p, rows), computed
+    once and kept; equality, repr and frozenness are unchanged."""
+    grid = build_period_grid(R("010100"))
+    twin = PeriodGrid(6, grid.rows)
+    assert twin is not grid and twin == grid and hash(twin) == hash(grid) == hash((6, grid.rows))
+    assert vars(grid)["_hash"] == hash(grid)
+    assert twin != PeriodGrid(6, grid.rows[1:] + grid.rows[:1])
+    assert repr(twin) == f"PeriodGrid(p=6, rows={grid.rows!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.rows = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.p = 12
 
 
 @pytest.mark.parametrize("step", [(0, -1), (-1, -1), (2, 1), (0, 0)])

@@ -325,14 +325,73 @@ def test_check_family_builds_the_certificate_the_constructor_builds(report24):
 
 
 def test_check_family_tests_each_certificate_once(report24, monkeypatch):
-    """The acceptance rule's targets are computed once per accepted
-    certificate: check_family does not have the constructor check again."""
-    calls = []
-    targets = search._family_targets
+    """The acceptance rule's targets are built p times per period, once per
+    remainder, not once per certificate; each accepted certificate is tested
+    once, against its remainder's targets, and check_family does not have
+    the constructor check again."""
+    calls, reads = [], []
+
+    class Targets(tuple):
+        def __getitem__(self, r):
+            reads.append(r)
+            return super().__getitem__(r)
+
+    targets, table = search._family_targets, search._period_targets
     monkeypatch.setattr(search, "_family_targets", lambda p, r: calls.append(r) or targets(p, r))
-    certs = _witness_certificates(report24)
-    assert None not in certs
-    assert len(calls) == len(certs) == 654
+    monkeypatch.setattr(search, "_period_targets", lambda p: Targets(table(p)))
+    monkeypatch.setattr(search.FamilyCertificate, "__post_init__", lambda self: calls.append(self))
+    table.cache_clear()
+    search._period_plane.cache_clear()
+    try:
+        certs = _witness_certificates(report24)
+    finally:
+        search._period_plane.cache_clear()  # drop the planes holding the counting table
+    assert None not in certs and len(certs) == 654
+    assert calls == list(range(24))
+    assert reads == [cert.remainder for cert in certs]
+
+
+@pytest.mark.parametrize("p", [4, 8, 12, 24, 72, 264])
+def test_the_targets_table_holds_the_rule_of_every_remainder(p):
+    assert search._period_targets(p) == tuple(search._family_targets(p, r) for r in range(p))
+
+
+@pytest.mark.parametrize("x,r,error,message", [
+    (R("100000"), 99, PeriodNotDivisibleBy4, "not divisible by 4"),
+    (R("1000"), 7, ValueError, "remainder must lie"),
+    (R("1000"), 1, NotPeriodic, "does not generate"),
+    (ResidueTuple(3, (1, 0, 0, 0)), 1, ValueError, "defined for modulus 2"),
+    (R("0" * 24), 25, ValueError, "remainder must lie"),
+    (R("0" * 24), 1, UnbalancedPeriod, "not balanced"),
+], ids=str)
+def test_check_family_refuses_in_a_fixed_order(x, r, error, message):
+    """The period's divisibility, then the remainder's range, then the grid
+    (modulus, periodicity), then the period's balance."""
+    for kind in Orientation:
+        with pytest.raises(ValueError, match=message) as refused:
+            check_family(x, 0, 0, r, kind)
+        assert type(refused.value) is error
+
+
+def test_an_unbalanced_period_is_refused_on_every_call():
+    """No refusal is cached: the plane lookup raises again."""
+    zero = R("0" * 24)
+    for _ in range(3):
+        for kind in Orientation:
+            with pytest.raises(UnbalancedPeriod):
+                check_family(zero, 1, 2, 3, kind)
+
+
+def test_p72_certificates_equal_the_constructors():
+    report = full_search(72)
+    certs = _witness_certificates(report)
+    assert len(certs) == 3 * 654 and None not in certs
+    assert {cert.kind for cert in certs} == set(Orientation)
+    for cert in certs:
+        public = search.FamilyCertificate(
+            cert.kind, cert.generator, cert.position, cert.remainder, cert.corner_ones, cert.band_ones
+        )
+        assert cert == public and hash(cert) == hash(public) and repr(cert) == repr(public)
 
 
 @pytest.mark.parametrize("fields,error", [
