@@ -12,7 +12,8 @@ keyed on the tuple and kind (_period_plane) that also hands it the
 period's targets (_period_targets); the oracle counts every size kp + r
 afresh, one popcount per period of lines (_block_ones), off a plane of
 the grid's lines and masks cached per (p, m) (_line_masks).  One rule,
-_family_targets, sets what the scan, check_family and _accepts accept.
+_family_targets, tabled once per period, sets what the scan, check_family
+and the FamilyCertificate constructor accept.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ def extract_block(
 
 
 def extract_steinhaus_block(grid: PeriodGrid, i0: int, j0: int, n: int) -> Triangle:
+    check_triangle_size(n)
     return extract_block(grid, i0, j0, n, Orientation.STEINHAUS)
 
 
 def extract_pascal_block(grid: PeriodGrid, i0: int, j0: int, n: int) -> Triangle:
+    check_triangle_size(n)
     return extract_block(grid, i0, j0, n, Orientation.PASCAL)
 
 
@@ -95,7 +98,8 @@ def dual_position(i0: int, j0: int, r: int, p: int) -> tuple[int, int, int]:
     columns j0+r.. once and S(r) twice, at (i0, j0) and (i0+p, j0+p).  The
     bands hold 2p^2 cells, so if T = p^2/2, (i) splits the P band evenly
     exactly when it splits the S band.  Then (ii) gives 2 ones(P(s)) -
-    s(s+1)/2 = 2 ones(S(r)) - r(r+1)/2: _accepts holds for both or neither.
+    s(s+1)/2 = 2 ones(S(r)) - r(r+1)/2: the acceptance rule (_family_targets)
+    holds for both or neither.
     """
     if not 0 <= r < p:
         raise ValueError("remainder must lie in 0..p-1")
@@ -118,9 +122,11 @@ def _check_period(p: int) -> None:
 @dataclass(frozen=True)
 class FamilyCertificate:
     """Witness that the triangles of size kp + r anchored at ``position``
-    are balanced for every k >= 0: the corner and band ones that _accepts,
-    its one acceptance rule, reads.  The period is balanced, as check_family
-    raised UnbalancedPeriod otherwise; corner, band, period are views."""
+    are balanced for every k >= 0: the corner and band ones that the rule
+    accepts.  The period is balanced, as both the constructor and
+    check_family raise UnbalancedPeriod otherwise: the constructor refuses
+    as check_family does, in its order, through its lookup (_period_plane).
+    corner, band, period are views."""
 
     kind: Orientation
     generator: ResidueTuple
@@ -135,7 +141,8 @@ class FamilyCertificate:
         _check_period(p)
         if not 0 <= r < p:
             raise ValueError("remainder must lie in 0..p-1")
-        if not _accepts(self.corner_ones, self.band_ones, p, r):
+        corner_ones, band_half = _period_plane(self.generator, self.kind)[-1][r]
+        if self.band_ones != band_half or self.corner_ones not in corner_ones:
             raise ValueError("certificate blocks are not balanced")
 
     @classmethod
@@ -201,12 +208,6 @@ def _period_targets(p: int) -> tuple[tuple[range, int | None], ...]:
     return tuple(_family_targets(p, r) for r in range(p))
 
 
-def _accepts(corner: int, band: int, p: int, r: int) -> bool:
-    """The family predicate on the ones of the size-r corner and of its band."""
-    corner_ones, band_half = _family_targets(p, r)
-    return corner in corner_ones and band == band_half
-
-
 def check_family(
     x: ResidueTuple, i0: int, j0: int, r: int, kind: Orientation
 ) -> FamilyCertificate | None:
@@ -224,7 +225,7 @@ def check_family(
     cells = (plane >> (start * w + s)) & stair
     corner = (cells & ((1 << r * w) - 1)).bit_count()
     band = cells.bit_count() + whole[start + r] - whole[start]
-    corner_ones, band_half = targets[r]  # the rule of _accepts
+    corner_ones, band_half = targets[r]  # the acceptance rule, _family_targets
     if band != band_half or corner not in corner_ones:
         return None
     return FamilyCertificate._checked(kind, x, (i0, j0), r, corner, band)
@@ -316,15 +317,6 @@ def _block_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -
             mask = mask << p | low
         ones.append(ones[-1] + (band & mask).bit_count())
     return ones
-
-
-def triangle_ones(grid: PeriodGrid, i0: int, j0: int, n: int, kind: Orientation) -> int:
-    """Ones in the size-n triangle of the given kind anchored at orbit
-    position (i0, j0): the last entry of _block_ones."""
-    if n < 0:
-        raise ValueError("size must be non-negative")
-    check_triangle_size(n)
-    return _block_ones(grid, i0, j0, n, kind)[-1]
 
 
 def check_oracle_size(p: int, max_multiplier: int) -> None:
@@ -466,8 +458,10 @@ def remainder_set(
 
 @lru_cache(maxsize=512)  # as build_period_grid: the filter and both scans share one per class
 def _true_period_grid(x: ResidueTuple) -> PeriodGrid:
-    """The grid of x[:q], q = true_period(x), balanced exactly when x's grid is."""
-    return build_period_grid(ResidueTuple(2, x.entries[:true_period(x)]))
+    """The grid of x[:q], q = true_period(x), balanced exactly when x's grid
+    is; keyed by x itself when q = p, so later lookups of x hit by identity."""
+    q = true_period(x)
+    return build_period_grid(x if q == len(x) else ResidueTuple(2, x.entries[:q]))
 
 
 def balanced_period_classes(p: int) -> tuple[OrbitClass, ...]:

@@ -71,7 +71,7 @@ def test_the_decorator_finder_sees_every_spelling():
     assert _decorator_names(ast.parse(source).body[0]) == {"lru_cache", "cache"}
 
 
-@pytest.mark.parametrize("name", ["_block_ones", "triangle_ones", "check_family"])
+@pytest.mark.parametrize("name", ["_block_ones", "check_family"])
 def test_the_line_counts_are_not_memoized(name):
     assert not _decorator_names(_functions()[name]) & {"lru_cache", "cache", "cached_property"}
 
@@ -118,7 +118,7 @@ def _names(function: ast.FunctionDef) -> set[str]:
 
 
 CERTIFICATE_COUNTS = {"_period_plane", "_staircase"}
-ORACLE_COUNTS = {"_block_ones", "_line_plane", "_line_masks", "triangle_ones"}
+ORACLE_COUNTS = {"_block_ones", "_line_plane", "_line_masks"}
 
 
 def test_the_certificate_and_the_oracle_count_independently():

@@ -60,14 +60,12 @@ from steinhaus.orbits import (
     true_period,
 )
 from steinhaus.search import (
-    _accepts,
     _block_ones,
     _first_anchors,
     balanced_period_classes,
     check_family,
     extract_block,
     remainder_set,
-    triangle_ones,
 )
 from steinhaus.symmetry import _generator_images, _KernelCoordinates
 
@@ -506,7 +504,7 @@ def test_oracle_popcount_matches_extraction(data):
     i0, j0 = data.draw(st.integers(-p, 2 * p)), data.draw(st.integers(-p, 2 * p))
     n = data.draw(st.integers(0, 5 * p))
     expected = multiplicity(extract_block(grid, i0, j0, n, kind)).counts[1]
-    assert triangle_ones(grid, i0, j0, n, kind) == expected
+    assert _block_ones(grid, i0, j0, n, kind)[-1] == expected
 
 
 @given(data=st.data())
@@ -550,7 +548,7 @@ def _profile(prefixes, kind, i0, j0, n_max):
 
 @pytest.mark.parametrize("kind", list(Orientation))
 def test_line_count_prefix_past_the_mask_table(rep9_grid, kind):
-    """Sizes past TRIANGLE_SIZE_LIMIT, which triangle_ones refuses but the
+    """Sizes past TRIANGLE_SIZE_LIMIT, which the oracle refuses but the
     counts themselves do not bound: the line stream at every size and the
     block count at every size = n (mod p), against the per-line prefix sums
     of the fundamental domain."""
@@ -558,6 +556,13 @@ def test_line_count_prefix_past_the_mask_table(rep9_grid, kind):
     profile = _profile(_line_prefixes(rep9_grid.cells, kind, 1), kind, 7, -5, n)
     assert _ones_prefix(rep9_grid, 7, -5, n, kind) == profile
     assert _block_ones(rep9_grid, 7, -5, n, kind) == profile[n % rep9_grid.p::rep9_grid.p]
+
+
+def _family_rule(corner, band, p, r):
+    """The family rule from its definition: the size-r corner balanced,
+    |r(r+1)/2 - 2 corner| <= 1, and the band that growing it to size p + r
+    adds split evenly, 2 band = p r + p(p+1)/2."""
+    return abs(r * (r + 1) // 2 - 2 * corner) <= 1 and 2 * band == p * r + p * (p + 1) // 2
 
 
 def _check_certificate_counts(x, grid, i0, j0, r, kind, extract):
@@ -572,7 +577,7 @@ def _check_certificate_counts(x, grid, i0, j0, r, kind, extract):
         assert corner == multiplicity(extract_block(grid, i0, j0, r, kind)).counts[1]
         assert ones[p + r] == multiplicity(extract_block(grid, i0, j0, p + r, kind)).counts[1]
     cert = check_family(x, i0, j0, r, kind)
-    assert (cert is not None) == _accepts(corner, band, p, r)
+    assert (cert is not None) == _family_rule(corner, band, p, r)
     if cert is not None:
         assert (cert.corner_ones, cert.band_ones, cert.position) == (corner, band, (i0 % p, j0 % p))
     return cert is not None
@@ -628,8 +633,8 @@ def test_certificate_counts_match_the_line_stream_at_p216():
 
 def _per_anchor_witnesses(grid, kind):
     """The scan the packed remainder scan replaced: one prefix-sum profile
-    per anchor in scan order (i0, then j0), tested by _accepts, keeping the
-    first witness per remainder."""
+    per anchor in scan order (i0, then j0), tested by _family_rule, keeping
+    the first witness per remainder."""
     p = grid.p
     prefixes = _line_prefixes(grid.cells, kind, 1)
     found = {}
@@ -637,7 +642,7 @@ def _per_anchor_witnesses(grid, kind):
         for j0 in range(p):
             ones = _profile(prefixes, kind, i0, j0, 2 * p - 1)
             for r in range(p):
-                if r not in found and _accepts(ones[r], ones[p + r] - ones[r], p, r):
+                if r not in found and _family_rule(ones[r], ones[p + r] - ones[r], p, r):
                     found[r] = (i0, j0)
     return tuple((r, *found[r]) for r in sorted(found))
 

@@ -44,7 +44,7 @@ from steinhaus import (
 from steinhaus import orbits, search
 from steinhaus.errors import EmptyTuple, NotPeriodic, TooLarge
 from steinhaus.orbits import true_period
-from steinhaus.search import REMAINDER_WORK_LIMIT, triangle_ones
+from steinhaus.search import REMAINDER_WORK_LIMIT
 
 R = ResidueTuple.from_string
 
@@ -366,11 +366,21 @@ def test_the_targets_table_holds_the_rule_of_every_remainder(p):
 ], ids=str)
 def test_check_family_refuses_in_a_fixed_order(x, r, error, message):
     """The period's divisibility, then the remainder's range, then the grid
-    (modulus, periodicity), then the period's balance."""
+    (modulus, periodicity), then the period's balance; the public
+    constructor refuses the same inputs in the same order, given counts the
+    rule accepts at a valid remainder: corner 0 and half the band's cells
+    (162 for the all-zero p = 24 tuple at r = 1, whose certificate would
+    otherwise report a balanced period)."""
+    p = len(x)
+    band = (p * r + p * (p + 1) // 2) // 2
     for kind in Orientation:
-        with pytest.raises(ValueError, match=message) as refused:
-            check_family(x, 0, 0, r, kind)
-        assert type(refused.value) is error
+        for refuse in (
+            lambda: check_family(x, 0, 0, r, kind),
+            lambda: search.FamilyCertificate(kind, x, (0, 0), r, 0, band),
+        ):
+            with pytest.raises(ValueError, match=message) as refused:
+                refuse()
+            assert type(refused.value) is error
 
 
 def test_an_unbalanced_period_is_refused_on_every_call():
@@ -469,6 +479,23 @@ def test_search_builds_only_true_period_grids(monkeypatch):
     search._true_period_grid.cache_clear()
     assert len(full_search(1944).classes) == len(classes)
     assert lengths and max(lengths) <= 24
+
+
+def test_a_class_grid_is_keyed_by_the_class_tuple(monkeypatch):
+    """When q = p the class tuple itself keys the grid cache, so a later
+    lookup of the tuple hits by identity, comparing no entries."""
+    search._true_period_grid.cache_clear()
+    build_period_grid.cache_clear()
+    full = [cls.representative for cls in balanced_period_classes(24)
+            if true_period(cls.representative) == 24]
+    grids = [search._true_period_grid(x) for x in full]
+    assert full and all(grid is build_period_grid(x) for x, grid in zip(full, grids))
+
+    def refuse(self, other):
+        raise AssertionError("compared a class tuple entry by entry")
+
+    monkeypatch.setattr(ResidueTuple, "__eq__", refuse)
+    assert all(build_period_grid(x) is grid for x, grid in zip(full, grids))
 
 
 def test_full_search_finds_each_true_period_once(monkeypatch):
@@ -698,7 +725,7 @@ def test_complementarity_blocks(rep9_grid):
         assert tuple(a + b for a, b in zip(u1, v1)) == period_counts
 
         def ones(i, j, n, kind):
-            return triangle_ones(grid, i, j, n, kind)
+            return search._block_ones(grid, i, j, n, kind)[-1]
 
         s_band = ones(i0, j0, p + r, steinhaus) - ones(i0, j0, r, steinhaus)
         p_band = ones(ip, jp, p + rp, pascal) - ones(ip, jp, rp, pascal)
@@ -825,13 +852,13 @@ def test_balanced_triangle_of_size_is_bounded(report24, monkeypatch):
             balanced_triangle_of_size(report24, 2049, kind)
 
 
-def test_triangle_ones_is_bounded(monkeypatch):
-    """A size past the triangle bound is refused before any line is counted."""
+def test_the_exported_extractors_are_bounded(monkeypatch):
+    """A size past the triangle bound is refused before any cell is read."""
     def refuse(*args):
-        raise AssertionError("counted the lines of a triangle past the size bound")
+        raise AssertionError("extracted a triangle past the size bound")
 
     grid = build_period_grid(R("0" * 24))
-    monkeypatch.setattr(search, "_block_ones", refuse)
-    for kind in Orientation:
+    monkeypatch.setattr(search, "extract_block", refuse)
+    for extract in (extract_steinhaus_block, extract_pascal_block):
         with pytest.raises(TooLarge, match="triangle of size 2049 exceeds the bound"):
-            triangle_ones(grid, 0, 0, 2049, kind)
+            extract(grid, 0, 0, 2049)
