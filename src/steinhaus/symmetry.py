@@ -12,10 +12,12 @@ t(u,v) r^alpha i^beta with the translation applied first; juxtaposition
 throughout this module means "left factor acts first", matching the
 rewriting rules r t(u,v) = t(v-u, -u) r and i t(u,v) = t(u, u-v) i.
 
-partition_classes walks the classes from every kernel coordinate.
-balanced_classes walks only those whose period is balanced: the balance plane
-(_balance_plane), bit-sliced per census block of lanes, marks every other
-coordinate visited up front.  Both work at the kernel period q0 of p
+partition_classes walks the classes from every kernel coordinate; by those
+rules the translations are normal, so it lists a class as their orbits: one
+shift cycle, derived layer by layer, per dihedral image of its start.
+balanced_classes walks only those whose period is balanced: the balance
+plane (_balance_plane), bit-sliced per census block of lanes, marks every
+other coordinate visited up front.  Both work at the kernel period q0 of p
 (_kernel_space) and repeat each representative p/q0 times.
 """
 
@@ -183,11 +185,9 @@ class _KernelCoordinates:
     only set bit among the top d, so bit k of the coordinates of a kernel
     member says whether vector k is in its sum.  The four generators act
     linearly; ``matrices`` holds their d-by-d matrices as columns, each
-    column the coordinates of a basis vector's image.  ``step`` packs them
-    into one map, with 2^(d/2)-entry tables, so callers refuse a large d
-    first (check_kernel_dimension).  Field g (d bits each) of step(c) is the
-    image of c under generator g, and the bits above 4d are the lex key of
-    c, its tuple's bits reversed, which orders tuples as their entries do.
+    column the coordinates of a basis vector's image, and ``maps`` applies
+    them (derivation, shift, r, i), each with two 2^(d/2)-entry XOR tables,
+    so callers refuse a large d first (check_kernel_dimension).
     """
 
     def __init__(self, p: int):
@@ -196,38 +196,54 @@ class _KernelCoordinates:
         self.basis = systematic_basis(p)
         images = [_generator_images(b, p) for b in self.basis]
         self.matrices = tuple([self.coordinates(image[g]) for image in images] for g in range(4))
-        self.step = _Gf2Map([
-            sum(column << (g * self.d) for g, column in enumerate(columns))
-            for columns in zip(*self.matrices, (_reverse_bits(b, p) for b in self.basis))
-        ])
+        self.maps = tuple(_Gf2Map(m) for m in self.matrices)
 
     def coordinates(self, bits: int) -> int:
         return bits >> (self.p - self.d)
 
-    def images(self, c: int) -> tuple[int, int, int, int]:
-        packed, mask = self.step(c), (1 << self.d) - 1
-        return tuple((packed >> (g * self.d)) & mask for g in range(4))
+    def images(self, c: int) -> tuple[int, ...]:
+        return tuple(g(c) for g in self.maps)
 
     def orbit(self, start: int, visited: bytearray) -> tuple[int, int]:
-        """Breadth-first closure of ``start`` under the four generators,
-        each member marked in ``visited``: the smallest lex key among the
-        members and their number."""
-        d, mask, key_shift = self.d, (1 << self.d) - 1, 4 * self.d
-        step = self.step
-        low, high, half, low_mask = step.low, step.high, step.half, step.low_mask
-        best = 1 << self.p
-        visited[start] = 1
-        queue = [start]
-        for c in queue:
-            packed = low[c & low_mask] ^ high[c >> half]
-            if packed >> key_shift < best:
-                best = packed >> key_shift
-            for x in (packed & mask, (packed >> d) & mask, (packed >> 2 * d) & mask,
-                      (packed >> 3 * d) & mask):
-                if not visited[x]:
-                    visited[x] = 1
-                    queue.append(x)
-        return best, len(queue)
+        """The class of ``start``, each member computed once and marked in
+        ``visited``: its smallest lex key and size.
+
+        The translations T (derivation D = t(-1,0), shift S = t(0,1)) are
+        normal (the rewriting rules above), so the class is the union of the
+        T-orbits of start, r.start, r^2.start and their i-images, any two
+        equal or disjoint: a marked image is skipped (only whole classes are
+        ever marked).  A T-orbit is listed in layers: layer 0 is the S-cycle
+        of y, layer a+1 is D of layer a, until D^a y is in layer 0; D
+        commutes with S and is invertible on the kernel, so earlier layers
+        are disjoint.  i reverses the bits, so the lex keys (bits reversed)
+        of a class are its members' bits, and the smallest is the tuple of
+        the smallest coordinate, its top d bits.
+        """
+        derive, shift, rotate, reflect = self.maps
+        low, high, half, low_mask = derive.low, derive.high, derive.half, derive.low_mask
+        size, smallest, turned = 0, start, rotate(start)
+        for image in (start, turned, rotate(turned)):
+            for y in (image, reflect(image)):
+                if visited[y]:
+                    continue
+                layer, c = [y], shift(y)
+                while c != y:
+                    layer.append(c)
+                    c = shift(c)
+                first = set(layer)
+                while True:
+                    for c in layer:
+                        visited[c] = 1
+                    size, smallest = size + len(layer), min(smallest, *layer)
+                    head = low[layer[0] & low_mask] ^ high[layer[0] >> half]
+                    if head in first:
+                        break
+                    layer = [head] + [low[c & low_mask] ^ high[c >> half] for c in islice(layer, 1, None)]
+        key = 0
+        for k, vector in enumerate(self.basis):
+            if smallest >> k & 1:
+                key ^= vector
+        return key, size
 
 
 def _orbit(x: ResidueTuple) -> tuple[ResidueTuple, ...]:
@@ -361,13 +377,12 @@ def burnside_class_count(p: int) -> int:
     coordinates.  The translations are the powers of derivation (t(-1,0))
     times the powers of the cyclic shift (t(0,1)).
     """
-    d = check_kernel_dimension(p)  # before the 2^(d/2)-entry tables of ``step``
+    d = check_kernel_dimension(p)  # before the 2^(d/2)-entry tables of ``maps``
     if p > BURNSIDE_PERIOD_LIMIT:
         raise TooLarge(f"Burnside count at period {p} exceeds {BURNSIDE_PERIOD_LIMIT}")
     if not d:
         return 1  # the zero tuple alone
-    space = _KernelCoordinates(p)
-    derive, shift, rotate, reflect = (_Gf2Map(m) for m in space.matrices)
+    derive, shift, rotate, reflect = _KernelCoordinates(p).maps
     unit = [1 << k for k in range(d)]
     dihedral = []  # r^alpha i^beta, acting after the translation
     rotated = unit

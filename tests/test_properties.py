@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from expected_values import BALANCED_REPRESENTATIVES_24, CLASS9_REP
 from test_line_stream import _ones_prefix
 from test_orbits import window_multiplicity
+from test_symmetry import _BreadthFirst
 
 from steinhaus import (
     GroupElement,
@@ -453,6 +454,28 @@ def test_kernel_coordinate_images_match_bit_level_generators(p, data):
     assert space.coordinates(bits) == c
     images = tuple(span[image] for image in space.images(c))
     assert images == _generator_images(bits, p)
+
+
+@lru_cache(maxsize=None)
+def _breadth_first(p):
+    return _BreadthFirst(p)
+
+
+@pytest.mark.parametrize("p", [6, 7, 12, 14, 24])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_coset_orbit_matches_the_breadth_first_walk(p, data):
+    """One orbit call from a random start returns the reference's (key,
+    size) and marks exactly its members; a second start, walked after the
+    first class is marked, does the same."""
+    space, reference = _kernel_coordinates(p), _breadth_first(p)
+    visited, expected = bytearray(1 << space.d), bytearray(1 << space.d)
+    for _ in range(2):
+        start = data.draw(st.integers(0, len(visited) - 1))
+        if visited[start]:
+            continue
+        assert space.orbit(start, visited) == reference.orbit(start, expected)
+        assert visited == expected
 
 
 @lru_cache(maxsize=None)

@@ -151,8 +151,11 @@ def test_group_orbit_examples():
 
 
 def test_orbit_sizes_divide_group_order():
-    for cls in partition_classes(12):
-        assert (6 * 12 * 12) % cls.size == 0
+    """The class sizes divide 6p^2 and sum to the 2^d periodic tuples."""
+    for p in (12, 24):
+        sizes = [cls.size for cls in partition_classes(p)]
+        assert all(6 * p * p % size == 0 for size in sizes)
+        assert sum(sizes) == 1 << orbits.kernel_generator(p)[0]
 
 
 def test_partition_matches_class_counts():
@@ -199,6 +202,76 @@ def test_partition_lists_no_span(p, monkeypatch):
         partition_classes.cache_clear()
     assert len(classes) == CLASS_COUNTS[p - 1]
     assert len(members) == last.size
+
+
+class _BreadthFirst(symmetry._KernelCoordinates):
+    """The breadth-first walk over the four generator edges of every
+    member: the reference the coset listing of orbit is tested against.
+    ``step`` packs the four generator maps into one: field g (d bits each)
+    of step(c) is the image of c under generator g, and the bits above 4d
+    are the lex key of c, its tuple's bits reversed."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.step = orbits._Gf2Map([
+            sum(column << (g * self.d) for g, column in enumerate(columns))
+            for columns in zip(*self.matrices, (orbits._reverse_bits(b, p) for b in self.basis))
+        ])
+
+    def orbit(self, start, visited):
+        d, mask, key_shift = self.d, (1 << self.d) - 1, 4 * self.d
+        step = self.step
+        low, high, half, low_mask = step.low, step.high, step.half, step.low_mask
+        best = 1 << self.p
+        visited[start] = 1
+        queue = [start]
+        for c in queue:
+            packed = low[c & low_mask] ^ high[c >> half]
+            if packed >> key_shift < best:
+                best = packed >> key_shift
+            for x in (packed & mask, (packed >> d) & mask, (packed >> 2 * d) & mask,
+                      (packed >> 3 * d) & mask):
+                if not visited[x]:
+                    visited[x] = 1
+                    queue.append(x)
+        return best, len(queue)
+
+
+def _reference_walk(p, balanced=False):
+    """The classes of p (balanced ones only if asked) by the breadth-first
+    walk at the kernel period."""
+    space = _BreadthFirst(symmetry._kernel_space(p).p)
+    visited = symmetry._balance_plane(space) if balanced else bytearray(1 << space.d)
+    return symmetry._walk(space, p, visited)
+
+
+@pytest.mark.parametrize("p", [p for p in range(1, 81) if orbits.kernel_generator(p)[0] <= 18])
+def test_partition_matches_the_breadth_first_walk(p):
+    """Every period up to 80 with d <= 18 (kernel periods up to 73)."""
+    assert partition_classes(p) == _reference_walk(p)
+
+
+@pytest.mark.parametrize("p", [24, 72])
+def test_balanced_walk_matches_the_breadth_first_walk(p):
+    assert symmetry.balanced_classes(p) == _reference_walk(p, balanced=True)
+
+
+def test_kernel_coordinates_hold_one_map_per_generator(monkeypatch):
+    """Four generator maps and no packed step; the Burnside count reads
+    those maps and builds only one more per dihedral element: 4 + 6."""
+    built = []
+
+    class Counting(orbits._Gf2Map):
+        def __init__(self, columns):
+            built.append(len(columns))
+            super().__init__(columns)
+
+    monkeypatch.setattr(symmetry, "_Gf2Map", Counting)
+    space = symmetry._KernelCoordinates(24)
+    assert not hasattr(space, "step") and len(space.maps) == 4 and built == [16] * 4
+    built.clear()
+    assert burnside_class_count(12) == CLASS_COUNTS[11]
+    assert built == [orbits.kernel_generator(12)[0]] * 10
 
 
 def test_orbit_walk_refuses_past_its_work_bound():
