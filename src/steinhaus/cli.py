@@ -7,6 +7,7 @@ import csv
 import io
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 
 from .core import (
     Orientation,
@@ -421,9 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused:
+    each parse gets a fresh namespace, but every _cmd_* is bound when it is
+    built, so a _cmd_* patched after the first call is not the one run."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # validation errors and unwritable --out paths

@@ -150,10 +150,7 @@ def wendt_matrix(p: int) -> Gf2Matrix:
     if p < 1:
         raise ValueError("period must be positive")
     check_period(p)
-    first = 0
-    for j in range(p):
-        if binomial_is_odd(p, p - j):
-            first |= 1 << j
+    first = sum(1 << j for j in range(p) if binomial_is_odd(p, p - j))
     mask = (1 << p) - 1
     rows = tuple(((first << i) | (first >> (p - i))) & mask for i in range(p))
     return Gf2Matrix(rows, p)
@@ -231,7 +228,7 @@ def kernel_generator(p: int) -> tuple[int, int]:
     A tuple is the polynomial x(t) with bit k the coefficient of t^k, taken
     mod t^p + 1: derivation multiplies it by 1 + t, the cyclic shift by t.
     So x generates a p-periodic orbit exactly when f*x = 0, where
-    f = (1+t)^p + 1, whose odd binomial coefficients Lucas gives.  That
+    f = (1+t)^p + 1, where (1+t)^p is the product of 1 + t^(2^k) over the set bits k of p.  That
     kernel is the cyclic code of the multiples of h = (t^p + 1)/g, where
     g = gcd(f, t^p + 1) and d = deg g (Martin, Odlyzko and Wolfram, Commun.
     Math. Phys. 93, 1984; MacWilliams and Sloane, ch. 7).
@@ -240,7 +237,10 @@ def kernel_generator(p: int) -> tuple[int, int]:
         raise ValueError("period must be positive")
     check_period(p)
     modulus = (1 << p) | 1  # t^p + 1
-    g, rest = modulus, sum(1 << k for k in range(1, p + 1) if binomial_is_odd(p, k))
+    g, rest = modulus, 1
+    for k in range(p.bit_length()):  # rest |= rest when bit k is unset; disjoint exponents, so | is ^
+        rest |= rest << (p & 1 << k)
+    rest ^= 1
     while rest:  # Euclid, from rest = f
         g, rest = rest, _gf2_divmod(g, rest)[1]
     return g.bit_length() - 1, _gf2_divmod(modulus, g)[0]

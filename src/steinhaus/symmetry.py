@@ -328,10 +328,10 @@ def partition_classes(p: int) -> tuple[OrbitClass, ...]:
 def _balance_plane(space: _KernelCoordinates) -> bytearray:
     """The walk's visited array: byte c is 0 when coordinates c have a
     balanced q-by-q period (2 ones = q^2, q = space.p), counted one census
-    block of lanes c at a time and written at the block's offset of the
-    array, allocated whole; never for odd q (the zero tuple of d = 0)."""
-    q, d = space.p, space.d
-    half, odd = divmod(q * q, 2)
+    block of lanes at a time; at odd q none is, and nothing is counted."""
+    q, d, half = space.p, space.d, space.p * space.p // 2
+    if q & 1:
+        return bytearray(b"\1") * (1 << d)
     lanes = min(d, census.LANE_BITS)
     digits, unset = f"0{1 << lanes}b", bytes.maketrans(b"01", b"\1\0")
 
@@ -351,7 +351,7 @@ def _balance_plane(space: _KernelCoordinates) -> bytearray:
     visited = bytearray(1 << d)
     for block, free in enumerate(census._free_planes(d)):
         counter = census.bit_sliced_sum(cells(free))
-        balanced = 0 if odd or half >> len(counter) else -1  # half > 0 clears the sign
+        balanced = 0 if half >> len(counter) else -1  # half > 0 clears the sign
         for i, level in enumerate(counter):
             balanced &= level if half >> i & 1 else ~level
         visited[block << lanes:(block + 1) << lanes] = (

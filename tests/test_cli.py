@@ -335,6 +335,58 @@ def test_period_and_period_range_are_exclusive(args, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+# census-modm's seven commands (perfbench/workloads.py), run in one process
+CENSUS_MODM_COMMANDS = [
+    ["census", "--kind", "pascal"],
+    ["census", "--kind", "steinhaus"],
+    *(["modm", "--scan", "interlaced", "--modulus", m] for m in ("3", "5", "7")),
+    *(["modm", "--scan", "ap", "--modulus", m] for m in ("5", "7")),
+]
+
+
+def test_commands_in_one_process_write_what_fresh_processes_write(tmp_path):
+    """main reuses one parser: each of seven commands run in turn in this
+    process writes, byte for byte, the stdout of its own fresh process."""
+    for k, argv in enumerate(CENSUS_MODM_COMMANDS):
+        assert main([*argv, "--format", "csv", "--out", str(tmp_path / f"{k}.csv")]) == 0
+    for k, argv in enumerate(CENSUS_MODM_COMMANDS):
+        assert (tmp_path / f"{k}.csv").read_bytes() == run_cli_bytes(*argv, "--format", "csv"), argv
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "--p", "0"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(["search", "--p", "12"]) == 0
+    assert capsys.readouterr().out.encode() == run_cli_bytes("search", "--p", "12")
+
+
+def test_the_period_range_default_follows_an_explicit_value(golden_dir, capsys):
+    """An explicit --p-max leaves the shared parser's "24" default as it was:
+    the next parse without it still converts it, and an explicit --p-max 24
+    still conflicts with --p."""
+    assert main(["classes", "--p-max", "12", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("12,")
+    assert main(["classes", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (golden_dir / "class_counts.csv").read_text()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["classes", "--p", "6", "--p-max", "24"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_and_build_parser_a_fresh_one():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import steinhaus.cli as cli; print(cli._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "0\n"
+
+
 IGNORED_OPTIONS = [
     (("triangle", "--seed-tuple", "0110", "--left", "01", "--right", "01"),
      "supply --seed-tuple or both --left and --right, not both"),

@@ -27,6 +27,7 @@ from steinhaus.orbits import (
     PERIODICITY_CELL_LIMIT,
     SPAN_BITS_LIMIT,
     PeriodGrid,
+    binomial_is_odd,
     binomial_row_mod,
     kernel_generator,
     periodic_tuple_bits,
@@ -91,6 +92,22 @@ def test_kernel_dimensions_table():
     got = [len(gf2_kernel_basis(wendt_matrix(p))) for p in range(1, 25)]
     assert got == KERNEL_DIMS
     assert [kernel_generator(p)[0] for p in range(1, 25)] == KERNEL_DIMS
+
+
+def _lucas_kernel_generator(p):
+    """kernel_generator with f = (1+t)^p + 1 summed one binomial coefficient
+    at a time, each odd by Lucas when k is a submask of p: the reference for
+    the product of 1 + t^(2^k) over the set bits k of p."""
+    modulus = (1 << p) | 1
+    g, rest = modulus, sum(1 << k for k in range(1, p + 1) if binomial_is_odd(p, k))
+    while rest:
+        g, rest = rest, orbits._gf2_divmod(g, rest)[1]
+    return g.bit_length() - 1, orbits._gf2_divmod(modulus, g)[0]
+
+
+def test_kernel_generator_matches_the_lucas_sum():
+    for p in range(1, PERIOD_LIMIT + 1):
+        assert kernel_generator(p) == _lucas_kernel_generator(p), p
 
 
 def test_systematic_basis_is_the_row_reduced_basis():

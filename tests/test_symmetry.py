@@ -334,6 +334,29 @@ def test_balanced_walk_is_empty_at_q0_one(p):
     assert balanced_period_classes(p) == ()
 
 
+def test_balance_plane_counts_nothing_at_an_odd_kernel_period(monkeypatch):
+    """p = 105 is its own kernel period (d = 20): q0^2 is odd, so no period
+    is balanced, and the plane marks every coordinate without a count."""
+    def refuse(cells):
+        raise AssertionError("a balance plane was counted at odd q0")
+
+    space = symmetry._kernel_space(105)
+    assert (space.p, space.d) == (105, 20)
+    monkeypatch.setattr(census, "bit_sliced_sum", refuse)
+    symmetry.balanced_classes.cache_clear()
+    try:
+        assert symmetry.balanced_classes(105) == ()
+        assert symmetry._balance_plane(space) == b"\1" * (1 << 20)
+    finally:
+        symmetry.balanced_classes.cache_clear()
+
+
+def test_balanced_classes_of_p24_match_the_golden(golden_dir):
+    rows = (golden_dir / "balanced_representatives_p24.csv").read_text().splitlines()
+    assert rows[1:] == [f"{k},{c.representative}" for k, c in enumerate(symmetry.balanced_classes(24), 1)]
+    assert len(rows) == 18
+
+
 @pytest.mark.parametrize("p, samples", [(12, 256), (24, 300), (72, 300)])
 def test_balance_plane_bits_match_direct_grids(p, samples):
     """Byte c of the plane is 0 exactly when 2 ones = p^2 on the p-grid of
