@@ -41,6 +41,8 @@ class Orientation(Enum):
     STEINHAUS = "steinhaus"  # apex down
     PASCAL = "pascal"        # apex up
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's hash is a Python call
+
     def columns(self, t: int, n: int) -> range:
         """The columns of row t of a size-n triangle, counted from its anchor:
         t..n-1 for Steinhaus, 0..t for Pascal.  The one definition of the

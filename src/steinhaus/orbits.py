@@ -64,6 +64,17 @@ def _rotate(v: int, k: int, bits: int) -> int:
     return ((v & (1 << (bits - k)) - 1) << k) | ((v >> (bits - k)) & (1 << k) - 1)
 
 
+@lru_cache(maxsize=None)  # one table per field width
+def _byte_spread(w: int) -> list[bytes]:
+    """Entry b: the 8 bits of byte b in the low bits of 8 w-bit fields, as
+    w little-endian bytes."""
+    spread = [0]
+    for t in range(8):
+        bit = 1 << t * w
+        spread += [v | bit for v in spread]
+    return [v.to_bytes(w, "little") for v in spread]
+
+
 def _derive_bits(bits: int, p: int) -> int:
     return bits ^ _rotate(bits, 1, p)
 
@@ -414,8 +425,7 @@ class AnchorFields:
         self.w = w = max_count.bit_length() + 1
         self.row_shift = cols * w
         self.width = rows * self.row_shift
-        self.pad = "0" * (w - 1)
-        self.lsb = int(self.pad + self.pad.join("1" * (rows * cols)), 2)  # 1 in every field
+        self.lsb = ((1 << self.width) - 1) // ((1 << w) - 1)             # 1 in every field
         self.guard = self.lsb << (w - 1)                                 # top bit of every field
         self.below_guard = self.guard - self.lsb                         # 2^(w-1) - 1 in every field
         self.last_column = int(("1" * w + "0" * (self.row_shift - w)) * rows, 2)
@@ -434,22 +444,23 @@ class AnchorFields:
         turned = _rotate(v & self.row_mask, self.skew * self.w, row_shift)
         return (v >> row_shift) | turned << (self.width - row_shift)
 
-    def within(self, *counts: tuple[int, range]) -> int:
-        """The guard bit of each field where every v of the (v, targets) pairs
-        lies in targets, a run of 2^k counts up to max_count: one zero test
-        of the OR of the misses, v ^ start, or v - start mod 2^(w-1) with its
-        low k bits cleared (below the run it is 2^(w-1) - start >= 2^k or more)."""
-        lsb, guard, below_guard = self.lsb, self.guard, self.below_guard
-        misses = 0
-        for v, targets in counts:
-            size = len(targets)
-            if size == 1:
-                misses |= v ^ targets.start * lsb
-            elif size and not size & (size - 1) and targets.step == 1:
-                misses |= ((v | guard) - targets.start * lsb) & below_guard - (size - 1) * lsb
-            else:
-                raise ValueError(f"targets {targets} are not 2^k consecutive counts")
-        return guard & ~(misses + below_guard)
+    def miss(self, v: int, targets: range) -> int:
+        """Zero in each field of v that lies in targets, a run of 2^k counts up
+        to max_count, nonzero below the guard bit elsewhere: v ^ start, or
+        v - start mod 2^(w-1) with its low k bits cleared (below the run it is
+        2^(w-1) - start >= 2^k or more).  ORed misses go to hits at once."""
+        size = len(targets)
+        if size == 1:
+            return v ^ targets.start * self.lsb
+        if size and not size & (size - 1) and targets.step == 1:
+            lsb = self.lsb
+            return ((v | self.guard) - targets.start * lsb) & self.below_guard - (size - 1) * lsb
+        raise ValueError(f"targets {targets} are not 2^k consecutive counts")
+
+    def hits(self, misses: int) -> int:
+        """The guard bit of each field where misses, an OR of miss words, holds 0."""
+        guard = self.guard
+        return guard - ((misses + self.below_guard) & guard)
 
     def at_most(self, v: int, target: int) -> int:
         """The guard bit of each field of v holding at most target."""
@@ -500,11 +511,16 @@ class AnchorFields:
         moved one step along that line plus the grid moved n-1 steps down
         the diagonal, and total_n = total_{n-1} + edge_n.  Field (i0, j0) of
         the diagonal takes field (i0+1)*cols + j0+1, or i0*cols + j0+1 in the
-        last column; the last row takes row 0 turned skew-1 places up.
+        last column; the last row takes row 0 turned skew-1 places up.  The
+        first plane, size 1, is the rows packed into one rows*cols-bit int,
+        bit i*cols + j for cell (i, j), each byte then spread to w bytes.
         """
         along = self.next_column if kind is Orientation.STEINHAUS else self.next_row
-        bits = "".join(format(row, f"0{self.cols}b") for row in reversed(rows))
-        diagonal = edge = total = int(self.pad + self.pad.join(bits), 2)
+        cols, bits, spread = self.cols, 0, _byte_spread(self.w)
+        for row in reversed(rows):
+            bits = bits << cols | row
+        data = b"".join(map(spread.__getitem__, bits.to_bytes(-(-self.rows * cols // 8), "little")))
+        diagonal = edge = total = int.from_bytes(data, "little")
         w, row_shift, row_mask = self.w, self.row_shift, self.row_mask
         other_columns, last_column = self.other_columns, self.last_column
         step, top, turn = row_shift + w, self.width - row_shift, (self.skew - 1) % self.cols * w

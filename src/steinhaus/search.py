@@ -5,8 +5,9 @@ kp + r, k = 0, 1, ...; it is balanced for every k exactly when three blocks
 are: the size-r corner, the band one period step adds (an even block, so
 its two counts must be equal) and the p-by-p period, which needs 4 | p.
 full_search reads only the balanced-period classes; one packed scan per
-class tests every anchor and remainder at once (_first_anchors), the
-Pascal witnesses read by duality (dual_position).  A certificate reads
+class tests every anchor and remainder at once, one zero test of a miss
+word per remainder (_first_anchors), the Pascal witnesses read by duality
+(dual_position).  A certificate reads
 its corner and band off a plane of doubled grid lines, one cached lookup
 keyed on the tuple and kind (_period_plane) that also hands it the
 period's targets (_period_targets); the oracle counts every size kp + r
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .core import (
     MultiplicityTable,
@@ -39,7 +40,7 @@ from .symmetry import (
     partition_classes,  # unused here; perfbench/workloads.py traces it as search.partition_classes
 )
 
-# bound on q^3, the packed remainder scan's work at true period q: q <= 256, ~0.5 s and ~45 MB
+# bound on q^3, the packed remainder scan's work at true period q: q <= 256, ~0.2 s and ~44 MB
 REMAINDER_WORK_LIMIT = 1 << 24
 
 
@@ -384,25 +385,31 @@ def _first_anchors(grid: PeriodGrid) -> dict[Orientation, dict[int, int]]:
     one layout per period).  The period must be balanced: the Pascal anchors
     are read by dual_position.
 
-    The band of remainder r is total_p plus r whole lines (_period_plane):
-    edge_p, the whole column j0+p-1, moved 1..r columns along.  Each
-    remainder asks the fields one question, whether its corner and its band
-    both hold counts _family_targets accepts.
+    The counting pass keeps the miss word of each corner (AnchorFields.miss),
+    not its count.  The band of remainder r is total_p plus r whole lines
+    (_period_plane): edge_p, the whole column j0+p-1, moved 1..r columns
+    along.  Each remainder ORs in its band's miss word and asks the fields
+    one question (AnchorFields.hits), whether its corner and its band both
+    hold counts _family_targets accepts.
     """
     p = grid.p
     fields = _anchor_fields(p)
-    totals = [0]
-    for total, edge in islice(fields.triangle_counts(grid.rows, Orientation.STEINHAUS), p):
-        totals.append(total)
+    targets = _period_targets(p)
+    corner_misses, total = [], 0  # total_r, of the size-r corner at every anchor
+    for (corner_ones, _), (grown, edge) in zip(
+        targets, fields.triangle_counts(grid.rows, Orientation.STEINHAUS)
+    ):
+        corner_misses.append(fields.miss(total, corner_ones))
+        total = grown
     band, line = total, edge  # of size p
     steinhaus, pascal = {}, {}
-    for r, (corner_ones, band_half) in enumerate(_period_targets(p)):
+    for r, (_, band_half) in enumerate(targets):
         if r:
             line = fields.next_column(line)
             band += line
         if band_half is None:
             continue
-        hits = fields.within((totals[r], corner_ones), (band, range(band_half, band_half + 1)))
+        hits = fields.hits(corner_misses[r] | fields.miss(band, range(band_half, band_half + 1)))
         if hits:
             steinhaus[r] = fields.first(hits)
             di, dj, s = dual_position(0, 0, r, p)

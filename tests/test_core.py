@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -151,6 +152,22 @@ def test_from_bits_and_bits_round_trip(length):
         assert str(x) == "".join(str((bits >> j) & 1) for j in range(length))
         # bits above the length are ignored
         assert ResidueTuple.from_bits(bits | rng.getrandbits(64) << length, length) == x
+
+
+def test_orientation_members_hash_by_identity():
+    """Each member is one object: looked up by value, unpickled or used as a
+    dict key it is that object, equal only to itself."""
+    steinhaus, pascal = Orientation.STEINHAUS, Orientation.PASCAL
+    assert Orientation("pascal") is pascal and Orientation("steinhaus") is steinhaus
+    assert steinhaus == Orientation.STEINHAUS and steinhaus != pascal and pascal != "pascal"
+    for kind in Orientation:
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert hash(kind) == object.__hash__(kind)
+    table = {steinhaus: "z", pascal: ("z_left", "z_right")}
+    assert table[Orientation("steinhaus")] == "z"
+    assert table[pickle.loads(pickle.dumps(pascal))] == ("z_left", "z_right")
+    assert {(pascal, 3): 1}.get((Orientation.PASCAL, 3)) == 1
+    assert "pascal" not in table
 
 
 def test_triangle_row_shape_validation():

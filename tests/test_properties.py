@@ -3,7 +3,7 @@ import random
 from itertools import islice
 from functools import lru_cache, reduce
 from math import gcd
-from operator import xor
+from operator import or_, xor
 
 import pytest
 from hypothesis import given, settings
@@ -374,7 +374,7 @@ def test_anchor_fields_comparisons_match_field_loop(data):
     assert fields.at_most(pack(a), target) == guards(x <= target for x in a)
     assert fields.maximum(pack(a), pack(b)) == pack(map(max, a, b))
     assert fields.minimum(pack(a), pack(b)) == pack(map(min, a, b))
-    # within: up to three counts, each tested against 1, 2 or 4 consecutive
+    # miss and hits: up to three counts, each tested against 1, 2 or 4 consecutive
     # targets from 0 up to max_count, its fields drawn at and next to both ends
     bounds = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -386,7 +386,13 @@ def test_anchor_fields_comparisons_match_field_loop(data):
             st.one_of(st.sampled_from(near), value), min_size=rows * cols, max_size=rows * cols
         ))
         bounds.append((counts, range(start, start + size)))
-    assert fields.within(*((pack(counts), targets) for counts, targets in bounds)) == guards(
+    # each miss word is zero in exactly the fields inside its targets and
+    # never sets a guard bit, so the OR of the misses holds every failure
+    misses = [fields.miss(pack(counts), targets) for counts, targets in bounds]
+    for miss, (counts, targets) in zip(misses, bounds):
+        assert miss & fields.guard == 0
+        assert [_field(fields, miss, k) == 0 for k in range(rows * cols)] == [c in targets for c in counts]
+    assert fields.hits(reduce(or_, misses)) == guards(
         all(counts[k] in targets for counts, targets in bounds) for k in range(rows * cols)
     )
     hits = fields.at_most(pack(a), target)
@@ -415,7 +421,35 @@ def test_anchor_fields_moves_no_hits_on_a_skewed_domain():
 def test_anchor_fields_within_takes_only_runs_of_2k_counts(targets):
     fields = AnchorFields(2, 10, 3)
     with pytest.raises(ValueError, match="are not 2\\^k consecutive counts"):
-        fields.within((fields.lsb, range(1, 2)), (fields.lsb, targets))
+        fields.miss(fields.lsb, targets)
+
+
+def _string_plane(fields, rows):
+    """The first packed plane as one base-2 string: row i's bits LSB-first
+    from field i*cols on, w - 1 zeros above each bit."""
+    pad = "0" * (fields.w - 1)
+    bits = "".join(format(row, f"0{fields.cols}b") for row in reversed(rows))
+    return int(pad + pad.join(bits), 2)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_anchor_fields_byte_spread_plane_matches_the_string_plane(data):
+    """triangle_counts starts from the byte-spread plane, size 1 being the
+    cells themselves; it equals the string-built plane on any layout: cols
+    not a multiple of 8, a skew, w from 2 to 22, rows with the top column
+    bit set."""
+    rows, cols = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 50))
+    max_count = data.draw(st.one_of(st.integers(1, 3), st.integers(1, 1 << 20)))
+    fields = AnchorFields(rows, max_count, cols, data.draw(st.integers(0, cols)))
+    assert 2 <= fields.w <= 22
+    full = (1 << cols) - 1
+    row = st.one_of(st.integers(0, full), st.integers(1 << (cols - 1), full), st.just(full))
+    grid = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    kind = data.draw(st.sampled_from(list(Orientation)))
+    plane = _string_plane(fields, grid)
+    assert next(fields.triangle_counts(grid, kind)) == (plane, plane)
+    assert fields.lsb == _string_plane(fields, [full] * rows)
 
 
 def test_anchor_fields_next_row_turns_the_wrapped_row_by_the_skew():
