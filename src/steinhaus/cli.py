@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
@@ -19,7 +20,7 @@ from .core import (
 )
 from .census import CENSUS_KINDS, average_census, check_census_size, extremal_ones_scan, triangle_count
 from .errors import EmptyTuple, SteinhausError, TooLarge
-from .jsonout import GENERATOR_KEYS, generator_lines, indented, search_pieces
+from .jsonout import GENERATOR_KEYS, generator_lines, search_pieces
 from .modm import (
     ApFamilySpec,
     ap_balanced_scan,
@@ -48,7 +49,7 @@ from .search import (
 from .symmetry import partition_classes
 
 # bound on witnesses x p, the per-witness work behind CSV, JSON and --k-verify: p = 264 reaches
-# 91% of it (2 vCPUs: CSV 0.2 s, 36 MB; JSON 0.4 s, 24 MB; --k-verify 6 --format json 3.5 s)
+# 91% of it (2 vCPUs: CSV 0.2 s, 36 MB; JSON 0.35-0.6 s, 24 MB; --k-verify 6 --format json 3.5 s)
 WITNESS_WORK_LIMIT = 1 << 21
 
 
@@ -99,7 +100,7 @@ def _emit_table(headers: list[str], rows: list[list], args) -> None:
 
 
 def _emit_json(payload, args) -> None:
-    _write_output(indented(payload) + "\n", args.out)
+    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def _cmd_triangle(args) -> int:
@@ -316,7 +317,18 @@ def _parse_window(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     return (i_lo, i_hi), (j_lo, j_hi)
 
 
+# the options that one render target reads and the other refuses, with their defaults
+_RENDER_ONLY = {"orbit": {"modulus": 2, "window": None},
+                "family": {"i0": 0, "j0": 0, "r": 0, "k": 1, "kind": "steinhaus"}}
+
+
 def _cmd_render(args) -> int:
+    given = vars(args)  # the render parser sets no option that is not given
+    refused = [f"--{name}" for target, names in _RENDER_ONLY.items() if target != args.target
+               for name in names if name in given]
+    if refused:
+        raise SteinhausError(f"render {args.target} takes no {', '.join(refused)}")
+    args = argparse.Namespace(**{**_RENDER_ONLY[args.target], **given})
     if args.target == "orbit":
         x = ResidueTuple.from_string(args.seed_tuple, args.modulus)
         window = _parse_window(args.window) if args.window else None
@@ -405,17 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_mod)
     p_mod.set_defaults(func=_cmd_modm)
 
-    p_ren = sub.add_parser("render", help="write a PBM/PPM image")
+    p_ren = sub.add_parser("render", help="write a PBM/PPM image", argument_default=argparse.SUPPRESS)
     p_ren.add_argument("target", choices=("orbit", "family"))
     p_ren.add_argument("--seed-tuple", required=True)
-    p_ren.add_argument("--modulus", type=int, default=2)
+    p_ren.add_argument("--modulus", type=int)
     p_ren.add_argument("--window", help="orbit window I0:I1,J0:J1")
     p_ren.add_argument("--cell-size", type=positive_int, default=1)
-    p_ren.add_argument("--i0", type=int, default=0)
-    p_ren.add_argument("--j0", type=int, default=0)
-    p_ren.add_argument("--r", type=int, default=0)
-    p_ren.add_argument("--k", type=non_negative_int, default=1)
-    p_ren.add_argument("--kind", choices=("steinhaus", "pascal"), default="steinhaus")
+    p_ren.add_argument("--i0", type=int)
+    p_ren.add_argument("--j0", type=int)
+    p_ren.add_argument("--r", type=int)
+    p_ren.add_argument("--k", type=non_negative_int)
+    p_ren.add_argument("--kind", choices=("steinhaus", "pascal"))
     p_ren.add_argument("--out", required=True)
     p_ren.set_defaults(func=_cmd_render)
 

@@ -1,54 +1,35 @@
-"""The CLI's JSON writer: the text of json.dumps(value, indent=2), built one
-string per container (indented), and the search report written one class at
-a time, each witness record one %-format of a template that indented wrote
-(search_pieces).  With an indent, json.dumps runs its pure-Python encoder,
-which makes every token a piece of its own."""
+"""The search's JSON, written one class at a time (search_pieces): the text
+of json.dumps(payload, indent=2), each class and each witness record one
+%-format of a template that json.dumps wrote.  With an indent, json.dumps
+runs its pure-Python encoder, which makes every token a piece of its own, so
+it writes each template once, never once per class or record."""
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .core import Orientation
 from .orbits import PeriodGrid, build_period_grid
 
 
-def _container(items: list[str], newline: str, brackets: str) -> str:
-    """The list ("[]") or object ("{}") of the item texts, each on a line of
-    its own at newline + "  ", as indented writes it."""
+def _container(items: list[str], newline: str) -> str:
+    """The list of the item texts, each on a line of its own at newline + "  ",
+    as json.dumps(..., indent=2) writes it."""
     if not items:
-        return brackets
+        return "[]"
     inner = newline + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def indented(value, newline: str = "\n") -> str:
-    """value as json.dumps(value, indent=2) writes it, newline being the line
-    break and indent of the line it starts on: one string per container, a
-    list of plain ints joined in one piece.  Keys must be str."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return str(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if all(type(v) is int for v in value):
-            return _container(list(map(str, value)), newline, "[]")
-        return _container([indented(v, inner) for v in value], newline, "[]")
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        items = [encode_basestring_ascii(k) + ": " + indented(v, inner) for k, v in value.items()]
-        return _container(items, newline, "{}")
-    return json.dumps(value)  # floats and any other scalar, with json's own repr
+def _template(shape: dict, newline: str) -> str:
+    """json.dumps(shape, indent=2) as a %-format, newline being the line break
+    and indent of the line it starts on: each str value "%d" becomes an int
+    slot and each "%%s" a text slot, both unquoted, while "%s" stays a quoted
+    string slot.  The line breaks are moved by replacing every "\\n", which is
+    exact: json.dumps escapes every newline inside a string."""
+    text = json.dumps(shape, indent=2).replace("\n", newline)
+    return text.replace('"%d"', "%d").replace('"%%s"', "%s")
 
 
 # the keys of each kind's generator fields, and the grid steps of their lines
@@ -64,67 +45,65 @@ def generator_lines(kind: Orientation, grid: PeriodGrid, i0: int, j0: int) -> li
     return [format(grid.line(i0, j0, di, dj), fmt)[::-1] for di, dj in _GENERATOR_STEPS[kind]]
 
 
-# the line break of the search payload's "witnesses" lists, and of the records in them
-_WITNESSES = "\n        "
-RECORD_NEWLINE = _WITNESSES + "  "
-_HOLE = "\0"  # a str no report holds: the place of a text spliced in afterwards
-_HOLE_TEXT = encode_basestring_ascii(_HOLE)
+# the line break of the search payload's classes, of their lists, and of the records in them
+_CLASSES = "\n    "
+_LISTS = _CLASSES + "    "
+RECORD_NEWLINE = _LISTS + "  "
+_HOLE = "\0"  # a str no report holds: the place of each class in the payload's text
 _INTS = ["%d", "%d"]
 
-# each kind's witness record as a %-format: indented of its shape at the depth the
-# search writes it, FamilyCertificate.to_json_dict's fields (the kind written in)
-# then the generator fields, whose values are the slots "%s", a string that needs
-# no escape, and "%d", an int, written unquoted
+# each kind's witness record as a %-format, written at the depth the search writes
+# it: FamilyCertificate.to_json_dict's fields (the kind written in) then the
+# generator fields, whose "%s" slots take strings that need no escape
 _RECORD_TEMPLATES = {
-    kind: indented({"kind": kind.value, "generator": "%s", "position": _INTS, "remainder": "%d",
-                    "corner_counts": _INTS, "band_counts": _INTS, "period_counts": _INTS,
-                    **dict.fromkeys(GENERATOR_KEYS[kind], "%s")}, RECORD_NEWLINE).replace('"%d"', "%d")
+    kind: _template({"kind": kind.value, "generator": "%s", "position": _INTS, "remainder": "%d",
+                     "corner_counts": _INTS, "band_counts": _INTS, "period_counts": _INTS,
+                     **dict.fromkeys(GENERATOR_KEYS[kind], "%s")}, RECORD_NEWLINE)
     for kind in Orientation
 }
 
 
 def witness_record(cert, representative: str, lines: list[str]) -> str:
-    """indented(cert.to_json_dict() + the generator fields, RECORD_NEWLINE),
-    representative being str(cert.generator): one %-format of the kind's
-    template; lines are generator_lines."""
+    """json.dumps(cert.to_json_dict() + the generator fields, indent=2) at the
+    depth of RECORD_NEWLINE, representative being str(cert.generator): one
+    %-format of the kind's template; lines are generator_lines."""
     r, corner, band, half = cert.remainder, cert.corner_ones, cert.band_ones, cert.p * cert.p // 2
     return _RECORD_TEMPLATES[cert.kind] % (
         representative, *cert.position, r, r * (r + 1) // 2 - corner, corner, band, band, half, half, *lines
     )
 
 
-def _class_text(entry, kinds: list[Orientation], certs: dict) -> str:
-    """indented(item) of one class of the search payload, at the depth of the
-    "classes" list: its witness lists written from records, every other field
-    by indented."""
+def _class_text(template: str, entry, kinds: list[Orientation], certs: dict) -> str:
+    """One class of the search payload at the depth of the "classes" list: one
+    %-format of the search's class template, its two lists per kind written
+    by _container."""
     representative = str(entry.class_rep)
     grid = build_period_grid(entry.class_rep)
-    item = {"index": entry.index, "representative": representative}
-    lists = []
+    values = [entry.index, representative]
     for kind in kinds:
         rset = entry.remainders(kind)
-        item[kind.value] = {"remainder_count": len(rset), "remainders": list(rset.remainders),
-                            "witnesses": _HOLE}
-        lists.append(_container([
+        values += len(rset), _container(list(map(str, rset.remainders)), _LISTS), _container([
             witness_record(certs[entry.index, kind, r], representative, generator_lines(kind, grid, i0, j0))
             for r, i0, j0 in rset.witnesses
-        ], _WITNESSES, "[]"))
-    head, *tails = indented(item, "\n    ").split(_HOLE_TEXT)
-    return head + "".join(text + tail for text, tail in zip(lists, tails))
+        ], _LISTS)
+    return template % tuple(values)
 
 
 def search_pieces(report, kinds: list[Orientation], certs: dict, k_verify: int) -> Iterator[str]:
-    """The search's JSON, indented(payload) + "\\n", one class at a time.  The
-    payload holds p, each class's index, representative and, per kind, its
-    remainder count, remainders and witness records (each certificate's
-    to_json_dict and generator fields), then with k_verify > 0 the number of
-    certificates and k_verify.  certs maps (class index, kind, remainder) to
-    each witness's certificate."""
+    """The search's JSON, json.dumps(payload, indent=2) + "\\n", one class at a
+    time.  The payload holds p, each class's index, representative and, per
+    kind, its remainder count, remainders and witness records (each
+    certificate's to_json_dict and generator fields), then with k_verify > 0
+    the number of certificates and k_verify.  certs maps (class index, kind,
+    remainder) to each witness's certificate."""
     payload = {"p": report.p, "classes": [_HOLE] * len(report.classes)}
     if k_verify:
         payload.update(verified_certificates=len(certs), k_verify=k_verify)
-    head, *tails = indented(payload).split(_HOLE_TEXT)
+    head, *tails = json.dumps(payload, indent=2).split(json.dumps(_HOLE))
+    template = _template({"index": "%d", "representative": "%s", **{
+        kind.value: {"remainder_count": "%d", "remainders": "%%s", "witnesses": "%%s"} for kind in kinds
+    }}, _CLASSES)
     yield head
     for entry, tail in zip(report.classes, tails):
-        yield _class_text(entry, kinds, certs) + tail
+        yield _class_text(template, entry, kinds, certs) + tail
     yield "\n"

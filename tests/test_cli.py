@@ -161,7 +161,9 @@ def test_search_p36_matches_golden(golden_dir, fmt):
 # check_family still read them from the oracle's line-count stream.  The JSON
 # rows of p = 72 with one kind, of p = 8 (no classes) and of p = 264 were
 # frozen while the search still built its payload as one tree of dicts and
-# wrote it with jsonout.indented
+# wrote it with jsonout.indented, a second encoder of json.dumps's text; the
+# search now writes its JSON from json.dumps-written templates, and indented
+# is deleted
 with open(Path(__file__).parent / "golden" / "search_sha256.csv", newline="") as _handle:
     SEARCH_DIGESTS = [(row["command"], row["sha256"]) for row in csv.DictReader(_handle)]
 
@@ -398,15 +400,25 @@ IGNORED_OPTIONS = [
      "--difference and --start apply to --scan ap only"),
     (("modm", "--scan", "interlaced", "--modulus", "3", "--start", "0"),
      "--difference and --start apply to --scan ap only"),
+    (("render", "family", "--seed-tuple", "000000101000111110001101", "--i0", "6", "--j0", "9", "--r", "6",
+      "--modulus", "3"), "render family takes no --modulus"),
+    (("render", "family", "--seed-tuple", "000000101000111110001101", "--i0", "6", "--j0", "9", "--r", "6",
+      "--window", "0:3,0:3"), "render family takes no --window"),
+    (("render", "orbit", "--seed-tuple", "0110", "--kind", "pascal", "--r", "3", "--k", "9"),
+     "render orbit takes no --r, --k, --kind"),
+    (("render", "orbit", "--seed-tuple", "0110", "--i0", "0", "--window", "0:4,0:4"),
+     "render orbit takes no --i0"),
 ]
 
 
 @pytest.mark.parametrize("args,message", IGNORED_OPTIONS, ids=[" ".join(a) for a, _ in IGNORED_OPTIONS])
-def test_options_the_command_ignores_are_refused(args, message, capsys):
+def test_options_the_command_ignores_are_refused(args, message, tmp_path, capsys):
     """An option that the chosen command would drop is a validation failure,
-    with nothing on stdout."""
-    assert main(list(args)) == 1
+    with nothing on stdout and no --out file written."""
+    out = tmp_path / "out"
+    assert main(list(args) + ["--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_ap_scan_defaults_match_explicit_options(capsys):

@@ -28,6 +28,16 @@ def test_search_p24_json_passes_the_checker(payload24):
     assert (result.returncode, result.stdout) == (0, "p=24: 654 witnesses checked, 0 failed\n")
 
 
+@pytest.mark.parametrize("kind", ["pascal", "steinhaus"])
+def test_search_p24_one_kind_json_passes_the_checker(kind, tmp_path, capsys):
+    """The class template of each single kind: its half of the witnesses,
+    each under that kind's key."""
+    target = tmp_path / "search24.json"
+    assert main(["search", "--p", "24", "--kind", kind, "--format", "json", "--out", str(target)]) == 0
+    assert witness_checker.main([str(target)]) == 0
+    assert capsys.readouterr().out == "p=24: 327 witnesses checked, 0 failed\n"
+
+
 def test_search_p72_json_passes_the_checker(tmp_path, capsys):
     """Certificates past the p = 24 goldens: every witness of p = 72, each
     lifted from its class's true period."""

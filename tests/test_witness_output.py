@@ -1,6 +1,7 @@
 """The witness output path: generator fields formatted from packed grid lines,
-the indented JSON writer and the search's streamed records, each checked
-against the reference it replaces."""
+and the search's streamed records and class texts, each checked against the
+reference it replaces: the generator tuples, and json.dumps of the payload
+built as one tree."""
 
 import json
 from functools import lru_cache
@@ -9,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinhaus import Orientation, ResidueTuple, build_period_grid, check_family, cli, full_search, jsonout
-from steinhaus.core import build_steinhaus
+from steinhaus import Orientation, build_period_grid, check_family, cli, full_search, jsonout
 from steinhaus.search import generator_tuple, pascal_generator_tuples
 
 
@@ -41,8 +41,7 @@ def test_generator_fields_match_the_generator_tuples(p):
     assert witnesses == {24: 654, 72: 1962}[p]
 
 
-# the JSON output of each command, with the empty triangle's payload built
-# directly: the CLI refuses an empty seed
+# the JSON output of each command
 JSON_COMMANDS = [
     ["census", "--kind", "pascal"],
     ["census", "--kind", "steinhaus"],
@@ -111,46 +110,6 @@ def test_cli_json_equals_json_dumps(command, tmp_path, monkeypatch):
     assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
-def test_empty_triangle_payload_equals_json_dumps():
-    payload = {"triangle": build_steinhaus(ResidueTuple(2, ())).to_json_dict(), "counts": {}}
-    assert jsonout.indented(payload) == json.dumps(payload, indent=2)
-
-
-# strings with quotes, backslashes, control characters and non-ASCII
-TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\U0001d11e'), st.characters()), max_size=8)
-SCALARS = st.one_of(
-    TEXT,
-    st.integers(),
-    st.integers(-10 ** 100, 10 ** 100),
-    st.booleans(),
-    st.none(),
-    st.sampled_from([0.1, 1e300, -0.0]),
-    st.floats(),
-)
-INT_LISTS = st.lists(st.one_of(st.integers(), st.booleans()), max_size=6)
-PAYLOADS = st.recursive(
-    st.one_of(SCALARS, INT_LISTS),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(TEXT, children, max_size=4),
-    ),
-    max_leaves=10,
-)
-
-
-@given(PAYLOADS)
-@settings(max_examples=50)
-def test_indented_equals_json_dumps(payload):
-    assert jsonout.indented(payload) == json.dumps(payload, indent=2)
-
-
-@pytest.mark.parametrize("payload", [{1: 2}, {"a": [{"b": 0, None: 1}]}, [{(1, 2): 3}]], ids=str)
-def test_indented_refuses_keys_that_are_not_str(payload):
-    with pytest.raises(TypeError, match="keys must be str"):
-        jsonout.indented(payload)
-
-
 @lru_cache(maxsize=None)
 def _witnesses(p, kind):
     """(x, r, i0, j0) of every witness of the kind at period p."""
@@ -163,31 +122,32 @@ def _witnesses(p, kind):
 
 @given(st.sampled_from([24, 72]), st.sampled_from(list(Orientation)), st.data())
 @settings(max_examples=60, deadline=None)
-def test_witness_record_equals_indented(p, kind, data):
+def test_witness_record_equals_json_dumps(p, kind, data):
     """One %-format of the kind's template writes a witness's record as
-    indented writes its dict at the depth the search writes it, on anchors
-    moved by whole periods."""
+    json.dumps writes its dict, re-indented at the depth the search writes
+    it, on anchors moved by whole periods."""
     x, r, i0, j0 = data.draw(st.sampled_from(_witnesses(p, kind)))
     i0 += p * data.draw(st.integers(-3, 3))
     j0 += p * data.draw(st.integers(-3, 3))
     cert = check_family(x, i0, j0, r, kind)
     record = {**cert.to_json_dict(), **generator_fields(kind, x, i0, j0)}
     lines = jsonout.generator_lines(kind, build_period_grid(x), i0, j0)
-    assert jsonout.witness_record(cert, str(x), lines) == jsonout.indented(record, jsonout.RECORD_NEWLINE)
+    assert jsonout.witness_record(cert, str(x), lines) == json.dumps(record, indent=2).replace(
+        "\n", jsonout.RECORD_NEWLINE)
 
 
 @pytest.mark.parametrize("p,kind,k_verify", [
     (24, "both", 0), (24, "both", 4), (24, "steinhaus", 4), (72, "pascal", 0), (8, "both", 0), (8, "both", 3),
 ], ids=str)
-def test_search_pieces_equal_indented(p, kind, k_verify):
-    """The streamed search text is indented(payload) + newline, also for a
-    report with no classes."""
+def test_search_pieces_equal_json_dumps(p, kind, k_verify):
+    """The streamed search text is json.dumps(payload, indent=2) + newline,
+    also for a report with no classes."""
     report = full_search(p)
     kinds = list(Orientation) if kind == "both" else [Orientation(kind)]
     certs = cli._certificates(report, kinds, k_verify)
     pieces = list(jsonout.search_pieces(report, kinds, certs, k_verify))
     text = "".join(pieces)
-    assert text == jsonout.indented(search_payload(report, kinds, certs, k_verify)) + "\n"
+    assert text == json.dumps(search_payload(report, kinds, certs, k_verify), indent=2) + "\n"
     assert len(pieces) == len(report.classes) + 2  # head, one per class, the final line break
     if p == 8:
         assert not report.classes and '"classes": []' in text
