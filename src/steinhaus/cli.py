@@ -21,12 +21,7 @@ from .core import (
 from .census import CENSUS_KINDS, average_census, check_census_size, extremal_ones_scan, triangle_count
 from .errors import EmptyTuple, SteinhausError, TooLarge
 from .jsonout import GENERATOR_KEYS, generator_lines, search_pieces
-from .modm import (
-    ApFamilySpec,
-    ap_balanced_scan,
-    interlaced_claimed_sizes,
-    interlaced_scan,
-)
+from .modm import ApFamilySpec, ap_balanced_scan, interlaced_scan
 from .orbits import (
     build_period_grid,
     check_kernel_dimension,
@@ -293,13 +288,7 @@ def _cmd_modm(args) -> int:
         if args.difference is not None or args.start is not None:
             raise SteinhausError("--difference and --start apply to --scan ap only")
         n_max = args.periods * 6 * args.modulus if args.n_max is None else args.n_max
-        kind = Orientation(args.kind)
-        witnesses = interlaced_scan(args.modulus, n_max, kind)
-        claimed = set(interlaced_claimed_sizes(args.modulus, n_max, kind))
-        missing = [w.n for w in witnesses if w.n in claimed and not w.found]
-        if missing:
-            raise SteinhausError(f"claimed sizes without balanced witness: {missing}")
-        for w in witnesses:
+        for w in interlaced_scan(args.modulus, n_max, Orientation(args.kind)):
             rows.append(
                 [args.modulus, "interlaced", w.n, "yes" if w.found else "no", w.spread]
             )

@@ -32,7 +32,7 @@ from .core import (
     check_triangle_size,
     is_balanced,
 )
-from .errors import InvalidSpec, TooLarge
+from .errors import InvalidSpec, SteinhausError, TooLarge
 from .orbits import AnchorFields, is_periodic_tuple, orbit_rows
 
 # bound on (6m)^2 * n_max * m, positions of the 6m-by-6m period x sizes x residues; the
@@ -100,8 +100,8 @@ class ScanRow(NamedTuple):
 def ap_balanced_scan(spec: ApFamilySpec, n_max: int) -> list[ScanRow]:
     """Balance of the triangle on the first n progression terms for every
     n <= n_max, the cells (i, j), i <= j < n, of one orbit, derived one
-    column at a time; raises if any size 0 or -1 mod the period is
-    unbalanced."""
+    column at a time; raises SteinhausError if any size 0 or -1 mod the
+    period (ApFamilySpec.claimed_sizes) is unbalanced."""
     if n_max < 1:
         return []
     m = spec.modulus
@@ -120,11 +120,9 @@ def ap_balanced_scan(spec: ApFamilySpec, n_max: int) -> list[ScanRow]:
         table = MultiplicityTable(m, counts)
         rows.append(ScanRow(n, table.balanced, table.spread))
     claimed = set(spec.claimed_sizes(n_max))
-    for row in rows:
-        if row.n in claimed and not row.balanced:
-            raise AssertionError(
-                f"size {row.n} should be balanced mod {m} (spread {row.spread})"
-            )
+    missing = [row.n for row in rows if row.n in claimed and not row.balanced]
+    if missing:
+        raise SteinhausError(f"claimed sizes without balanced witness: {missing}")
     return rows
 
 
@@ -200,6 +198,8 @@ def interlaced_scan(
     earlier row, and one with j >= 3m the hit (i, j - 3m) of the same row.
     Every anchor is a field of one packed count per nonzero residue, grown
     one size at a time; residue 0 fills the cells the other residues leave.
+    Raises SteinhausError if a size interlaced_claimed_sizes claims has no
+    balanced witness.
     """
     if m < 3 or m % 2 == 0:
         raise InvalidSpec(f"modulus must be odd and >= 3, got {m}")
@@ -233,6 +233,10 @@ def interlaced_scan(
         position = divmod(fields.first(hits), width) if spread <= 1 else None
         # a smallest spread above n_max + 1 is reported as n_max + 2
         witnesses.append(SizeWitness(n, spread <= 1, position, min(spread, n_max + 2)))
+    claimed = set(interlaced_claimed_sizes(m, n_max, kind))
+    missing = [w.n for w in witnesses if w.n in claimed and not w.found]
+    if missing:
+        raise SteinhausError(f"claimed sizes without balanced witness: {missing}")
     return witnesses
 
 

@@ -447,6 +447,21 @@ def test_search_json_witness_without_certificate_exits_one(monkeypatch, capsys):
     assert "failed oracle verification at K=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scan,target,claim,size", [
+    ("ap", "steinhaus.modm.ApFamilySpec.claimed_sizes", lambda self, n_max: [2], 2),
+    ("interlaced", "steinhaus.modm.interlaced_claimed_sizes", lambda m, n_max, kind: [6], 6),
+], ids=["ap", "interlaced"])
+def test_a_claimed_size_without_witness_exits_one(scan, target, claim, size, monkeypatch, tmp_path, capsys):
+    """Each scan checks its own claims (size 2 is unbalanced at m = 5, and
+    no anchor of the interlaced orbit holds a balanced size 6): a failing
+    claim is a validation failure, with nothing on stdout and no --out file."""
+    monkeypatch.setattr(target, claim)
+    out = tmp_path / "out"
+    assert main(["modm", "--scan", scan, "--modulus", "5", "--n-max", str(size), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: claimed sizes without balanced witness: [{size}]\n")
+    assert not out.exists()
+
+
 def test_oversized_interlaced_scan_exits_one():
     result = run_cli(
         "modm", "--scan", "interlaced", "--modulus", "3", "--n-max", "100000", check=False

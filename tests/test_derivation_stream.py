@@ -10,15 +10,21 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "steinhaus"
 
 
-def _derive_callers(source: str, name: str = "derive_tuple") -> list[str]:
-    """The innermost function around each call of ``name``, called by name
-    or as a module attribute ("<module>" outside any function)."""
-    tree = ast.parse(source)
+def _owners(tree: ast.AST) -> dict[ast.AST, str]:
+    """The name of the innermost function around each node inside one."""
     owner = {}
     for function in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(function):
                 owner[node] = function.name
+    return owner
+
+
+def _derive_callers(source: str, name: str = "derive_tuple") -> list[str]:
+    """The innermost function around each call of ``name``, called by name
+    or as a module attribute ("<module>" outside any function)."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
     return [
         owner.get(node, "<module>")
         for node in ast.walk(tree)

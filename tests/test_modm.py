@@ -5,6 +5,7 @@ from steinhaus import (
     InvalidSpec,
     Orientation,
     ResidueTuple,
+    SteinhausError,
     TooLarge,
     Triangle,
     ap_balanced_scan,
@@ -176,6 +177,20 @@ def test_interlaced_scan_refuses_an_orbit_off_the_skew_lattice(monkeypatch, grid
     monkeypatch.setattr("steinhaus.modm._interlaced_orbit_rows", grid)
     with pytest.raises(AssertionError, match="does not repeat under"):
         interlaced_scan(3, 9)
+
+
+def test_ap_scan_refuses_an_unbalanced_claimed_size(monkeypatch):
+    """Size 2 at m = 5 is unbalanced (spread 2): claimed, the scan raises."""
+    monkeypatch.setattr(ApFamilySpec, "claimed_sizes", lambda self, n_max: [2])
+    with pytest.raises(SteinhausError, match=r"claimed sizes without balanced witness: \[2\]"):
+        ap_balanced_scan(ApFamilySpec(5), 4)
+
+
+def test_interlaced_scan_refuses_a_claimed_size_without_witness(monkeypatch):
+    """No anchor of the m = 5 orbit holds a balanced size-6 triangle."""
+    monkeypatch.setattr("steinhaus.modm.interlaced_claimed_sizes", lambda m, n_max, kind: [6])
+    with pytest.raises(SteinhausError, match=r"claimed sizes without balanced witness: \[6\]"):
+        interlaced_scan(5, 6)
 
 
 def test_interlaced_scan_validation():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import random
 
@@ -13,6 +14,7 @@ from expected_values import (
     CLASS9_REP,
     CLASS9_STEINHAUS_WITNESSES,
 )
+from test_derivation_stream import _modules, _owners
 from test_line_stream import _ones_prefix
 
 from steinhaus import (
@@ -174,16 +176,24 @@ def test_oracle_refuses_multipliers_past_the_triangle_bound(rep9, monkeypatch):
         oracle_verify_family(cert, 85)
 
 
+def _forge(cert, position):
+    """The certificate moved to another anchor with its counts kept, built
+    past the check that the public constructor makes (check_family)."""
+    return search.FamilyCertificate._checked(
+        cert.kind, cert.generator, position, cert.remainder, cert.corner_ones, cert.band_ones
+    )
+
+
 def test_corrupted_certificate_fails_oracle(rep9):
     cert = check_steinhaus_family(rep9, 6, 9, 6)
-    shifted = dataclasses.replace(cert, position=(6, 10))
+    shifted = _forge(cert, (6, 10))
     assert not oracle_verify_family(shifted, 2)
 
 
 def test_corrupted_pascal_certificate_fails_oracle(rep9):
     cert = check_pascal_family(rep9, *dual_position(6, 9, 6, 24))
     assert cert is not None and oracle_verify_family(cert, 2)
-    shifted = dataclasses.replace(cert, position=(13, 16))
+    shifted = _forge(cert, (13, 16))
     assert not oracle_verify_family(shifted, 2)
 
 
@@ -217,10 +227,7 @@ def _oracle_disagreements(x, remainders, K, reference):
             i0, j0 = witnesses.witness(r)
             cert = check_family(x, i0, j0, r, kind)
             assert all(reference(cert, K))
-            forged = [
-                dataclasses.replace(cert, position=((i0 + di) % p, (j0 + dj) % p))
-                for di, dj in ((0, 1), (1, 0), (5, 11))
-            ]
+            forged = [_forge(cert, ((i0 + di) % p, (j0 + dj) % p)) for di, dj in ((0, 1), (1, 0), (5, 11))]
             for candidate in [cert, *forged]:
                 balanced = reference(candidate, K)
                 late_rejections += balanced[0] and not all(balanced)
@@ -415,6 +422,41 @@ def test_the_public_constructor_keeps_its_checks(rep9, fields, error):
     cert = check_steinhaus_family(rep9, 6, 9, 6)
     with pytest.raises(ValueError, match=error):
         dataclasses.replace(cert, **fields)
+
+
+def test_the_public_constructor_refuses_counts_from_another_anchor():
+    """Class 4's corner and band ones for remainder 5, placed at (0, 0):
+    the rule accepts the counts, but check_family finds none at that
+    anchor, and the oracle rejects the family at K = 1."""
+    fields = (Orientation.STEINHAUS, R("000000010110111001101111"), (0, 0), 5, 8, 210)
+    assert check_family(fields[1], 0, 0, 5, fields[0]) is None
+    assert not oracle_verify_family(search.FamilyCertificate._checked(*fields), 1)
+    with pytest.raises(ValueError, match="certificate blocks are not balanced"):
+        search.FamilyCertificate(*fields)
+
+
+def _namers(source, name):
+    """The innermost function around each use of ``name``, by name or as an
+    attribute ("<module>" outside any function)."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return [
+        owner.get(node, "<module>")
+        for node in ast.walk(tree)
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+    ]
+
+
+def test_the_name_finder_sees_both_spellings():
+    source = "def f(c):\n    def g():\n        return c._checked\n    return _checked\n"
+    assert sorted(_namers(source, "_checked")) == ["f", "g"]
+
+
+def test_only_check_family_builds_a_certificate_unchecked():
+    """FamilyCertificate._checked, which skips the constructor's check, is
+    named in the package only by check_family."""
+    namers = {name: _namers(source, "_checked") for name, source in _modules().items()}
+    assert {name: found for name, found in namers.items() if found} == {"search.py": ["check_family"]}
 
 
 def test_search_and_certificates_never_recount_the_period(rep9, monkeypatch):
